@@ -10,12 +10,7 @@ import os
 import numpy as np
 
 from fluxchain.asymptotics import asymptotic_vacuum, subspace_overlap
-from fluxchain.manybody import (
-    BasisIndexer,
-    ManyBodySpec,
-    Wavefunction,
-    lowest_spectrum,
-)
+from fluxchain.manybody import ManyBodySpec, embed, lowest_spectrum
 
 
 def main():
@@ -40,14 +35,8 @@ def main():
             energies = np.sort(np.concatenate([se.eigenvalues, so.eigenvalues]))
             energies = energies[: args.levels]
 
-            full = BasisIndexer(spec, "full")
-            pair = []
-            for s in (se, so):
-                vec = np.zeros(full.dimension, dtype=complex)
-                vec[s.vectors[0].indexer.indices] = s.vectors[0].data
-                pair.append(Wavefunction(full, vec))
             fid = subspace_overlap(
-                tuple(pair),
+                (embed(se.vectors[0]), embed(so.vectors[0])),
                 (asymptotic_vacuum(spec, +1), asymptotic_vacuum(spec, -1)),
             ).fidelity
 

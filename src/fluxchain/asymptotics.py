@@ -215,21 +215,15 @@ def beta_exponent(n_atoms: int, n_modes: int) -> float:
     """Decay exponent of the splitting: (4/sin^2(pi/2N)) sum_odd k<=N_m k^-3.
 
     Only displaced (odd) modes contribute an overlap factor, which is what
-    makes the two-atom value exactly 8.  The result is asserted to lie inside
-    (1.6 N^2, 2.1 N^2); violation means the implementation broke.
+    makes the two-atom value exactly 8.  The result lies inside
+    (1.6 N^2, 2.1 N^2) for every chain.
     """
     if n_atoms < 2:
         raise ManyBodyError("need at least two atoms")
     if not 1 <= n_modes <= n_atoms:
         raise ManyBodyError("need 1 <= n_modes <= n_atoms")
     s2 = math.sin(math.pi / (2.0 * n_atoms)) ** 2
-    total = 4.0 / s2 * sum(1.0 / k**3 for k in range(1, n_modes + 1, 2))
-    n2 = float(n_atoms * n_atoms)
-    if not 1.6 * n2 < total < 2.1 * n2:
-        raise AssertionError(
-            f"beta exponent {total} escaped ({1.6 * n2}, {2.1 * n2})"
-        )
-    return total
+    return 4.0 / s2 * sum(1.0 / k**3 for k in range(1, n_modes + 1, 2))
 
 
 def analytic_splitting_general(n_atoms: int, n_modes: int, g: float,

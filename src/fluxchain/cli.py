@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +123,32 @@ def parse_config_file(path: str) -> dict:
 _REQUIRED = object()
 
 
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+
+
+def _bool(v) -> bool:
+    if isinstance(v, int) and v in (0, 1):
+        return bool(v)
+    if isinstance(v, str) and v.lower() in _BOOL_WORDS:
+        return _BOOL_WORDS[v.lower()]
+    raise ValueError("expected true/false, yes/no or 1/0")
+
+
+def _int(v) -> int:
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError("expected an integer")
+    return int(v)
+
+
+def _choice(*allowed):
+    def choice(v):
+        if v not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}")
+        return v
+    return choice
+
+
 def _float_list(v):
     if isinstance(v, (int, float)):
         return [float(v)]
@@ -131,14 +156,14 @@ def _float_list(v):
 
 
 def _int_list(v):
-    if isinstance(v, int):
-        return [int(v)]
-    return [int(x) for x in v]
+    if isinstance(v, (int, float)):
+        return [_int(v)]
+    return [_int(x) for x in v]
 
 
 _COMMON = {
-    "seed": (int, 20260810),
-    "jobs": (int, 1),
+    "seed": (_int, 20260810),
+    "jobs": (_int, 1),
     "out_dir": (str, None),
 }
 
@@ -146,50 +171,50 @@ SCHEMAS: dict[str, dict] = {
     "derive": {
         "L1": (float, _REQUIRED), "L2": (float, _REQUIRED),
         "l_r": (float, _REQUIRED), "c_r": (float, _REQUIRED),
-        "a": (float, _REQUIRED), "N": (int, _REQUIRED),
+        "a": (float, _REQUIRED), "N": (_int, _REQUIRED),
         "E_J": (float, _REQUIRED), "E_CJ": (float, _REQUIRED),
     },
     "fluxonium": {
         "E_J": (float, _REQUIRED), "E_CJ": (float, _REQUIRED),
         "E_LJ": (float, _REQUIRED),
-        "grid_points": (int, 801),
+        "grid_points": (_int, 801),
         "grid_half_width": (float, 6.0 * math.pi),
-        "n_levels": (int, 4),
-        "wavefunction_csv": (bool, False),
+        "n_levels": (_int, 4),
+        "wavefunction_csv": (_bool, False),
     },
     "polariton": {
         "omega_k": (float, _REQUIRED), "omega_F": (float, _REQUIRED),
         "rabi_min": (float, 0.0), "rabi_max": (float, _REQUIRED),
-        "rabi_count": (int, 21),
+        "rabi_count": (_int, 21),
     },
     "spectrum": {
-        "N": (int, _REQUIRED), "N_m": (int, _REQUIRED),
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g": (float, _REQUIRED),
-        "omega_F": (float, 1.0), "count": (int, 10),
-        "sector": (str, "full"), "tol": (float, 1e-10),
-        "safety": (float, 4.0), "even_floor": (int, 4),
+        "omega_F": (float, 1.0), "count": (_int, 10),
+        "sector": (_choice("full", "even", "odd"), "full"), "tol": (float, 1e-10),
+        "safety": (float, 4.0), "even_floor": (_int, 4),
         "cutoffs": (_int_list, None),
     },
     "splitting-sweep": {
-        "N": (int, _REQUIRED), "N_m": (int, _REQUIRED),
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g_grid": (_float_list, _REQUIRED),
         "omega_F": (float, 1.0),
-        "safety": (float, 4.0), "even_floor": (int, 4),
-        "tol": (float, 1e-3), "refine": (bool, True),
+        "safety": (float, 4.0), "even_floor": (_int, 4),
+        "tol": (float, 1e-3), "refine": (_bool, True),
     },
     "overlap": {
-        "N": (int, _REQUIRED), "N_m": (int, _REQUIRED),
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g_grid": (_float_list, _REQUIRED),
-        "safety": (float, 3.5), "even_floor": (int, 4),
+        "safety": (float, 3.5), "even_floor": (_int, 4),
         "tol": (float, 1e-10),
     },
     "disorder": {
-        "N": (int, _REQUIRED), "N_m": (int, _REQUIRED),
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g": (float, _REQUIRED),
-        "amplitude": (float, 0.5), "count": (int, 100),
-        "engine": (str, "exact"),
+        "amplitude": (float, 0.5), "count": (_int, 100),
+        "engine": (_choice("exact", "analytic"), "exact"),
         "omega_F": (float, 1.0),
-        "safety": (float, 4.0), "even_floor": (int, 4),
+        "safety": (float, 4.0), "even_floor": (_int, 4),
     },
     "fit-beta": {
         "records_csv": (str, _REQUIRED),
@@ -289,13 +314,6 @@ def _write_manifest(out_dir: str, command: str, resolved: dict,
 
 # --------------------------------------------------------------------------
 # command implementations
-
-
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 def _cmd_derive(cfg, out_dir, chash):
@@ -407,7 +425,7 @@ def _cmd_splitting_sweep(cfg, out_dir, chash):
         return manybody.ground_splitting(
             _spec_from_cfg(cfg, g), tol=cfg["tol"], refine=cfg["refine"]
         )
-    records = _parallel_map(run_one, sorted(grid), cfg["jobs"])
+    records = manybody.parallel_map(run_one, sorted(grid), cfg["jobs"])
     records.sort(key=lambda r: r.g)
     path = os.path.join(out_dir, "splitting_sweep.csv")
     write_csv(path, _sweep_header(cfg["N_m"]), [_sweep_row(r) for r in records],
@@ -423,14 +441,8 @@ def _cmd_overlap(cfg, out_dir, chash):
                                       with_vectors=True)
         so = manybody.lowest_spectrum(spec, "odd", 1, tol=cfg["tol"],
                                       with_vectors=True)
-        full = manybody.BasisIndexer(spec, "full")
-        pair = []
-        for s in (se, so):
-            vec = np.zeros(full.dimension, dtype=complex)
-            vec[s.vectors[0].indexer.indices] = s.vectors[0].data
-            pair.append(manybody.Wavefunction(full, vec))
         ov = asymptotics.subspace_overlap(
-            tuple(pair),
+            (manybody.embed(se.vectors[0]), manybody.embed(so.vectors[0])),
             (asymptotics.asymptotic_vacuum(spec, +1),
              asymptotics.asymptotic_vacuum(spec, -1)),
         )
@@ -545,15 +557,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, schema in SCHEMAS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key = value file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
+        sp.add_argument("--seed", type=_int, default=None)
+        sp.add_argument("--jobs", type=_int, default=None)
         sp.add_argument("--out-dir", dest="out_dir", default=None)
         for key, (conv, _default) in schema.items():
             flag = "--" + key.replace("_", "-").lower()
-            if conv is bool:
-                sp.add_argument(flag, dest=key, default=None,
-                                type=lambda s: s.lower() in ("1", "true", "yes"))
-            elif conv in (_float_list, _int_list):
+            if conv in (_float_list, _int_list):
                 sp.add_argument(flag, dest=key, default=None,
                                 type=lambda s: json.loads(s))
             else:

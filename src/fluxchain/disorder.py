@@ -21,6 +21,7 @@ from .manybody import (
     SplittingRecord,
     Wavefunction,
     ground_splitting,
+    parallel_map,
 )
 
 #: exact-engine ensembles refuse specs above this many basis states
@@ -110,13 +111,7 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact",
         )
         return RealizationRecord(r, omega, float(delta), True)
 
-    if jobs > 1 and spec.count > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            records = list(ex.map(one, range(spec.count)))
-    else:
-        records = [one(r) for r in range(spec.count)]
+    records = parallel_map(one, range(spec.count), jobs)
     deltas = np.array([rec.delta for rec in records])
     return EnsembleStats(
         mean_delta=float(np.mean(deltas)),

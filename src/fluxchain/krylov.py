@@ -9,7 +9,8 @@ generator is touched only on breakdown.
 
 The basis is stored column-stacked so projections and reorthogonalization run
 as BLAS matrix-vector products; this is what makes half-million-dimensional
-sector solves practical.
+sector solves practical.  It takes the dtype of the start vector, so a real
+symmetric operator started from a real vector runs in real arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, v0: np.ndarray | None = None,
                       breakdown_seed: int = 7) -> LanczosResult:
     """k lowest eigenpairs of a Hermitian operator given only its matvec.
 
+    The iteration runs in the dtype of ``v0`` (complex ones by default).
     ``tol`` is relative to ``scale`` (an operator-norm estimate; falls back to
     the largest projected Ritz value).  Residual estimates from the projected
     problem drive the iteration; explicit residuals ||A x - lambda x|| gate
@@ -61,15 +63,15 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, v0: np.ndarray | None = None,
     if v0 is None:
         v = np.ones(dim, dtype=complex)
     else:
-        v = v0.astype(complex, copy=True)
+        v = v0.astype(np.result_type(v0, float), copy=True)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
-        v = rng.standard_normal(dim) + 0j
+        v = rng.standard_normal(dim).astype(v.dtype)
         nrm = np.linalg.norm(v)
 
-    Q = np.empty((dim, basis_size + 1), dtype=complex, order="F")
+    Q = np.empty((dim, basis_size + 1), dtype=v.dtype, order="F")
     Q[:, 0] = v / nrm
-    proj = np.zeros((basis_size, basis_size), dtype=complex)
+    proj = np.zeros((basis_size, basis_size), dtype=v.dtype)
     m = 0
     n_mv = 0
     restarts = 0
@@ -140,7 +142,9 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, v0: np.ndarray | None = None,
 
         if beta < 1e-13 * op_scale:
             # invariant subspace hit: continue in a seeded random direction
-            w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            w = rng.standard_normal(dim)
+            if np.iscomplexobj(Q):
+                w = w + 1j * rng.standard_normal(dim)
             w, beta = reorthogonalize(w, m)
         Q[:, m] = w / beta
 
@@ -152,7 +156,7 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, v0: np.ndarray | None = None,
             kept = Q[:, :m] @ svecs[:, :keep]
             Q[:, keep] = Q[:, m]
             Q[:, :keep] = kept
-            proj = np.zeros((basis_size, basis_size), dtype=complex)
+            proj = np.zeros((basis_size, basis_size), dtype=Q.dtype)
             proj[:keep, :keep] = np.diag(vals[:keep])
             m = keep
             restarts += 1

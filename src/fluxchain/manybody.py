@@ -11,12 +11,15 @@ cells (cosine pattern for odd k, sine for even k, the alternating
 zone-boundary pattern at k = N).
 
 Basis packing puts the N spin bits in the low bits of the index and the mode
-occupations above them in mixed radix, mode 1 fastest.  The matvec never
-materializes H: diagonal terms are a precomputed vector, off-diagonal terms
-are generated from spin-bit XOR gathers plus occupation-shifted slice adds.
-Parity sectors (product of sz times photon-number parity) are realized by
-embedding sector vectors into the full space for the matvec and projecting
-back, which keeps cross-sector leakage at exactly zero.
+occupations above them in mixed radix, mode 1 fastest.  H commutes with the
+Z2 parity (product of sz times photon-number parity), and every solve works
+in one parity sector.  There the matvec never materializes H: a sector is
+indexed by (occupations, spin bits 2..N), since parity fixes bit 1, and in
+the gauge |n> -> i^n |n> per mode the sector operator is real, a diagonal
+minus one small spin-space product and two occupation-shifted slice adds per
+mode (``HamiltonianEngine``).  A full-space spectrum is the merge of the two
+sector spectra.  Public vectors and matrices stay in the documented complex
+basis; ``embed`` places a sector vector in the full space.
 
 Ground-state splittings are always computed sector by sector; subtracting
 two nearly equal full-space eigenvalues cannot reach the 1e-12 level that
@@ -27,12 +30,14 @@ atomic frequency are flagged as floor-limited.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
-from .krylov import EigenConvergenceError, lowest_eigenpairs
+from .krylov import lowest_eigenpairs
 
 #: splittings below this (relative to omega_F) are numerically unresolvable
 NUMERICAL_FLOOR = 1e-13
@@ -202,21 +207,44 @@ class ManyBodySpec:
         return replace(self, omega_atoms=tuple(float(w) for w in omega_atoms))
 
 
-def _spin_parity_signs(n_atoms: int) -> np.ndarray:
-    s = np.arange(2**n_atoms, dtype=np.int64)
-    pop = np.zeros_like(s)
-    for b in range(n_atoms):
-        pop += (s >> b) & 1
-    return np.where((n_atoms - pop) % 2 == 0, 1, -1).astype(np.int8)
+SECTORS = ("even", "odd")
+
+
+def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
+    pop = np.zeros_like(x)
+    for b in range(bits):
+        pop += (x >> b) & 1
+    return pop
+
+
+def _mode_table(per_mode) -> np.ndarray:
+    """sum_m per_mode[m][n_m] over every occupation pattern, mode 1 fastest."""
+    out = np.zeros(1, dtype=np.result_type(*per_mode))
+    for vals in per_mode:
+        out = (vals[:, None] + out[None, :]).reshape(-1)
+    return out
+
+
+def _photon_totals(spec: ManyBodySpec) -> np.ndarray:
+    return _mode_table([np.arange(dim) for dim in spec.mode_dims])
 
 
 def parity_signs(spec: ManyBodySpec) -> np.ndarray:
     """Eigenvalue of (prod_j sz_j) * (-1)^(total photons) per basis state."""
-    signs = _spin_parity_signs(spec.n_atoms)
-    bos = np.array([1], dtype=np.int8)
-    for dim in reversed(spec.mode_dims):
-        bos = np.kron(bos, np.where(np.arange(dim) % 2 == 0, 1, -1).astype(np.int8))
-    return np.kron(bos, signs)
+    pop = _popcount(np.arange(spec.spin_dim), spec.n_atoms)
+    exponent = _photon_totals(spec)[:, None] + (spec.n_atoms - pop)[None, :]
+    return np.where(exponent % 2 == 0, 1, -1).astype(np.int8).reshape(-1)
+
+
+def _sector_indices(spec: ManyBodySpec, sector: str) -> np.ndarray:
+    # parity fixes spin bit 1 once the photon total and bits 2..N are known,
+    # so (occupations, bits 2..N) in row-major order enumerates the sector in
+    # increasing full index f * 2^N + s
+    rest = np.arange(spec.spin_dim // 2)
+    bit1 = (spec.n_atoms + (sector == "odd") + _photon_totals(spec)[:, None]
+            + _popcount(rest, spec.n_atoms - 1)[None, :]) % 2
+    occ = np.arange(spec.dimension // spec.spin_dim)[:, None]
+    return (occ * spec.spin_dim + 2 * rest[None, :] + bit1).reshape(-1)
 
 
 class BasisIndexer:
@@ -237,9 +265,7 @@ class BasisIndexer:
             self.indices = None
             self.dimension = self.full_dimension
         else:
-            signs = parity_signs(spec)
-            want = 1 if self.sector == "even" else -1
-            self.indices = np.flatnonzero(signs == want)
+            self.indices = _sector_indices(spec, self.sector)
             self.dimension = int(self.indices.size)
 
     def index_of(self, bits, occupations) -> int:
@@ -311,132 +337,139 @@ class Wavefunction:
         return complex(np.vdot(self.data, other.data))
 
 
-class HamiltonianEngine:
-    """Cached arrays for the matrix-free matvec of one spec.
+def embed(wf: Wavefunction) -> Wavefunction:
+    """A sector wavefunction as a full-space one, zero outside its sector."""
+    idx = wf.indexer
+    if idx.indices is None:
+        return wf
+    full = BasisIndexer(idx.spec, "full")
+    data = np.zeros(full.dimension, dtype=complex)
+    data[idx.indices] = wf.data
+    return Wavefunction(full, data)
 
-    Works on column-stacked batches: input shape (D,) or (D, b).  Internally
-    vectors are viewed as (mode_Nm, ..., mode_1, spin, batch).
+
+class HamiltonianEngine:
+    """The real operator of one parity sector, applied matrix-free.
+
+    Sector states are indexed as (occupations, spin bits 2..N) in the order of
+    ``BasisIndexer(spec, sector).indices``.  In the gauge |n> -> i^n |n> per
+    mode, H restricted to the sector is
+
+        diag - sum_m (a_m + a_m^dag) (x) X_m,    X_m = sum_j c_mj sx_j,
+
+    where sx_1 acts as the identity on bits 2..N and sx_j flips bit j-1 of
+    them, so each X_m is one real 2^(N-1) square matrix, the same in both
+    sectors.  ``phase`` (i^photons per state) maps sector vectors of this
+    operator to the documented complex basis.
     """
 
-    def __init__(self, spec: ManyBodySpec):
+    def __init__(self, spec: ManyBodySpec, sector: str):
+        if sector not in SECTORS:
+            raise ManyBodyError("sector must be 'even' or 'odd'")
         self.spec = spec
-        S = spec.spin_dim
-        self._shape = tuple(reversed(spec.mode_dims)) + (S,)
+        self.indexer = BasisIndexer(spec, sector)
+        n, half = spec.n_atoms, spec.spin_dim // 2
+        self._shape = tuple(reversed(spec.mode_dims)) + (half,)
 
-        spin_e = np.zeros(S)
-        s = np.arange(S)
-        for j in range(spec.n_atoms):
-            up = ((s >> j) & 1) * 2 - 1
-            spin_e += 0.5 * spec.omega_atoms[j] * up
-        diag = np.broadcast_to(spin_e, self._shape).astype(float).copy()
-        for m, dim in enumerate(spec.mode_dims):
-            term = spec.omega_modes[m] * np.arange(dim, dtype=float)
-            shape = [1] * (spec.n_modes + 1)
-            shape[spec.n_modes - 1 - m] = dim
-            diag += term.reshape(shape)
-        self.diagonal = np.ascontiguousarray(diag, dtype=float).reshape(-1)
+        spins = np.arange(spec.spin_dim)
+        spin_e = np.zeros(spec.spin_dim)
+        for j in range(n):
+            spin_e += 0.5 * spec.omega_atoms[j] * (((spins >> j) & 1) * 2 - 1)
+        mode_e = _mode_table([w * np.arange(dim, dtype=float)
+                              for w, dim in zip(spec.omega_modes, spec.mode_dims)])
+        occ = self.indexer.indices >> n
+        self.diagonal = spin_e[self.indexer.indices & (spec.spin_dim - 1)] + mode_e[occ]
+        self.phase = np.array([1, 1j, -1, -1j])[_photon_totals(spec)[occ] % 4]
 
-        self._flip = [np.arange(S) ^ (1 << j) for j in range(spec.n_atoms)]
-        self._sqrt = [np.sqrt(np.arange(1, dim, dtype=float)) for dim in spec.mode_dims]
         # coupling prefactor of (k, j): W_k sqrt(2/N) f_k(j)
-        c = np.array(spec.weights) * (
-            np.array(spec.rabi)[:, None] * math.sqrt(2.0 / spec.n_atoms)
+        self.couplings = np.array(spec.weights) * (
+            np.array(spec.rabi)[:, None] * math.sqrt(2.0 / n)
         )
-        self.couplings = c
+        rest = np.arange(half)
+        self._terms = []
+        for m, dim in enumerate(spec.mode_dims):
+            x_m = self.couplings[m, 0] * np.eye(half)
+            for j in range(1, n):
+                x_m[rest, rest ^ (1 << (j - 1))] += self.couplings[m, j]
+            if not np.any(x_m):
+                continue
+            # axis of mode m in the (batch, mode_Nm, ..., mode_1, spin) view
+            lo = [slice(None)] * (spec.n_modes + 2)
+            hi = list(lo)
+            lo[spec.n_modes - m] = slice(None, -1)
+            hi[spec.n_modes - m] = slice(1, None)
+            sq = np.sqrt(np.arange(1, dim, dtype=float)).reshape((-1,) + (1,) * (m + 1))
+            self._terms.append((x_m, sq, tuple(lo), tuple(hi)))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        b = x.shape[1]
-        v = x.reshape(self._shape + (b,))
-        out = self.diagonal[:, None] * x.reshape(-1, b)
-        out = out.reshape(self._shape + (b,))
+        """H x for a sector vector (D,) or a column stack (D, b)."""
+        rows = np.ascontiguousarray(np.atleast_2d(x.T))
+        v = rows.reshape((-1,) + self._shape)
+        out = v * self.diagonal.reshape(self._shape)
+        for x_m, sq, lo, hi in self._terms:
+            t = (v.reshape(-1, self._shape[-1]) @ x_m).reshape(v.shape)
+            # <n| a |n+1> = <n+1| a^dag |n> = sqrt(n+1)
+            out[lo] -= sq * t[hi]
+            out[hi] -= sq * t[lo]
+        out = out.reshape(rows.shape)
+        return out[0] if x.ndim == 1 else out.T
 
-        for j in range(spec.n_atoms):
-            if not np.any(self.couplings[:, j]):
-                continue
-            vf = v[..., self._flip[j], :]
-            for m in range(spec.n_modes):
-                w = self.couplings[m, j]
-                if w == 0.0:
-                    continue
-                ax = spec.n_modes - 1 - m  # axis of mode m in the view
-                sq = self._sqrt[m].reshape(
-                    (-1,) + (1,) * (m + 2)  # broadcast over faster modes, spin, batch
-                )
-                lo = [slice(None)] * (spec.n_modes + 2)
-                hi = [slice(None)] * (spec.n_modes + 2)
-                lo[ax] = slice(None, -1)
-                hi[ax] = slice(1, None)
-                # <n| a |n+1> = sqrt(n+1):  out[n] += i w sqrt(n+1) vf[n+1]
-                out[tuple(lo)] += (1j * w) * (sq * vf[tuple(hi)])
-                # <n+1| -a^dag |n> = -sqrt(n+1):  out[n+1] -= i w sqrt(n+1) vf[n]
-                out[tuple(hi)] -= (1j * w) * (sq * vf[tuple(lo)])
-        out = out.reshape(-1, b)
-        return out[:, 0] if squeeze else out
+    def dense(self) -> np.ndarray:
+        """The real sector matrix, one identity column per basis state."""
+        n = self.indexer.dimension
+        if n > DENSE_LIMIT:
+            raise ManyBodyError(f"dense assembly refused at dimension {n}")
+        return self.matvec(np.eye(n))
 
 
 @lru_cache(maxsize=16)
-def _engine(spec: ManyBodySpec) -> HamiltonianEngine:
-    return HamiltonianEngine(spec)
+def _engine(spec: ManyBodySpec, sector: str) -> HamiltonianEngine:
+    return HamiltonianEngine(spec, sector)
 
 
 def apply_hamiltonian(spec: ManyBodySpec, wf: Wavefunction) -> Wavefunction:
     """H applied to a wavefunction, full space or a parity sector.
 
-    Sector vectors are scattered into the full space, multiplied and gathered
-    back; the gather projects any numerical cross-sector leakage to zero.
+    A full-space vector is split into its two sector parts, each multiplied
+    by its sector operator and embedded back.
     """
-    eng = _engine(spec)
     idx = wf.indexer
     if idx.spec != spec:
         raise ManyBodyError("wavefunction belongs to a different spec")
-    if idx.indices is None:
-        return Wavefunction(idx, eng.matvec(wf.data))
-    full = np.zeros(idx.full_dimension, dtype=complex)
-    full[idx.indices] = wf.data
-    return Wavefunction(idx, eng.matvec(full)[idx.indices])
+    if idx.indices is not None:
+        op = _engine(spec, idx.sector)
+        return Wavefunction(idx, op.phase * op.matvec(op.phase.conj() * wf.data))
+    parts = []
+    for sector in SECTORS:
+        sub = _engine(spec, sector).indexer
+        parts.append(embed(apply_hamiltonian(spec, Wavefunction(sub, wf.data[sub.indices]))))
+    return Wavefunction(idx, parts[0].data + parts[1].data)
 
 
 def parity_apply(spec: ManyBodySpec, wf: Wavefunction) -> Wavefunction:
     """Apply the parity operator (prod_j sz_j) (-1)^(total photons)."""
-    signs = parity_signs(spec)
     idx = wf.indexer
     if idx.indices is None:
-        return Wavefunction(idx, wf.data * signs)
-    return Wavefunction(idx, wf.data * signs[idx.indices])
-
-
-def _sector_matvec(spec: ManyBodySpec, indexer: BasisIndexer):
-    eng = _engine(spec)
-    if indexer.indices is None:
-        return eng.matvec
-    idx = indexer.indices
-    full_dim = indexer.full_dimension
-
-    def mv(x):
-        full = np.zeros(full_dim, dtype=complex)
-        full[idx] = x
-        return eng.matvec(full)[idx]
-
-    return mv
+        return Wavefunction(idx, wf.data * parity_signs(spec))
+    return Wavefunction(idx, wf.data * (1.0 if idx.sector == "even" else -1.0))
 
 
 def dense_matrix(spec: ManyBodySpec, sector: str = "full") -> np.ndarray:
-    """Assemble the (sector-restricted) Hamiltonian densely via the matvec."""
+    """The Hamiltonian (one parity block, or the whole space) as a dense
+    matrix in the documented complex basis."""
     indexer = BasisIndexer(spec, sector)
     if indexer.dimension > DENSE_LIMIT:
         raise ManyBodyError(
             f"dense assembly refused at dimension {indexer.dimension}"
         )
-    eng = _engine(spec)
-    if indexer.indices is None:
-        return eng.matvec(np.eye(indexer.dimension, dtype=complex))
-    full = np.zeros((indexer.full_dimension, indexer.dimension), dtype=complex)
-    full[indexer.indices, np.arange(indexer.dimension)] = 1.0
-    return eng.matvec(full)[indexer.indices, :]
+    if indexer.indices is not None:
+        op = _engine(spec, indexer.sector)
+        return op.phase[:, None] * op.dense() * op.phase.conj()
+    h = np.zeros((indexer.dimension, indexer.dimension), dtype=complex)
+    for sector in SECTORS:
+        sel = _engine(spec, sector).indexer.indices
+        h[np.ix_(sel, sel)] = dense_matrix(spec, sector)
+    return h
 
 
 @dataclass
@@ -449,16 +482,10 @@ class SpectrumResult:
     vectors: list[Wavefunction] | None = None
 
 
-def _start_vector(indexer: BasisIndexer) -> np.ndarray:
-    # documented deterministic start: uniform amplitude on the sector
-    return np.ones(indexer.dimension, dtype=complex)
-
-
-def _operator_scale(spec: ManyBodySpec) -> float:
-    eng = _engine(spec)
-    scale = float(np.max(np.abs(eng.diagonal)))
+def _operator_scale(op: HamiltonianEngine) -> float:
+    scale = float(np.max(np.abs(op.diagonal)))
     scale += 2.0 * float(
-        np.sum(np.abs(eng.couplings) * np.sqrt(np.array(spec.cutoffs))[:, None])
+        np.sum(np.abs(op.couplings) * np.sqrt(np.array(op.spec.cutoffs))[:, None])
     )
     return max(scale, 1.0)
 
@@ -470,75 +497,53 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     """m lowest eigenpairs of H restricted to a parity sector.
 
     ``method='auto'`` uses dense diagonalization whenever the sector
-    dimension is at most ``DENSE_LIMIT`` and Lanczos above it.  The full-space
-    iterative spectrum is assembled by merging the two sector runs, which
-    sidesteps cross-sector quasi-degeneracy entirely.
+    dimension is at most ``DENSE_LIMIT`` and Lanczos above it.  A full-space
+    spectrum, dense or Lanczos, is always the merge of the two sector
+    solves, which sidesteps cross-sector quasi-degeneracy entirely.
     """
     if m < 1:
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
         raise ManyBodyError("tol must be positive")
-    indexer = BasisIndexer(spec, sector)
+    indexer = (_engine(spec, sector).indexer if sector in SECTORS
+               else BasisIndexer(spec, sector))
     if m > indexer.dimension:
         raise ManyBodyError("m exceeds the sector dimension")
 
-    use_dense = method == "dense" or (
-        method == "auto" and indexer.dimension <= DENSE_LIMIT
-    )
-
-    if use_dense:
-        h = dense_matrix(spec, sector)
-        vals, vecs = np.linalg.eigh(h)
-        vals = vals[:m]
-        mv = _sector_matvec(spec, indexer)
-        residuals = np.array(
-            [np.linalg.norm(mv(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(m)]
-        )
-        out_vecs = None
-        if with_vectors:
-            out_vecs = [Wavefunction(indexer, vecs[:, i].copy()) for i in range(m)]
-        return SpectrumResult(vals.copy(), residuals, 0, indexer.sector, "dense",
-                              out_vecs)
-
-    if indexer.sector == "full":
-        even = lowest_spectrum(spec, "even", m, tol, method, with_vectors,
-                               max_matvecs)
-        odd = lowest_spectrum(spec, "odd", m, tol, method, with_vectors,
-                              max_matvecs)
-        order = np.argsort(np.concatenate([even.eigenvalues, odd.eigenvalues]),
-                           kind="stable")[:m]
-        vals = np.concatenate([even.eigenvalues, odd.eigenvalues])[order]
-        res = np.concatenate([even.residual_norms, odd.residual_norms])[order]
+    if indexer.indices is None:
+        even, odd = (lowest_spectrum(spec, s, min(m, indexer.dimension // 2), tol,
+                                     method, with_vectors, max_matvecs)
+                     for s in SECTORS)
+        vals = np.concatenate([even.eigenvalues, odd.eigenvalues])
+        order = np.argsort(vals, kind="stable")[:m]
+        res = np.concatenate([even.residual_norms, odd.residual_norms])
         vecs = None
         if with_vectors:
-            pool = list(even.vectors) + list(odd.vectors)
-            full_indexer = BasisIndexer(spec, "full")
-            vecs = []
-            for i in order:
-                w = pool[i]
-                fullvec = np.zeros(full_indexer.dimension, dtype=complex)
-                fullvec[w.indexer.indices] = w.data
-                vecs.append(Wavefunction(full_indexer, fullvec))
-        return SpectrumResult(vals, res, even.iterations + odd.iterations,
-                              "full", "lanczos-merged", vecs)
+            pool = even.vectors + odd.vectors
+            vecs = [embed(pool[i]) for i in order]
+        return SpectrumResult(vals[order], res[order],
+                              even.iterations + odd.iterations,
+                              "full", f"{even.method}-merged", vecs)
 
-    mv = _sector_matvec(spec, indexer)
-    try:
+    op = _engine(spec, indexer.sector)
+    if method == "dense" or (method == "auto" and indexer.dimension <= DENSE_LIMIT):
+        h = op.dense()
+        vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, m - 1])
+        residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+        iterations, method = 0, "dense"
+    else:
         res = lowest_eigenpairs(
-            mv, indexer.dimension, m,
-            v0=_start_vector(indexer), tol=tol, scale=_operator_scale(spec),
+            op.matvec, indexer.dimension, m,
+            v0=np.ones(indexer.dimension), tol=tol, scale=_operator_scale(op),
             max_matvecs=max_matvecs, with_vectors=with_vectors,
         )
-    except EigenConvergenceError:
-        raise
+        vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
+        iterations, method = res.matvec_count, "lanczos"
     out_vecs = None
     if with_vectors:
-        out_vecs = [
-            Wavefunction(indexer, res.eigenvectors[:, i].copy())
-            for i in range(m)
-        ]
-    return SpectrumResult(res.eigenvalues, res.residuals, res.matvec_count,
-                          indexer.sector, "lanczos", out_vecs)
+        out_vecs = [Wavefunction(op.indexer, op.phase * vecs[:, i]) for i in range(m)]
+    return SpectrumResult(vals, residuals, iterations, indexer.sector, method,
+                          out_vecs)
 
 
 @dataclass
@@ -624,3 +629,12 @@ def convergence_scan(spec: ManyBodySpec, cutoff_schedule,
         records.append(rec)
         prev_delta = rec.delta
     return records
+
+
+def parallel_map(fn, items, jobs: int = 1) -> list:
+    """[fn(x) for x in items] on up to ``jobs`` threads, in the order of items."""
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(fn, items))

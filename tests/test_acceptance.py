@@ -19,10 +19,9 @@ import pytest
 
 import fluxchain as fx
 from fluxchain.manybody import (
-    BasisIndexer,
     ManyBodySpec,
-    Wavefunction,
     dense_matrix,
+    embed,
     ground_splitting,
     lowest_spectrum,
     parity_signs,
@@ -189,14 +188,10 @@ def test_criterion_06_beta_scaling():
 
 
 def _embedded_ground_pair(spec, tol=1e-10):
-    full = BasisIndexer(spec, "full")
-    pair = []
-    for sector in ("even", "odd"):
-        res = lowest_spectrum(spec, sector, m=1, tol=tol, with_vectors=True)
-        vec = np.zeros(full.dimension, dtype=complex)
-        vec[res.vectors[0].indexer.indices] = res.vectors[0].data
-        pair.append(Wavefunction(full, vec))
-    return tuple(pair)
+    return tuple(
+        embed(lowest_spectrum(spec, sector, m=1, tol=tol, with_vectors=True).vectors[0])
+        for sector in ("even", "odd")
+    )
 
 
 def _doublet_fidelity(spec):

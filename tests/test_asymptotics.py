@@ -239,9 +239,10 @@ class TestBetaExponent:
         assert beta_exponent(50, 50) / 50**2 == pytest.approx(limit, rel=1e-3)
 
     def test_bounds_for_small_chains(self):
-        for n in range(2, 12):
-            b = beta_exponent(n, n)
-            assert 1.6 * n * n < b < 2.1 * n * n
+        for n in range(2, 51):
+            for nm in range(1, n + 1):
+                b = beta_exponent(n, nm)
+                assert 1.6 * n * n < b < 2.1 * n * n
 
     def test_slope_of_general_formula_is_minus_beta(self):
         n, nm = 3, 3

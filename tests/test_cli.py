@@ -227,3 +227,41 @@ class TestRun:
         run("polariton", None,
             {"omega_k": 1.0, "omega_F": 1.0, "rabi_max": 0.5, "rabi_count": 2})
         assert (tmp_path / "env" / "polariton" / "polariton.csv").exists()
+
+
+class TestStrictConfig:
+    BASE = {"N": 2, "N_m": 1, "g_grid": [1.0]}
+
+    def test_bool_words_resolve_both_ways(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("N = 2\nN_m = 1\ng_grid = [1.0]\nrefine = no\n")
+        assert resolve_config("splitting-sweep", parse_config_file(str(p)), {})[
+            "refine"] is False
+        for raw, want in (("false", False), ("Yes", True), (True, True), (0, False)):
+            cfg = resolve_config("splitting-sweep", None, dict(self.BASE, refine=raw))
+            assert cfg["refine"] is want
+        for raw in ("maybe", 2, 1.0):
+            with pytest.raises(ConfigError):
+                resolve_config("splitting-sweep", None, dict(self.BASE, refine=raw))
+
+    def test_bad_bool_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["splitting-sweep", "--n", "2", "--n-m", "1", "--g-grid", "[1.0]",
+                  "--refine", "nope", "--out-dir", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
+
+    def test_non_integral_ints_rejected(self):
+        args = {"N": 2, "N_m": 1, "g": 0.5}
+        assert resolve_config("spectrum", None, dict(args, count=3.0))["count"] == 3
+        for bad in ({"count": 2.7}, {"count": True}, {"cutoffs": [4, 2.5]}):
+            with pytest.raises(ConfigError):
+                resolve_config("spectrum", None, dict(args, **bad))
+
+    def test_enums_checked_before_output(self, tmp_path):
+        for command, args in (
+            ("spectrum", {"N": 2, "N_m": 1, "g": 0.5, "sector": "bogus"}),
+            ("disorder", {"N": 2, "N_m": 1, "g": 1.0, "engine": "bogus"}),
+        ):
+            with pytest.raises(ConfigError):
+                run(command, None, dict(args, out_dir=str(tmp_path)))
+        assert not any(tmp_path.iterdir())

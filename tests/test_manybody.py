@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluxchain.krylov import EigenConvergenceError, lowest_eigenpairs
 from fluxchain.manybody import (
@@ -14,6 +15,7 @@ from fluxchain.manybody import (
     collective_rabi_ratios,
     convergence_scan,
     dense_matrix,
+    embed,
     ground_splitting,
     lowest_spectrum,
     parity_apply,
@@ -131,8 +133,19 @@ class TestApplyHamiltonian:
             small_spec(4, 2, 0.9, (3, 2), omega_atoms=(0.8, 1.1, 1.3, 0.6)),
         ):
             href = dense_hamiltonian(spec)
+            tol = 1e-13 * max(1.0, np.abs(href).max())
             mine = dense_matrix(spec, "full")
-            assert np.max(np.abs(mine - href)) < 1e-13 * max(1.0, np.abs(href).max())
+            assert np.max(np.abs(mine - href)) < tol
+            v = rand_wf(BasisIndexer(spec, "full"), 0)
+            assert np.max(np.abs(apply_hamiltonian(spec, v).data - href @ v.data)) < tol
+            signs = np.diag(dense_parity(spec)).real
+            for sector, want in (("even", 1), ("odd", -1)):
+                sel = np.flatnonzero(signs == want)
+                block = href[np.ix_(sel, sel)]
+                assert np.max(np.abs(dense_matrix(spec, sector) - block)) < tol
+                w = rand_wf(BasisIndexer(spec, sector), 1)
+                assert np.max(np.abs(apply_hamiltonian(spec, w).data - block @ w.data)) < tol
+                assert np.array_equal(parity_apply(spec, w).data, want * w.data)
 
     def test_decoupled_ground_state_is_eigenvector(self):
         spec = small_spec(3, 2, 0.0, (2, 2), omega_atoms=(1.0, 1.2, 0.9))
@@ -223,11 +236,23 @@ class TestLowestSpectrum:
     def test_merged_full_spectrum_matches_dense(self):
         spec = ManyBodySpec.from_coupling(4, 2, 0.6, cutoffs=(30, 7))
         assert spec.dimension <= 4096
-        merged = lowest_spectrum(spec, "full", m=4, tol=1e-12, method="lanczos")
-        assert merged.method == "lanczos-merged"
-        dense = lowest_spectrum(spec, "full", m=4, method="dense")
-        assert np.max(np.abs(merged.eigenvalues - dense.eigenvalues)) < 1e-9
-        assert np.all(np.diff(merged.eigenvalues) >= -1e-12)
+        ref = scipy.linalg.eigvalsh(dense_matrix(spec, "full"), subset_by_index=[0, 3])
+        for method in ("lanczos", "dense"):
+            merged = lowest_spectrum(spec, "full", m=4, tol=1e-12, method=method)
+            assert merged.method == f"{method}-merged"
+            assert np.max(np.abs(merged.eigenvalues - ref)) < 1e-9
+            assert np.all(np.diff(merged.eigenvalues) >= -1e-12)
+
+    def test_sector_vectors_are_oracle_eigenvectors(self):
+        spec = small_spec(3, 2, 1.1, (5, 3), omega_atoms=(0.8, 1.15, 0.95))
+        href = dense_hamiltonian(spec)
+        for method in ("dense", "lanczos"):
+            for sector in ("even", "odd"):
+                res = lowest_spectrum(spec, sector, m=2, tol=1e-12, method=method,
+                                      with_vectors=True)
+                for e, v in zip(res.eigenvalues, res.vectors):
+                    x = embed(v).data
+                    assert np.linalg.norm(href @ x - e * x) < 1e-9
 
     def test_deterministic_repeat(self):
         spec = small_spec(3, 2, 1.0, (4, 3))
@@ -336,6 +361,16 @@ def test_ground_energy_approaches_ferromagnetic_value():
         devs.append(abs(e0 - e_ferro) / abs(e_ferro))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 0.03
+
+
+def test_krylov_on_real_symmetric_matrix_stays_real():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((150, 150))
+    h = (a + a.T) / 2
+    res = lowest_eigenpairs(lambda x: h @ x, 150, 2, v0=np.ones(150), tol=1e-12,
+                            scale=float(np.linalg.norm(h, 2)))
+    assert res.eigenvectors.dtype == np.float64
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(h)[:2])) < 1e-10
 
 
 def test_krylov_on_plain_matrix():
