@@ -499,8 +499,12 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     ``method='auto'`` uses dense diagonalization whenever the sector
     dimension is at most ``DENSE_LIMIT`` and Lanczos above it.  A full-space
     spectrum, dense or Lanczos, is always the merge of the two sector
-    solves, which sidesteps cross-sector quasi-degeneracy entirely.
+    solves, which sidesteps cross-sector quasi-degeneracy entirely.  Lanczos
+    may return an exactly degenerate level fewer times than its multiplicity;
+    the dense route returns every copy.
     """
+    if method not in ("auto", "dense", "lanczos"):
+        raise ManyBodyError(f"unknown method {method!r}")
     if m < 1:
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
@@ -533,8 +537,7 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
         iterations, method = 0, "dense"
     else:
         res = lowest_eigenpairs(
-            op.matvec, indexer.dimension, m,
-            v0=np.ones(indexer.dimension), tol=tol, scale=_operator_scale(op),
+            op.matvec, indexer.dimension, m, tol=tol, scale=_operator_scale(op),
             max_matvecs=max_matvecs, with_vectors=with_vectors,
         )
         vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals

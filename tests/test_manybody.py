@@ -260,6 +260,20 @@ class TestLowestSpectrum:
         b = lowest_spectrum(spec, "even", m=2, method="lanczos")
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
+    def test_lanczos_finds_levels_of_every_symmetry_class(self):
+        # a start vector inside one symmetry class of the sector operator
+        # would leave the other class's levels out of the Krylov space
+        spec = ManyBodySpec.from_coupling(3, 1, 0.5, safety=2.5)
+        for sector in ("even", "odd"):
+            ref = scipy.linalg.eigvalsh(dense_matrix(spec, sector),
+                                        subset_by_index=[0, 3])
+            res = lowest_spectrum(spec, sector, 4, method="lanczos")
+            assert np.max(np.abs(res.eigenvalues - ref)) < 1e-9
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ManyBodyError, match="dnse"):
+            lowest_spectrum(small_spec(), "even", 1, method="dnse")
+
     def test_nonconvergence_raises_with_residuals(self):
         spec = small_spec(3, 2, 1.0, (6, 4))
         with pytest.raises(EigenConvergenceError) as err:
@@ -367,20 +381,37 @@ def test_krylov_on_real_symmetric_matrix_stays_real():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((150, 150))
     h = (a + a.T) / 2
-    res = lowest_eigenpairs(lambda x: h @ x, 150, 2, v0=np.ones(150), tol=1e-12,
+    res = lowest_eigenpairs(lambda x: h @ x, 150, 3, tol=1e-12,
                             scale=float(np.linalg.norm(h, 2)))
     assert res.eigenvectors.dtype == np.float64
-    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(h)[:2])) < 1e-10
-
-
-def test_krylov_on_plain_matrix():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
-    h = (a + a.conj().T) / 2
-    res = lowest_eigenpairs(lambda x: h @ x, 200, 3, tol=1e-12,
-                            scale=float(np.linalg.norm(h, 2)))
-    ref = np.linalg.eigvalsh(h)[:3]
-    assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(h)[:3])) < 1e-10
     for i in range(3):
         x = res.eigenvectors[:, i]
         assert np.linalg.norm(h @ x - res.eigenvalues[i] * x) < 1e-9
+
+
+def test_krylov_exhausted_space_returns_every_pair():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((20, 20))
+    h = (a + a.T) / 2
+    res = lowest_eigenpairs(lambda x: h @ x, 20, 20, tol=1e-12,
+                            scale=float(np.linalg.norm(h, 2)))
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(h))) < 1e-10
+    x = res.eigenvectors
+    assert np.max(np.linalg.norm(h @ x - x * res.eigenvalues, axis=0)) < 1e-9
+
+
+def test_krylov_counts_every_operator_call():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((300, 300))
+    h = (a + a.T) / 2
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return h @ x
+
+    res = lowest_eigenpairs(matvec, 300, 4, tol=1e-12,
+                            scale=float(np.linalg.norm(h, 2)))
+    assert res.restarts > 0
+    assert res.matvec_count == len(calls)
