@@ -377,6 +377,19 @@ def test_ground_energy_approaches_ferromagnetic_value():
     assert devs[2] < 0.03
 
 
+def test_krylov_on_plain_matrix():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((200, 200))
+    h = (a + a.T) / 2
+    res = lowest_eigenpairs(lambda x: h @ x, 200, 3, tol=1e-12,
+                            scale=float(np.linalg.norm(h, 2)))
+    ref = np.linalg.eigvalsh(h)[:3]
+    assert np.max(np.abs(res.eigenvalues - ref)) < 1e-10
+    for i in range(3):
+        x = res.eigenvectors[:, i]
+        assert np.linalg.norm(h @ x - res.eigenvalues[i] * x) < 1e-9
+
+
 def test_krylov_on_real_symmetric_matrix_stays_real():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((150, 150))
