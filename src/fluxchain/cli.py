@@ -426,7 +426,6 @@ def _cmd_splitting_sweep(cfg, out_dir, chash):
             _spec_from_cfg(cfg, g), tol=cfg["tol"], refine=cfg["refine"]
         )
     records = manybody.parallel_map(run_one, sorted(grid), cfg["jobs"])
-    records.sort(key=lambda r: r.g)
     path = os.path.join(out_dir, "splitting_sweep.csv")
     write_csv(path, _sweep_header(cfg["N_m"]), [_sweep_row(r) for r in records],
               chash=chash)

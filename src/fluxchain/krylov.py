@@ -12,6 +12,8 @@ is deterministic and its start has weight on every eigenvector; a start
 inside one symmetry class of the operator would never reach the levels of
 another.  A single start still spans one direction per eigenspace, so an
 exactly degenerate level may come back fewer times than its multiplicity.
+``manybody.lowest_spectrum`` solves sectors of at most ``DENSE_LIMIT``
+states densely, which returns every copy, and only larger ones here.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class EigenConvergenceError(RuntimeError):
 @dataclass
 class LanczosResult:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
     residuals: np.ndarray
     matvec_count: int
     restarts: int = 0
@@ -52,14 +54,15 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]
 
 
 def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
-                      max_matvecs: int = 60000,
-                      with_vectors: bool = True) -> LanczosResult:
+                      max_matvecs: int = 60000) -> LanczosResult:
     """k lowest eigenpairs of a real symmetric operator given only its matvec.
 
     ``tol`` is relative to ``scale``, an operator-norm estimate.  Residual
     estimates from the projected problem drive the iteration; explicit
     residuals ||A x - lambda x|| gate acceptance at ``10 * tol * scale``,
     except once the Krylov space is exhausted and the projection is exact.
+    The Ritz vectors those residuals certify are returned as the columns of
+    ``eigenvectors``.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
@@ -92,8 +95,7 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
                 explicit[j] = np.linalg.norm(matvec(ritz[:, j]) - vals[j] * ritz[:, j])
                 n_mv += 1
             if m >= dim or np.all(explicit < 10.0 * tol * scale):
-                return LanczosResult(vals[:k].copy(), ritz if with_vectors else None,
-                                     explicit, n_mv, restarts)
+                return LanczosResult(vals[:k].copy(), ritz, explicit, n_mv, restarts)
             # estimates were optimistic; keep iterating
 
         if beta < 1e-13 * scale:

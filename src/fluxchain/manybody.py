@@ -17,9 +17,11 @@ in one parity sector.  There the matvec never materializes H: a sector is
 indexed by (occupations, spin bits 2..N), since parity fixes bit 1, and in
 the gauge |n> -> i^n |n> per mode the sector operator is real, a diagonal
 minus one small spin-space product and two occupation-shifted slice adds per
-mode (``HamiltonianEngine``).  A full-space spectrum is the merge of the two
-sector spectra.  Public vectors and matrices stay in the documented complex
-basis; ``embed`` places a sector vector in the full space.
+mode (``HamiltonianEngine``).  Its size alone picks the eigensolver: dense
+at or below ``DENSE_LIMIT`` states, Lanczos above.  A full-space spectrum is
+the merge of the two sector spectra.  Public vectors and matrices stay in
+the documented complex basis; ``embed`` places a sector vector in the full
+space.
 
 Ground-state splittings are always computed sector by sector; subtracting
 two nearly equal full-space eigenvalues cannot reach the 1e-12 level that
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -42,8 +43,12 @@ from .krylov import lowest_eigenpairs
 #: splittings below this (relative to omega_F) are numerically unresolvable
 NUMERICAL_FLOOR = 1e-13
 
-#: sector dimension at or below which the dense path is used automatically
-DENSE_LIMIT = 4096
+#: sector dimension at or below which a solve is dense, above it Lanczos;
+#: the measured crossover of the two routes (CHANGES.md)
+DENSE_LIMIT = 400
+
+#: refuse to assemble dense matrices larger than this
+DENSE_ASSEMBLY_LIMIT = 4096
 
 #: refuse to build spaces larger than this many basis states
 DIMENSION_BUDGET = 6_000_000
@@ -416,15 +421,16 @@ class HamiltonianEngine:
 
     def dense(self) -> np.ndarray:
         """The real sector matrix, one identity column per basis state."""
-        n = self.indexer.dimension
-        if n > DENSE_LIMIT:
-            raise ManyBodyError(f"dense assembly refused at dimension {n}")
-        return self.matvec(np.eye(n))
+        return self.matvec(np.eye(self.indexer.dimension))
 
-
-@lru_cache(maxsize=16)
-def _engine(spec: ManyBodySpec, sector: str) -> HamiltonianEngine:
-    return HamiltonianEngine(spec, sector)
+    def norm_bound(self) -> float:
+        """An upper bound on the operator norm (at least 1), the scale of
+        Lanczos tolerances."""
+        scale = float(np.max(np.abs(self.diagonal)))
+        scale += 2.0 * float(
+            np.sum(np.abs(self.couplings) * np.sqrt(np.array(self.spec.cutoffs))[:, None])
+        )
+        return max(scale, 1.0)
 
 
 def apply_hamiltonian(spec: ManyBodySpec, wf: Wavefunction) -> Wavefunction:
@@ -437,11 +443,11 @@ def apply_hamiltonian(spec: ManyBodySpec, wf: Wavefunction) -> Wavefunction:
     if idx.spec != spec:
         raise ManyBodyError("wavefunction belongs to a different spec")
     if idx.indices is not None:
-        op = _engine(spec, idx.sector)
+        op = HamiltonianEngine(spec, idx.sector)
         return Wavefunction(idx, op.phase * op.matvec(op.phase.conj() * wf.data))
     parts = []
     for sector in SECTORS:
-        sub = _engine(spec, sector).indexer
+        sub = BasisIndexer(spec, sector)
         parts.append(embed(apply_hamiltonian(spec, Wavefunction(sub, wf.data[sub.indices]))))
     return Wavefunction(idx, parts[0].data + parts[1].data)
 
@@ -458,16 +464,16 @@ def dense_matrix(spec: ManyBodySpec, sector: str = "full") -> np.ndarray:
     """The Hamiltonian (one parity block, or the whole space) as a dense
     matrix in the documented complex basis."""
     indexer = BasisIndexer(spec, sector)
-    if indexer.dimension > DENSE_LIMIT:
+    if indexer.dimension > DENSE_ASSEMBLY_LIMIT:
         raise ManyBodyError(
             f"dense assembly refused at dimension {indexer.dimension}"
         )
     if indexer.indices is not None:
-        op = _engine(spec, indexer.sector)
+        op = HamiltonianEngine(spec, indexer.sector)
         return op.phase[:, None] * op.dense() * op.phase.conj()
     h = np.zeros((indexer.dimension, indexer.dimension), dtype=complex)
     for sector in SECTORS:
-        sel = _engine(spec, sector).indexer.indices
+        sel = BasisIndexer(spec, sector).indices
         h[np.ix_(sel, sel)] = dense_matrix(spec, sector)
     return h
 
@@ -482,41 +488,30 @@ class SpectrumResult:
     vectors: list[Wavefunction] | None = None
 
 
-def _operator_scale(op: HamiltonianEngine) -> float:
-    scale = float(np.max(np.abs(op.diagonal)))
-    scale += 2.0 * float(
-        np.sum(np.abs(op.couplings) * np.sqrt(np.array(op.spec.cutoffs))[:, None])
-    )
-    return max(scale, 1.0)
-
-
 def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
-                    tol: float = 1e-11, method: str = "auto",
-                    with_vectors: bool = False,
+                    tol: float = 1e-11, with_vectors: bool = False,
                     max_matvecs: int = 60000) -> SpectrumResult:
     """m lowest eigenpairs of H restricted to a parity sector.
 
-    ``method='auto'`` uses dense diagonalization whenever the sector
-    dimension is at most ``DENSE_LIMIT`` and Lanczos above it.  A full-space
-    spectrum, dense or Lanczos, is always the merge of the two sector
-    solves, which sidesteps cross-sector quasi-degeneracy entirely.  Lanczos
-    may return an exactly degenerate level fewer times than its multiplicity;
-    the dense route returns every copy.
+    The sector dimension alone picks the route: dense diagonalization at or
+    below ``DENSE_LIMIT`` states, where it is the faster of the two, and
+    Lanczos above it.  A full-space spectrum is always the merge of the two
+    sector solves, which sidesteps cross-sector quasi-degeneracy entirely.
+    Only the dense route is guaranteed to return an exactly degenerate level
+    as often as its multiplicity; Lanczos may return fewer copies.
     """
-    if method not in ("auto", "dense", "lanczos"):
-        raise ManyBodyError(f"unknown method {method!r}")
     if m < 1:
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
         raise ManyBodyError("tol must be positive")
-    indexer = (_engine(spec, sector).indexer if sector in SECTORS
-               else BasisIndexer(spec, sector))
+    op = HamiltonianEngine(spec, sector) if sector in SECTORS else None
+    indexer = BasisIndexer(spec, sector) if op is None else op.indexer
     if m > indexer.dimension:
         raise ManyBodyError("m exceeds the sector dimension")
 
-    if indexer.indices is None:
+    if op is None:
         even, odd = (lowest_spectrum(spec, s, min(m, indexer.dimension // 2), tol,
-                                     method, with_vectors, max_matvecs)
+                                     with_vectors, max_matvecs)
                      for s in SECTORS)
         vals = np.concatenate([even.eigenvalues, odd.eigenvalues])
         order = np.argsort(vals, kind="stable")[:m]
@@ -529,24 +524,20 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
                               even.iterations + odd.iterations,
                               "full", f"{even.method}-merged", vecs)
 
-    op = _engine(spec, indexer.sector)
-    if method == "dense" or (method == "auto" and indexer.dimension <= DENSE_LIMIT):
+    if indexer.dimension <= DENSE_LIMIT:
         h = op.dense()
         vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, m - 1])
         residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
         iterations, method = 0, "dense"
     else:
-        res = lowest_eigenpairs(
-            op.matvec, indexer.dimension, m, tol=tol, scale=_operator_scale(op),
-            max_matvecs=max_matvecs, with_vectors=with_vectors,
-        )
+        res = lowest_eigenpairs(op.matvec, indexer.dimension, m, tol=tol,
+                                scale=op.norm_bound(), max_matvecs=max_matvecs)
         vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
         iterations, method = res.matvec_count, "lanczos"
     out_vecs = None
     if with_vectors:
-        out_vecs = [Wavefunction(op.indexer, op.phase * vecs[:, i]) for i in range(m)]
-    return SpectrumResult(vals, residuals, iterations, indexer.sector, method,
-                          out_vecs)
+        out_vecs = [Wavefunction(indexer, op.phase * vecs[:, i]) for i in range(m)]
+    return SpectrumResult(vals, residuals, iterations, sector, method, out_vecs)
 
 
 @dataclass
@@ -573,35 +564,44 @@ def _refined_cutoffs(cutoffs) -> tuple[int, ...]:
     return tuple(c + max(2, math.ceil(0.25 * c)) for c in cutoffs)
 
 
+def _omega_ref(spec: ManyBodySpec) -> float:
+    return float(np.mean(np.abs(spec.omega_atoms))) or 1.0
+
+
+def _converged(spec: ManyBodySpec, delta: float, other: float, rtol: float) -> bool:
+    """Whether two splittings of ``spec`` at different cutoffs agree: both
+    below the numerical floor, or within ``rtol`` of the larger one."""
+    if max(delta, other) < NUMERICAL_FLOOR * _omega_ref(spec):
+        return True
+    return abs(delta - other) <= rtol * max(delta, other)
+
+
 def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
                      refine: bool = True, eig_tol: float = 1e-11) -> SplittingRecord:
     """|E0(even) - E0(odd)| with a cutoff-refinement convergence flag.
 
     ``tol`` is the relative change of delta under one cutoff refinement that
-    still counts as converged; refinement is skipped (and the record marked
-    unconverged) when ``refine`` is false.
+    still counts as converged, and two splittings below the floor always do;
+    refinement is skipped (and the record marked unconverged) when
+    ``refine`` is false.
     """
     e_even = _sector_ground(spec, "even", eig_tol)
     e_odd = _sector_ground(spec, "odd", eig_tol)
     delta = abs(e_even - e_odd)
-    omega_ref = float(np.mean(np.abs(spec.omega_atoms))) or 1.0
-    floor = NUMERICAL_FLOOR * omega_ref
+    omega_ref = _omega_ref(spec)
 
     converged = False
     if refine:
         bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
         d2 = abs(_sector_ground(bumped, "even", eig_tol)
                  - _sector_ground(bumped, "odd", eig_tol))
-        if delta < floor and d2 < floor:
-            converged = True
-        else:
-            converged = abs(delta - d2) <= tol * max(abs(delta), abs(d2))
+        converged = _converged(spec, delta, d2, tol)
 
     return SplittingRecord(
         n_atoms=spec.n_atoms, n_modes=spec.n_modes, g=spec.g,
         cutoffs=spec.cutoffs, e_even=e_even, e_odd=e_odd, delta=delta,
         delta_over_omega_atom=delta / omega_ref,
-        converged=converged, below_floor=delta < floor,
+        converged=converged, below_floor=delta < NUMERICAL_FLOOR * omega_ref,
     )
 
 
@@ -610,8 +610,9 @@ def convergence_scan(spec: ManyBodySpec, cutoff_schedule,
                      eig_tol: float = 1e-11) -> list[SplittingRecord]:
     """Splittings along an increasing cutoff schedule.
 
-    Each record's flag states whether delta moved by less than ``rtol``
-    relative to the previous level; the first record is never converged.
+    Each record's flag states whether delta agrees with the previous level's
+    under the rule of ``ground_splitting``, with ``rtol`` as its tolerance;
+    the first record is never converged.
     """
     schedule = [tuple(int(c) for c in cuts) for cuts in cutoff_schedule]
     for prev, cur in zip(schedule, schedule[1:]):
@@ -620,17 +621,11 @@ def convergence_scan(spec: ManyBodySpec, cutoff_schedule,
         if not any(b > a for a, b in zip(prev, cur)):
             raise ManyBodyError("cutoff schedule must strictly increase")
     records = []
-    prev_delta = None
     for cuts in schedule:
-        s = spec.with_cutoffs(cuts)
-        rec = ground_splitting(s, refine=False, eig_tol=eig_tol)
-        if prev_delta is not None:
-            rec.converged = (
-                abs(rec.delta - prev_delta)
-                <= rtol * max(abs(rec.delta), abs(prev_delta), 1e-300)
-            )
+        rec = ground_splitting(spec.with_cutoffs(cuts), refine=False, eig_tol=eig_tol)
+        if records:
+            rec.converged = _converged(spec, rec.delta, records[-1].delta, rtol)
         records.append(rec)
-        prev_delta = rec.delta
     return records
 
 

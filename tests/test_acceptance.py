@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 import fluxchain as fx
+from fluxchain.krylov import lowest_eigenpairs
 from fluxchain.manybody import (
+    HamiltonianEngine,
     ManyBodySpec,
     dense_matrix,
     embed,
@@ -134,7 +136,9 @@ def test_criterion_04_dense_oracle_equivalence():
         assert np.max(np.abs(union - full_vals)) < 1e-9
 
         for sector in ("even", "odd"):
-            it = lowest_spectrum(spec, sector, m=3, method="lanczos", tol=1e-12)
+            op = HamiltonianEngine(spec, sector)
+            it = lowest_eigenpairs(op.matvec, op.indexer.dimension, 3, tol=1e-12,
+                                   scale=op.norm_bound())
             sel = np.flatnonzero(signs == (1 if sector == "even" else -1))
             ref = np.linalg.eigvalsh(href[np.ix_(sel, sel)])[:3]
             assert np.max(np.abs(it.eigenvalues - ref)) < 1e-9

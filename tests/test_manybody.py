@@ -6,7 +6,9 @@ import scipy.linalg
 
 from fluxchain.krylov import EigenConvergenceError, lowest_eigenpairs
 from fluxchain.manybody import (
+    DENSE_LIMIT,
     BasisIndexer,
+    HamiltonianEngine,
     ManyBodyError,
     ManyBodySpec,
     Wavefunction,
@@ -29,6 +31,19 @@ from oracles import dense_hamiltonian, dense_parity
 
 def small_spec(n=2, nm=2, g=1.0, cutoffs=(3, 2), **kw):
     return ManyBodySpec.from_coupling(n, nm, g, cutoffs=cutoffs, **kw)
+
+
+def sector_lanczos(spec, sector, k, **kw):
+    """The Lanczos solve that ``lowest_spectrum`` runs above DENSE_LIMIT."""
+    op = HamiltonianEngine(spec, sector)
+    return lowest_eigenpairs(op.matvec, op.indexer.dimension, k,
+                             scale=op.norm_bound(), **kw)
+
+
+def above_dense_limit_spec(g=1.0, **kw):
+    """N = 3, N_m = 2 with the first cutoff sized so one sector just exceeds
+    DENSE_LIMIT (16 (c + 1) states at second cutoff 3)."""
+    return small_spec(3, 2, g, (DENSE_LIMIT // 16, 3), **kw)
 
 
 def rand_wf(indexer, seed):
@@ -218,10 +233,22 @@ class TestLowestSpectrum:
     def test_lanczos_matches_dense_per_sector(self):
         spec = small_spec(3, 2, 1.0, (4, 3))
         for sector in ("even", "odd"):
-            d = lowest_spectrum(spec, sector, m=4, method="dense")
-            l = lowest_spectrum(spec, sector, m=4, method="lanczos", tol=1e-12)
-            assert np.max(np.abs(d.eigenvalues - l.eigenvalues)) < 1e-9
-            assert np.all(l.residual_norms < 1e-8)
+            d = scipy.linalg.eigvalsh(dense_matrix(spec, sector), subset_by_index=[0, 3])
+            l = sector_lanczos(spec, sector, 4, tol=1e-12)
+            assert np.max(np.abs(d - l.eigenvalues)) < 1e-9
+            assert np.all(l.residuals < 1e-8)
+
+    def test_route_switches_above_dense_limit(self):
+        # g = 0 README example: the dense route returns every degenerate copy
+        res = lowest_spectrum(small_spec(2, 2, 0.0, (3, 3)), "even", 6)
+        assert res.method == "dense"
+        assert np.allclose(res.eigenvalues, [-1, 1, 1, 1, 1, 2], atol=1e-12)
+        # the measured crossover: 400 states dense, 416 Lanczos
+        at, above = (small_spec(3, 2, 1.0, (c, 3)) for c in (24, 25))
+        assert BasisIndexer(at, "even").dimension == DENSE_LIMIT == 400
+        assert lowest_spectrum(at, "even", 1).method == "dense"
+        assert BasisIndexer(above, "even").dimension == 416
+        assert lowest_spectrum(above, "even", 1).method == "lanczos"
 
     def test_sector_union_equals_full_spectrum(self):
         spec = small_spec(2, 2, 0.9, (3, 2))
@@ -234,30 +261,35 @@ class TestLowestSpectrum:
         assert np.max(np.abs(union - full)) < 1e-9
 
     def test_merged_full_spectrum_matches_dense(self):
-        spec = ManyBodySpec.from_coupling(4, 2, 0.6, cutoffs=(30, 7))
-        assert spec.dimension <= 4096
-        ref = scipy.linalg.eigvalsh(dense_matrix(spec, "full"), subset_by_index=[0, 3])
-        for method in ("lanczos", "dense"):
-            merged = lowest_spectrum(spec, "full", m=4, tol=1e-12, method=method)
+        # sectors of 1984 states go Lanczos, of 30 states dense
+        for spec, method in ((ManyBodySpec.from_coupling(4, 2, 0.6, cutoffs=(30, 7)),
+                              "lanczos"),
+                             (small_spec(2, 2, 0.9, (4, 2)), "dense")):
+            ref = scipy.linalg.eigvalsh(dense_matrix(spec, "full"), subset_by_index=[0, 3])
+            merged = lowest_spectrum(spec, "full", m=4, tol=1e-12)
             assert merged.method == f"{method}-merged"
             assert np.max(np.abs(merged.eigenvalues - ref)) < 1e-9
             assert np.all(np.diff(merged.eigenvalues) >= -1e-12)
 
     def test_sector_vectors_are_oracle_eigenvectors(self):
-        spec = small_spec(3, 2, 1.1, (5, 3), omega_atoms=(0.8, 1.15, 0.95))
-        href = dense_hamiltonian(spec)
-        for method in ("dense", "lanczos"):
+        omega_atoms = (0.8, 1.15, 0.95)
+        for spec, method in ((small_spec(3, 2, 1.1, (5, 3), omega_atoms=omega_atoms),
+                              "dense"),
+                             (above_dense_limit_spec(1.1, omega_atoms=omega_atoms),
+                              "lanczos")):
+            href = dense_hamiltonian(spec)
             for sector in ("even", "odd"):
-                res = lowest_spectrum(spec, sector, m=2, tol=1e-12, method=method,
-                                      with_vectors=True)
+                res = lowest_spectrum(spec, sector, m=2, tol=1e-12, with_vectors=True)
+                assert res.method == method
                 for e, v in zip(res.eigenvalues, res.vectors):
                     x = embed(v).data
                     assert np.linalg.norm(href @ x - e * x) < 1e-9
 
     def test_deterministic_repeat(self):
-        spec = small_spec(3, 2, 1.0, (4, 3))
-        a = lowest_spectrum(spec, "even", m=2, method="lanczos")
-        b = lowest_spectrum(spec, "even", m=2, method="lanczos")
+        spec = above_dense_limit_spec()
+        a = lowest_spectrum(spec, "even", m=2)
+        b = lowest_spectrum(spec, "even", m=2)
+        assert a.method == "lanczos"
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
     def test_lanczos_finds_levels_of_every_symmetry_class(self):
@@ -267,18 +299,13 @@ class TestLowestSpectrum:
         for sector in ("even", "odd"):
             ref = scipy.linalg.eigvalsh(dense_matrix(spec, sector),
                                         subset_by_index=[0, 3])
-            res = lowest_spectrum(spec, sector, 4, method="lanczos")
+            res = sector_lanczos(spec, sector, 4, tol=1e-11)
             assert np.max(np.abs(res.eigenvalues - ref)) < 1e-9
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ManyBodyError, match="dnse"):
-            lowest_spectrum(small_spec(), "even", 1, method="dnse")
 
     def test_nonconvergence_raises_with_residuals(self):
         spec = small_spec(3, 2, 1.0, (6, 4))
         with pytest.raises(EigenConvergenceError) as err:
-            lowest_spectrum(spec, "even", m=2, method="lanczos", tol=1e-14,
-                            max_matvecs=8)
+            sector_lanczos(spec, "even", 2, tol=1e-14, max_matvecs=8)
         assert err.value.residuals is not None
 
     def test_softening_gap_beyond_critical_region(self):
@@ -356,6 +383,17 @@ class TestConvergenceScan:
         for a, b in zip(recs, recs[1:]):
             assert b.e_even <= a.e_even + 1e-9
             assert b.e_odd <= a.e_odd + 1e-9
+
+    def test_floor_rule_matches_ground_splitting(self):
+        # (52,) -> (64,) moves delta from 4.9e-11 to 1.4e-14; (64,) -> (79,)
+        # stays below the floor, which ground_splitting counts as converged
+        spec = ManyBodySpec.from_coupling(2, 1, 2.6)
+        schedule = [choose_cutoffs(2, 1, 2.6, safety=s) for s in (3.0, 4.0, 5.0)]
+        assert schedule[1] == spec.cutoffs
+        recs = convergence_scan(spec, schedule)
+        assert [r.below_floor for r in recs] == [False, True, True]
+        assert [r.converged for r in recs] == [False, False, True]
+        assert ground_splitting(spec).converged
 
     def test_bad_schedules_rejected(self):
         spec = ManyBodySpec.from_coupling(2, 2, 1.0)
