@@ -4,7 +4,6 @@ decay exponent of delta/omega_F against g^2, and compare with the closed-form
 exponent.  Writes one sweep CSV per size plus a summary JSON."""
 
 import argparse
-import json
 import os
 
 from fluxchain.asymptotics import beta_exponent

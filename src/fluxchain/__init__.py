@@ -38,7 +38,6 @@ from .manybody import (
     convergence_scan,
     ground_splitting,
     lowest_spectrum,
-    parity_apply,
 )
 from .asymptotics import (
     analytic_splitting_general,

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import analytic_splitting_general, asymptotic_vacuum
-from .manybody import (
-    BasisIndexer,
-    ManyBodyError,
-    ManyBodySpec,
-    SplittingRecord,
-    Wavefunction,
-    ground_splitting,
-    parallel_map,
-)
+from .manybody import ManyBodySpec, Wavefunction, ground_splitting, parallel_map
 
 #: exact-engine ensembles refuse specs above this many basis states
 EXACT_ENGINE_BUDGET = 2_000_000

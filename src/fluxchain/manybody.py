@@ -234,13 +234,6 @@ def _photon_totals(spec: ManyBodySpec) -> np.ndarray:
     return _mode_table([np.arange(dim) for dim in spec.mode_dims])
 
 
-def parity_signs(spec: ManyBodySpec) -> np.ndarray:
-    """Eigenvalue of (prod_j sz_j) * (-1)^(total photons) per basis state."""
-    pop = _popcount(np.arange(spec.spin_dim), spec.n_atoms)
-    exponent = _photon_totals(spec)[:, None] + (spec.n_atoms - pop)[None, :]
-    return np.where(exponent % 2 == 0, 1, -1).astype(np.int8).reshape(-1)
-
-
 def _sector_indices(spec: ManyBodySpec, sector: str) -> np.ndarray:
     # parity fixes spin bit 1 once the photon total and bits 2..N are known,
     # so (occupations, bits 2..N) in row-major order enumerates the sector in
@@ -253,62 +246,25 @@ def _sector_indices(spec: ManyBodySpec, sector: str) -> np.ndarray:
 
 
 class BasisIndexer:
-    """Bijection between packed indices and (spin bits, occupations).
+    """The packed basis of a spec: the whole space or one parity sector.
 
     Index layout: bits of atom j in bit j-1, occupation of mode 1 in the
-    lowest mixed-radix digit above the spin bits.  A sector restriction keeps
-    an explicit sorted index list into the full space.
+    lowest mixed-radix digit above the spin bits.  A sector keeps
+    ``indices``, its sorted positions in the full space; the full space has
+    ``indices`` None.
     """
 
-    def __init__(self, spec: ManyBodySpec, sector: str | None = None):
-        if sector not in (None, "full", "even", "odd"):
-            raise ManyBodyError("sector must be None, 'full', 'even' or 'odd'")
+    def __init__(self, spec: ManyBodySpec, sector: str):
+        if sector not in ("full",) + SECTORS:
+            raise ManyBodyError("sector must be 'full', 'even' or 'odd'")
         self.spec = spec
-        self.sector = "full" if sector is None else sector
-        self.full_dimension = spec.dimension
-        if self.sector == "full":
+        self.sector = sector
+        if sector == "full":
             self.indices = None
-            self.dimension = self.full_dimension
+            self.dimension = spec.dimension
         else:
-            self.indices = _sector_indices(spec, self.sector)
+            self.indices = _sector_indices(spec, sector)
             self.dimension = int(self.indices.size)
-
-    def index_of(self, bits, occupations) -> int:
-        spec = self.spec
-        if len(bits) != spec.n_atoms or len(occupations) != spec.n_modes:
-            raise ManyBodyError("state shape mismatch")
-        s = 0
-        for j, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ManyBodyError("bits must be 0 or 1")
-            s |= int(b) << j
-        f = 0
-        stride = 1
-        for n, dim in zip(occupations, spec.mode_dims):
-            if not 0 <= n < dim:
-                raise ManyBodyError("occupation outside cutoff")
-            f += int(n) * stride
-            stride *= dim
-        full = f * spec.spin_dim + s
-        if self.indices is None:
-            return full
-        pos = int(np.searchsorted(self.indices, full))
-        if pos == self.dimension or self.indices[pos] != full:
-            raise ManyBodyError("state not in this parity sector")
-        return pos
-
-    def state_of(self, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if not 0 <= index < self.dimension:
-            raise ManyBodyError("index out of range")
-        full = int(index if self.indices is None else self.indices[index])
-        s = full & (self.spec.spin_dim - 1)
-        f = full >> self.spec.n_atoms
-        bits = tuple((s >> j) & 1 for j in range(self.spec.n_atoms))
-        occ = []
-        for dim in self.spec.mode_dims:
-            occ.append(f % dim)
-            f //= dim
-        return bits, tuple(occ)
 
 
 @dataclass
@@ -434,48 +390,24 @@ class HamiltonianEngine:
 
 
 def apply_hamiltonian(spec: ManyBodySpec, wf: Wavefunction) -> Wavefunction:
-    """H applied to a wavefunction, full space or a parity sector.
-
-    A full-space vector is split into its two sector parts, each multiplied
-    by its sector operator and embedded back.
-    """
+    """H applied to a parity-sector wavefunction in the documented complex
+    basis; a full-space one is refused."""
     idx = wf.indexer
     if idx.spec != spec:
         raise ManyBodyError("wavefunction belongs to a different spec")
-    if idx.indices is not None:
-        op = HamiltonianEngine(spec, idx.sector)
-        return Wavefunction(idx, op.phase * op.matvec(op.phase.conj() * wf.data))
-    parts = []
-    for sector in SECTORS:
-        sub = BasisIndexer(spec, sector)
-        parts.append(embed(apply_hamiltonian(spec, Wavefunction(sub, wf.data[sub.indices]))))
-    return Wavefunction(idx, parts[0].data + parts[1].data)
+    op = HamiltonianEngine(spec, idx.sector)
+    return Wavefunction(idx, op.phase * op.matvec(op.phase.conj() * wf.data))
 
 
-def parity_apply(spec: ManyBodySpec, wf: Wavefunction) -> Wavefunction:
-    """Apply the parity operator (prod_j sz_j) (-1)^(total photons)."""
-    idx = wf.indexer
-    if idx.indices is None:
-        return Wavefunction(idx, wf.data * parity_signs(spec))
-    return Wavefunction(idx, wf.data * (1.0 if idx.sector == "even" else -1.0))
-
-
-def dense_matrix(spec: ManyBodySpec, sector: str = "full") -> np.ndarray:
-    """The Hamiltonian (one parity block, or the whole space) as a dense
-    matrix in the documented complex basis."""
-    indexer = BasisIndexer(spec, sector)
-    if indexer.dimension > DENSE_ASSEMBLY_LIMIT:
+def dense_matrix(spec: ManyBodySpec, sector: str) -> np.ndarray:
+    """One parity block of the Hamiltonian as a dense matrix in the
+    documented complex basis."""
+    op = HamiltonianEngine(spec, sector)
+    if op.indexer.dimension > DENSE_ASSEMBLY_LIMIT:
         raise ManyBodyError(
-            f"dense assembly refused at dimension {indexer.dimension}"
+            f"dense assembly refused at dimension {op.indexer.dimension}"
         )
-    if indexer.indices is not None:
-        op = HamiltonianEngine(spec, indexer.sector)
-        return op.phase[:, None] * op.dense() * op.phase.conj()
-    h = np.zeros((indexer.dimension, indexer.dimension), dtype=complex)
-    for sector in SECTORS:
-        sel = BasisIndexer(spec, sector).indices
-        h[np.ix_(sel, sel)] = dense_matrix(spec, sector)
-    return h
+    return op.phase[:, None] * op.dense() * op.phase.conj()
 
 
 @dataclass
@@ -496,21 +428,20 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     The sector dimension alone picks the route: dense diagonalization at or
     below ``DENSE_LIMIT`` states, where it is the faster of the two, and
     Lanczos above it.  A full-space spectrum is always the merge of the two
-    sector solves, which sidesteps cross-sector quasi-degeneracy entirely.
-    Only the dense route is guaranteed to return an exactly degenerate level
-    as often as its multiplicity; Lanczos may return fewer copies.
+    sector solves, which sidesteps cross-sector quasi-degeneracy entirely;
+    its vectors stay sector wavefunctions, in merged order (``embed`` places
+    one in the full space).  Only the dense route is guaranteed to return an
+    exactly degenerate level as often as its multiplicity; Lanczos may
+    return fewer copies.
     """
     if m < 1:
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
         raise ManyBodyError("tol must be positive")
-    op = HamiltonianEngine(spec, sector) if sector in SECTORS else None
-    indexer = BasisIndexer(spec, sector) if op is None else op.indexer
-    if m > indexer.dimension:
-        raise ManyBodyError("m exceeds the sector dimension")
-
-    if op is None:
-        even, odd = (lowest_spectrum(spec, s, min(m, indexer.dimension // 2), tol,
+    if sector == "full":
+        if m > spec.dimension:
+            raise ManyBodyError("m exceeds the sector dimension")
+        even, odd = (lowest_spectrum(spec, s, min(m, spec.dimension // 2), tol,
                                      with_vectors, max_matvecs)
                      for s in SECTORS)
         vals = np.concatenate([even.eigenvalues, odd.eigenvalues])
@@ -519,10 +450,15 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
         vecs = None
         if with_vectors:
             pool = even.vectors + odd.vectors
-            vecs = [embed(pool[i]) for i in order]
+            vecs = [pool[i] for i in order]
         return SpectrumResult(vals[order], res[order],
                               even.iterations + odd.iterations,
                               "full", f"{even.method}-merged", vecs)
+
+    op = HamiltonianEngine(spec, sector)
+    indexer = op.indexer
+    if m > indexer.dimension:
+        raise ManyBodyError("m exceeds the sector dimension")
 
     if indexer.dimension <= DENSE_LIMIT:
         h = op.dense()

@@ -22,11 +22,9 @@ from fluxchain.krylov import lowest_eigenpairs
 from fluxchain.manybody import (
     HamiltonianEngine,
     ManyBodySpec,
-    dense_matrix,
     embed,
     ground_splitting,
     lowest_spectrum,
-    parity_signs,
 )
 from fluxchain.cli import fit_beta, run as cli_run
 from fluxchain.disorder import DisorderEnsembleSpec, ensemble_splitting, protection_check
@@ -38,7 +36,7 @@ from fluxchain.hopfield import (
     determinant,
 )
 
-from oracles import dense_hamiltonian, dense_parity
+from oracles import dense_hamiltonian, parity_diagonal
 
 
 def _report(num, name, detail=""):
@@ -124,7 +122,7 @@ def test_criterion_04_dense_oracle_equivalence():
     for trial in range(5):
         spec = _random_small_spec(rng)
         href = dense_hamiltonian(spec)
-        signs = np.diag(dense_parity(spec)).real
+        signs = parity_diagonal(spec)
         full_vals = np.linalg.eigvalsh(href)
 
         union = []

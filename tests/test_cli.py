@@ -1,8 +1,6 @@
 import json
 import math
-import os
 
-import numpy as np
 import pytest
 
 from fluxchain.cli import (

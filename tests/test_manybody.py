@@ -20,13 +20,11 @@ from fluxchain.manybody import (
     embed,
     ground_splitting,
     lowest_spectrum,
-    parity_apply,
-    parity_signs,
     spatial_weights,
 )
 from fluxchain.asymptotics import analytic_splitting_n2, asymptotic_vacuum
 
-from oracles import dense_hamiltonian, dense_parity
+from oracles import dense_hamiltonian, parity_diagonal
 
 
 def small_spec(n=2, nm=2, g=1.0, cutoffs=(3, 2), **kw):
@@ -103,37 +101,24 @@ class TestChooseCutoffs:
 # ------------------------------------------------------------------- basis
 
 def test_indexer_bijection_and_sector_split():
+    # the two sectors' sorted index lists partition the full basis in halves
     spec = small_spec(cutoffs=(2, 3))
     full = BasisIndexer(spec, "full")
     assert full.dimension == 4 * 3 * 4
-    seen = set()
-    for i in range(full.dimension):
-        bits, occ = full.state_of(i)
-        assert full.index_of(bits, occ) == i
-        seen.add((bits, occ))
-    assert len(seen) == full.dimension
-
     even = BasisIndexer(spec, "even")
     odd = BasisIndexer(spec, "odd")
-    assert even.dimension + odd.dimension == full.dimension
     assert even.dimension == odd.dimension  # spin signs split exactly in half
-    for idx in (even, odd):
-        for i in range(0, idx.dimension, 7):
-            bits, occ = idx.state_of(i)
-            assert idx.index_of(bits, occ) == i
+    assert np.all(np.diff(even.indices) > 0) and np.all(np.diff(odd.indices) > 0)
+    both = np.sort(np.concatenate([even.indices, odd.indices]))
+    assert np.array_equal(both, np.arange(full.dimension))
 
 
-def test_sector_membership_enforced():
-    spec = small_spec()
-    even = BasisIndexer(spec, "even")
-    bits, occ = BasisIndexer(spec, "odd").state_of(0)
-    with pytest.raises(ManyBodyError):
-        even.index_of(bits, occ)
-
-
-def test_parity_signs_match_kron_oracle():
-    spec = small_spec(n=3, nm=2, cutoffs=(2, 2))
-    assert np.allclose(np.diag(dense_parity(spec)).real, parity_signs(spec))
+def test_sector_indices_match_kron_parity():
+    for spec in (small_spec(n=3, nm=2, cutoffs=(2, 2)), small_spec(cutoffs=(2, 3))):
+        signs = parity_diagonal(spec)
+        for sector, want in (("even", 1), ("odd", -1)):
+            assert np.array_equal(BasisIndexer(spec, sector).indices,
+                                  np.flatnonzero(signs == want))
 
 
 # ------------------------------------------------------------------ matvec
@@ -149,43 +134,44 @@ class TestApplyHamiltonian:
         ):
             href = dense_hamiltonian(spec)
             tol = 1e-13 * max(1.0, np.abs(href).max())
-            mine = dense_matrix(spec, "full")
-            assert np.max(np.abs(mine - href)) < tol
-            v = rand_wf(BasisIndexer(spec, "full"), 0)
-            assert np.max(np.abs(apply_hamiltonian(spec, v).data - href @ v.data)) < tol
-            signs = np.diag(dense_parity(spec)).real
+            signs = parity_diagonal(spec)
             for sector, want in (("even", 1), ("odd", -1)):
                 sel = np.flatnonzero(signs == want)
                 block = href[np.ix_(sel, sel)]
                 assert np.max(np.abs(dense_matrix(spec, sector) - block)) < tol
                 w = rand_wf(BasisIndexer(spec, sector), 1)
                 assert np.max(np.abs(apply_hamiltonian(spec, w).data - block @ w.data)) < tol
-                assert np.array_equal(parity_apply(spec, w).data, want * w.data)
 
     def test_decoupled_ground_state_is_eigenvector(self):
         spec = small_spec(3, 2, 0.0, (2, 2), omega_atoms=(1.0, 1.2, 0.9))
-        idx = BasisIndexer(spec, "full")
-        v = np.zeros(idx.dimension, dtype=complex)
-        v[idx.index_of((0, 0, 0), (0, 0))] = 1.0
+        # all atoms down and no photons: full index 0, parity (-1)^3
+        idx = BasisIndexer(spec, "odd")
+        v = (idx.indices == 0).astype(complex)
+        assert v.sum() == 1
         out = apply_hamiltonian(spec, Wavefunction(idx, v))
         expected = -0.5 * sum(spec.omega_atoms)
         assert np.allclose(out.data, expected * v)
 
     def test_hermiticity_on_random_pairs(self):
         spec = small_spec(3, 2, 1.1, (3, 2))
-        idx = BasisIndexer(spec, "full")
-        for seed in range(100):
-            u, v = rand_wf(idx, 2 * seed), rand_wf(idx, 2 * seed + 1)
-            lhs = u.inner(apply_hamiltonian(spec, v))
-            rhs = np.conj(v.inner(apply_hamiltonian(spec, u)))
-            assert abs(lhs - rhs) < 1e-12
+        for sector in ("even", "odd"):
+            idx = BasisIndexer(spec, sector)
+            for seed in range(50):
+                u, v = rand_wf(idx, 2 * seed), rand_wf(idx, 2 * seed + 1)
+                lhs = u.inner(apply_hamiltonian(spec, v))
+                rhs = np.conj(v.inner(apply_hamiltonian(spec, u)))
+                assert abs(lhs - rhs) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         spec = small_spec()
         other = small_spec(cutoffs=(4, 2))
-        wf = rand_wf(BasisIndexer(other, "full"), 0)
         with pytest.raises(ManyBodyError):
-            apply_hamiltonian(spec, wf)
+            apply_hamiltonian(spec, rand_wf(BasisIndexer(other, "even"), 0))
+        # the operator acts on parity sectors only, never the whole space
+        with pytest.raises(ManyBodyError):
+            apply_hamiltonian(spec, rand_wf(BasisIndexer(spec, "full"), 0))
+        with pytest.raises(ManyBodyError):
+            dense_matrix(spec, "full")
 
 
 # ------------------------------------------------------------------ parity
@@ -193,28 +179,31 @@ class TestApplyHamiltonian:
 class TestParity:
     def test_involution_and_commutation(self):
         spec = small_spec(3, 3, 0.9, (3, 2, 2))
-        idx = BasisIndexer(spec, "full")
+        href = dense_hamiltonian(spec)
+        signs = parity_diagonal(spec)
+        assert np.array_equal(signs * signs, np.ones(spec.dimension))
+        # the oracle H has no element between states of opposite parity ...
+        assert np.max(np.abs(href[signs[:, None] != signs[None, :]])) == 0.0
+        # ... so the two sector operators together act as H on the whole space
+        full = BasisIndexer(spec, "full")
         for seed in range(5):
-            v = rand_wf(idx, seed)
-            assert np.allclose(parity_apply(spec, parity_apply(spec, v)).data, v.data)
-            hp = apply_hamiltonian(spec, parity_apply(spec, v))
-            ph = parity_apply(spec, apply_hamiltonian(spec, v))
-            assert np.max(np.abs(hp.data - ph.data)) < 1e-12
+            v = rand_wf(full, seed)
+            hv = sum(embed(apply_hamiltonian(spec, Wavefunction(sub, v.data[sub.indices]))).data
+                     for sub in (BasisIndexer(spec, s) for s in ("even", "odd")))
+            assert np.max(np.abs(hv - href @ v.data)) < 1e-12
 
     def test_all_down_vacuum_eigenvalue(self):
         for n in (2, 3):
             spec = small_spec(n, 2, 0.5, (2, 2))
-            idx = BasisIndexer(spec, "full")
-            v = np.zeros(idx.dimension, dtype=complex)
-            v[idx.index_of((0,) * n, (0, 0))] = 1.0
-            out = parity_apply(spec, Wavefunction(idx, v))
-            assert np.allclose(out.data, (-1.0) ** n * v)
+            # all atoms down and no photons is full index 0
+            assert parity_diagonal(spec)[0] == (-1.0) ** n
+            assert 0 in BasisIndexer(spec, "even" if n % 2 == 0 else "odd").indices
 
     def test_parity_swaps_asymptotic_vacua(self):
         spec = ManyBodySpec.from_coupling(3, 2, 1.5, safety=5.0)
         gp = asymptotic_vacuum(spec, +1)
         gm = asymptotic_vacuum(spec, -1)
-        overlap = abs(gm.inner(parity_apply(spec, gp)))
+        overlap = abs(np.vdot(gm.data, parity_diagonal(spec) * gp.data))
         assert overlap > 0.999
 
 
@@ -252,24 +241,38 @@ class TestLowestSpectrum:
 
     def test_sector_union_equals_full_spectrum(self):
         spec = small_spec(2, 2, 0.9, (3, 2))
-        h = dense_matrix(spec, "full")
-        full = np.linalg.eigvalsh(h)
-        he = dense_matrix(spec, "even")
-        ho = dense_matrix(spec, "odd")
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(he),
-                                        np.linalg.eigvalsh(ho)]))
+        full = scipy.linalg.eigvalsh(dense_hamiltonian(spec))
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(dense_matrix(spec, s))
+                                        for s in ("even", "odd")]))
         assert np.max(np.abs(union - full)) < 1e-9
 
     def test_merged_full_spectrum_matches_dense(self):
-        # sectors of 1984 states go Lanczos, of 30 states dense
-        for spec, method in ((ManyBodySpec.from_coupling(4, 2, 0.6, cutoffs=(30, 7)),
-                              "lanczos"),
+        # sectors of 416 states go Lanczos, of 30 states dense
+        for spec, method in ((above_dense_limit_spec(0.6), "lanczos"),
                              (small_spec(2, 2, 0.9, (4, 2)), "dense")):
-            ref = scipy.linalg.eigvalsh(dense_matrix(spec, "full"), subset_by_index=[0, 3])
+            ref = scipy.linalg.eigvalsh(dense_hamiltonian(spec), subset_by_index=[0, 3])
             merged = lowest_spectrum(spec, "full", m=4, tol=1e-12)
             assert merged.method == f"{method}-merged"
             assert np.max(np.abs(merged.eigenvalues - ref)) < 1e-9
             assert np.all(np.diff(merged.eigenvalues) >= -1e-12)
+
+    def test_merged_full_vectors_stay_per_sector(self):
+        omega_atoms = (0.8, 1.15, 0.95)
+        for spec, method in ((small_spec(3, 2, 1.1, (5, 3), omega_atoms=omega_atoms),
+                              "dense"),
+                             (above_dense_limit_spec(1.1, omega_atoms=omega_atoms),
+                              "lanczos")):
+            href = dense_hamiltonian(spec)
+            merged = lowest_spectrum(spec, "full", m=4, tol=1e-12, with_vectors=True)
+            assert merged.method == f"{method}-merged"
+            levels = {s: lowest_spectrum(spec, s, m=4, tol=1e-12).eigenvalues
+                      for s in ("even", "odd")}
+            assert len(merged.vectors) == 4
+            for e, v in zip(merged.eigenvalues, merged.vectors):
+                assert v.indexer.sector in levels
+                assert e in levels[v.indexer.sector]
+                x = embed(v).data
+                assert np.linalg.norm(href @ x - e * x) < 1e-9
 
     def test_sector_vectors_are_oracle_eigenvectors(self):
         omega_atoms = (0.8, 1.15, 0.95)
