@@ -33,9 +33,7 @@ from .manybody import (
     ManyBodySpec,
     SplittingRecord,
     Wavefunction,
-    apply_hamiltonian,
     choose_cutoffs,
-    convergence_scan,
     ground_splitting,
     lowest_spectrum,
 )

@@ -26,6 +26,9 @@ from .manybody import (
     spatial_weights,
 )
 
+#: least retained squared mass of each truncated coherent mode state
+MIN_MASS = 0.999
+
 
 class CutoffError(ValueError):
     """A mode cutoff is too small to hold its coherent state."""
@@ -90,23 +93,22 @@ def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
     return np.exp(log_mag) * phase
 
 
-def _required_cutoff(alpha: complex, min_mass: float) -> int:
+def _required_cutoff(alpha: complex) -> int:
     c = 0
     while True:
         mass = float(np.sum(np.abs(coherent_vector(alpha, c)) ** 2))
-        if mass >= min_mass:
+        if mass >= MIN_MASS:
             return c
         c = max(c + 1, int(1.3 * c))
 
 
-def asymptotic_vacuum(spec: ManyBodySpec, sign: int = +1,
-                      min_mass: float = 0.999) -> Wavefunction:
+def asymptotic_vacuum(spec: ManyBodySpec, sign: int = +1) -> Wavefunction:
     """Product-state vacuum: sx-polarized atoms times coherent modes.
 
     The atoms all point along ``sign`` on the x axis; each mode carries the
     configuration's coherent amplitude, truncated at that mode's cutoff and
     renormalized.  Raises ``CutoffError`` (with the needed cutoff) if any
-    truncated mode keeps less than ``min_mass`` of its weight.
+    truncated mode keeps less than ``MIN_MASS`` of its weight.
     """
     if sign not in (+1, -1):
         raise ManyBodyError("sign must be +1 or -1")
@@ -116,8 +118,8 @@ def asymptotic_vacuum(spec: ManyBodySpec, sign: int = +1,
     for m, alpha in enumerate(amps):
         vec = coherent_vector(alpha, spec.cutoffs[m])
         mass = float(np.sum(np.abs(vec) ** 2))
-        if mass < min_mass:
-            raise CutoffError(m + 1, spec.cutoffs[m], _required_cutoff(alpha, min_mass))
+        if mass < MIN_MASS:
+            raise CutoffError(m + 1, spec.cutoffs[m], _required_cutoff(alpha))
         mode_vecs.append(vec / math.sqrt(mass))
 
     # spin amplitudes over bit patterns: <bits|prod_j (|1> + sign|0>)/sqrt(2)
@@ -160,39 +162,36 @@ def subspace_overlap(pair_a, pair_b) -> OverlapResult:
                          fidelity=float(sv[0] * sv[1]))
 
 
-def configuration_energies(n_atoms: int, n_modes: int, g: float = 1.0,
-                           omega_mode: float = 1.0, weights=None,
-                           mode_ratios=None):
-    """Displacement energy -2 g^2 w_1 mu^T Q mu of every pseudospin configuration.
+def configuration_energies(n_atoms: int, n_modes: int, g: float = 1.0):
+    """Displacement energy -2 g^2 mu^T Q mu of every pseudospin configuration.
 
-    Q(j, j') = sum_k f_k(j) [(W_k/W_1)^2 / k] f_k(j').  Returns the array of
-    2^N energies and the matching sign matrix (one row per configuration).
+    Energies are in units of the mode-1 frequency w_1, on the standard chain:
+    Q(j, j') = sum_k f_k(j) [(W_k/W_1)^2 / k] f_k(j') with the weights of
+    ``spatial_weights`` and the ratios of ``collective_rabi_ratios``.
+    Returns the array of 2^N energies and the matching sign matrix (one row
+    per configuration).
     """
     if n_atoms > 20:
         raise ManyBodyError("brute force over 2^N capped at N = 20")
-    if weights is None:
-        weights = spatial_weights(n_atoms, n_modes)
-    w = np.array(weights, dtype=float)
-    if mode_ratios is None:
-        mode_ratios = collective_rabi_ratios(n_atoms, n_modes)
-    r = np.asarray(mode_ratios, dtype=float)
+    w = np.array(spatial_weights(n_atoms, n_modes), dtype=float)
+    r = collective_rabi_ratios(n_atoms, n_modes)
     q = (w * (r**2 / np.arange(1, n_modes + 1))[:, None]).T @ w
 
     signs = np.array(list(product((1.0, -1.0), repeat=n_atoms)))
     quad = np.einsum("cj,jk,ck->c", signs, q, signs)
-    return -2.0 * g * g * omega_mode * quad, signs.astype(int)
+    return -2.0 * g * g * quad, signs.astype(int)
 
 
-def minimize_pseudospin_config(n_atoms: int, n_modes: int, g: float = 1.0,
-                               omega_mode: float = 1.0, weights=None,
-                               mode_ratios=None, rel_tol: float = 1e-12):
-    """All global minimizers of the configuration energy, plus that energy."""
-    energies, signs = configuration_energies(
-        n_atoms, n_modes, g, omega_mode, weights, mode_ratios
-    )
+def minimize_pseudospin_config(n_atoms: int, n_modes: int, g: float = 1.0):
+    """All global minimizers of the configuration energy, plus that energy.
+
+    Configurations within 1e-12 of the energy span of the minimum count as
+    minimizers.
+    """
+    energies, signs = configuration_energies(n_atoms, n_modes, g)
     e_min = float(np.min(energies))
     span = float(np.max(energies) - e_min) or 1.0
-    winners = np.flatnonzero(energies <= e_min + rel_tol * span)
+    winners = np.flatnonzero(energies <= e_min + 1e-12 * span)
     return [tuple(signs[i]) for i in winners], e_min
 
 

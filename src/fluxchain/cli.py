@@ -48,7 +48,7 @@ class BetaFit:
     point_count: int
 
 
-def fit_beta(records, floor: float = manybody.NUMERICAL_FLOOR) -> BetaFit:
+def fit_beta(records) -> BetaFit:
     """Fit the splitting decay exponent from converged sweep records.
 
     Only converged records with delta/omega above the numerical floor enter;
@@ -59,7 +59,7 @@ def fit_beta(records, floor: float = manybody.NUMERICAL_FLOOR) -> BetaFit:
     for rec in records:
         if not rec.converged:
             continue
-        if rec.delta_over_omega_atom <= 10.0 * floor:
+        if rec.delta_over_omega_atom <= 10.0 * manybody.NUMERICAL_FLOOR:
             warnings.warn(
                 f"record at g={rec.g} sits at the numerical floor; excluded",
                 stacklevel=2,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import analytic_splitting_general, asymptotic_vacuum
-from .manybody import ManyBodySpec, Wavefunction, ground_splitting, parallel_map
+from .manybody import ManyBodySpec, ground_splitting, parallel_map, spin_diagonal
 
 #: exact-engine ensembles refuse specs above this many basis states
 EXACT_ENGINE_BUDGET = 2_000_000
@@ -72,8 +72,7 @@ def sample_frequencies(spec: DisorderEnsembleSpec) -> np.ndarray:
 
 
 def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact",
-                       tol: float = 1e-3, refine: bool = True,
-                       jobs: int = 1) -> EnsembleStats:
+                       refine: bool = True, jobs: int = 1) -> EnsembleStats:
     """Mean and standard deviation of the splitting across realizations.
 
     engine='exact' runs the sector eigensolvers per realization (bounded by
@@ -94,8 +93,7 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact",
     def one(r: int) -> RealizationRecord:
         omega = tuple(float(w) for w in freqs[r])
         if engine == "exact":
-            rec = ground_splitting(spec.base.with_omega_atoms(omega),
-                                   tol=tol, refine=refine)
+            rec = ground_splitting(spec.base.with_omega_atoms(omega), refine=refine)
             return RealizationRecord(r, omega, float(rec.delta), rec.converged)
         delta = analytic_splitting_general(
             spec.base.n_atoms, spec.base.n_modes, spec.base.g,
@@ -119,42 +117,22 @@ def perturbation_diagonal(spec: ManyBodySpec, deltas) -> np.ndarray:
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (spec.n_atoms,):
         raise DisorderError("need one Delta per atom")
-    s = np.arange(spec.spin_dim)
-    diag_spin = np.zeros(spec.spin_dim)
-    for j in range(spec.n_atoms):
-        diag_spin += 0.5 * deltas[j] * (((s >> j) & 1) * 2 - 1)
-    reps = spec.dimension // spec.spin_dim
-    return np.tile(diag_spin, reps)
+    return np.tile(spin_diagonal(deltas), spec.dimension // spec.spin_dim)
 
 
-def perturbation_apply(spec: ManyBodySpec, deltas, wf: Wavefunction) -> Wavefunction:
-    """H_pert acting on a full-space wavefunction (sz is basis-diagonal)."""
-    if wf.indexer.indices is not None:
-        raise DisorderError("perturbation_apply expects a full-space vector")
-    return Wavefunction(wf.indexer, perturbation_diagonal(spec, deltas) * wf.data)
-
-
-def protection_check(n_atoms: int, n_modes: int, g: float, m: int, deltas,
-                     safety: float = 4.0) -> dict[tuple[str, str], complex]:
+def protection_check(n_atoms: int, n_modes: int, g: float, m: int,
+                     deltas) -> dict[tuple[str, str], complex]:
     """The four matrix elements <G_s| H_pert^m |G_s'> on the asymptotic vacua.
 
-    Repeated application of the diagonal perturbation matvec; no eigensolves.
-    Keys are ('+','+'), ('+','-'), ('-','+'), ('-','-').
+    H_pert is diagonal in the basis, so its m-th power is the elementwise
+    power of ``perturbation_diagonal``; no eigensolves.  The vacua come from
+    ``ManyBodySpec.from_coupling`` at its default cutoffs.  Keys are
+    ('+','+'), ('+','-'), ('-','+'), ('-','-').
     """
     if m < 1:
         raise DisorderError("m must be at least 1")
-    spec = ManyBodySpec.from_coupling(n_atoms, n_modes, g, safety=safety)
-    plus = asymptotic_vacuum(spec, +1)
-    minus = asymptotic_vacuum(spec, -1)
-    states = {"+": plus, "-": minus}
-    powered = {}
-    for label, wf in states.items():
-        cur = wf
-        for _ in range(m):
-            cur = perturbation_apply(spec, deltas, cur)
-        powered[label] = cur
-    out = {}
-    for bra in ("+", "-"):
-        for ket in ("+", "-"):
-            out[(bra, ket)] = states[bra].inner(powered[ket])
-    return out
+    spec = ManyBodySpec.from_coupling(n_atoms, n_modes, g)
+    power = perturbation_diagonal(spec, deltas) ** m
+    states = {"+": asymptotic_vacuum(spec, +1), "-": asymptotic_vacuum(spec, -1)}
+    return {(bra, ket): complex(np.vdot(states[bra].data, power * states[ket].data))
+            for bra in states for ket in states}

@@ -117,17 +117,18 @@ def polariton_frequencies(b: HopfieldBlock) -> PolaritonResult:
     )
 
 
-def eigenvalue_stability(b: HopfieldBlock, imag_tol_factor: float = 2e-7) -> bool:
+def eigenvalue_stability(b: HopfieldBlock) -> bool:
     """Stability judged only from the dense 4x4 eigenvalue solver.
 
     Independent of the closed-form route; used as the bisection oracle for
     locating the critical coupling.  The imaginary-part threshold sits well
     above eigensolver noise for near-defective spectra and well below the
-    imaginary parts that open up past the transition.
+    imaginary parts that open up past the transition: 2e-7 of the block's
+    largest frequency scale.
     """
     lam = np.linalg.eigvals(build_matrix(b))
     scale = max(b.omega_k, b.omega_F, b.rabi, 1.0)
-    return bool(np.max(np.abs(lam.imag)) < imag_tol_factor * scale)
+    return bool(np.max(np.abs(lam.imag)) < 2e-7 * scale)
 
 
 def bisect_critical_coupling(omega_k: float, omega_F: float,

@@ -222,6 +222,18 @@ def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
     return pop
 
 
+def spin_diagonal(frequencies) -> np.ndarray:
+    """sum_j (w_j / 2) sz_j over the 2^N spin patterns, one w_j per atom.
+
+    Atom j sits in bit j-1; a set bit is the upper level, sz = +1.
+    """
+    spins = np.arange(2 ** len(frequencies))
+    out = np.zeros(spins.size)
+    for j, w in enumerate(frequencies):
+        out += 0.5 * w * (((spins >> j) & 1) * 2 - 1)
+    return out
+
+
 def _mode_table(per_mode) -> np.ndarray:
     """sum_m per_mode[m][n_m] over every occupation pattern, mode 1 fastest."""
     out = np.zeros(1, dtype=np.result_type(*per_mode))
@@ -281,22 +293,6 @@ class Wavefunction:
         if not np.all(np.isfinite(self.data)):
             raise ManyBodyError("non-finite amplitudes")
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def normalized(self) -> "Wavefunction":
-        n = self.norm
-        if n == 0.0:
-            raise ManyBodyError("cannot normalize the zero vector")
-        return Wavefunction(self.indexer, self.data / n)
-
-    def inner(self, other: "Wavefunction") -> complex:
-        if (other.indexer.spec != self.indexer.spec
-                or other.indexer.sector != self.indexer.sector):
-            raise ManyBodyError("wavefunctions live on different bases")
-        return complex(np.vdot(self.data, other.data))
-
 
 def embed(wf: Wavefunction) -> Wavefunction:
     """A sector wavefunction as a full-space one, zero outside its sector."""
@@ -332,10 +328,7 @@ class HamiltonianEngine:
         n, half = spec.n_atoms, spec.spin_dim // 2
         self._shape = tuple(reversed(spec.mode_dims)) + (half,)
 
-        spins = np.arange(spec.spin_dim)
-        spin_e = np.zeros(spec.spin_dim)
-        for j in range(n):
-            spin_e += 0.5 * spec.omega_atoms[j] * (((spins >> j) & 1) * 2 - 1)
+        spin_e = spin_diagonal(spec.omega_atoms)
         mode_e = _mode_table([w * np.arange(dim, dtype=float)
                               for w, dim in zip(spec.omega_modes, spec.mode_dims)])
         occ = self.indexer.indices >> n
@@ -389,16 +382,6 @@ class HamiltonianEngine:
         return max(scale, 1.0)
 
 
-def apply_hamiltonian(spec: ManyBodySpec, wf: Wavefunction) -> Wavefunction:
-    """H applied to a parity-sector wavefunction in the documented complex
-    basis; a full-space one is refused."""
-    idx = wf.indexer
-    if idx.spec != spec:
-        raise ManyBodyError("wavefunction belongs to a different spec")
-    op = HamiltonianEngine(spec, idx.sector)
-    return Wavefunction(idx, op.phase * op.matvec(op.phase.conj() * wf.data))
-
-
 def dense_matrix(spec: ManyBodySpec, sector: str) -> np.ndarray:
     """One parity block of the Hamiltonian as a dense matrix in the
     documented complex basis."""
@@ -421,8 +404,7 @@ class SpectrumResult:
 
 
 def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
-                    tol: float = 1e-11, with_vectors: bool = False,
-                    max_matvecs: int = 60000) -> SpectrumResult:
+                    tol: float = 1e-11, with_vectors: bool = False) -> SpectrumResult:
     """m lowest eigenpairs of H restricted to a parity sector.
 
     The sector dimension alone picks the route: dense diagonalization at or
@@ -442,7 +424,7 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
         if m > spec.dimension:
             raise ManyBodyError("m exceeds the sector dimension")
         even, odd = (lowest_spectrum(spec, s, min(m, spec.dimension // 2), tol,
-                                     with_vectors, max_matvecs)
+                                     with_vectors)
                      for s in SECTORS)
         vals = np.concatenate([even.eigenvalues, odd.eigenvalues])
         order = np.argsort(vals, kind="stable")[:m]
@@ -467,7 +449,7 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
         iterations, method = 0, "dense"
     else:
         res = lowest_eigenpairs(op.matvec, indexer.dimension, m, tol=tol,
-                                scale=op.norm_bound(), max_matvecs=max_matvecs)
+                                scale=op.norm_bound())
         vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
         iterations, method = res.matvec_count, "lanczos"
     out_vecs = None
@@ -492,28 +474,16 @@ class SplittingRecord:
     below_floor: bool = False
 
 
-def _sector_ground(spec: ManyBodySpec, sector: str, tol: float) -> float:
-    return float(lowest_spectrum(spec, sector, 1, tol=tol).eigenvalues[0])
+def _sector_ground(spec: ManyBodySpec, sector: str) -> float:
+    return float(lowest_spectrum(spec, sector, 1).eigenvalues[0])
 
 
 def _refined_cutoffs(cutoffs) -> tuple[int, ...]:
     return tuple(c + max(2, math.ceil(0.25 * c)) for c in cutoffs)
 
 
-def _omega_ref(spec: ManyBodySpec) -> float:
-    return float(np.mean(np.abs(spec.omega_atoms))) or 1.0
-
-
-def _converged(spec: ManyBodySpec, delta: float, other: float, rtol: float) -> bool:
-    """Whether two splittings of ``spec`` at different cutoffs agree: both
-    below the numerical floor, or within ``rtol`` of the larger one."""
-    if max(delta, other) < NUMERICAL_FLOOR * _omega_ref(spec):
-        return True
-    return abs(delta - other) <= rtol * max(delta, other)
-
-
 def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
-                     refine: bool = True, eig_tol: float = 1e-11) -> SplittingRecord:
+                     refine: bool = True) -> SplittingRecord:
     """|E0(even) - E0(odd)| with a cutoff-refinement convergence flag.
 
     ``tol`` is the relative change of delta under one cutoff refinement that
@@ -521,17 +491,18 @@ def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
     refinement is skipped (and the record marked unconverged) when
     ``refine`` is false.
     """
-    e_even = _sector_ground(spec, "even", eig_tol)
-    e_odd = _sector_ground(spec, "odd", eig_tol)
+    e_even = _sector_ground(spec, "even")
+    e_odd = _sector_ground(spec, "odd")
     delta = abs(e_even - e_odd)
-    omega_ref = _omega_ref(spec)
+    omega_ref = float(np.mean(np.abs(spec.omega_atoms))) or 1.0
 
     converged = False
     if refine:
         bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
-        d2 = abs(_sector_ground(bumped, "even", eig_tol)
-                 - _sector_ground(bumped, "odd", eig_tol))
-        converged = _converged(spec, delta, d2, tol)
+        d2 = abs(_sector_ground(bumped, "even") - _sector_ground(bumped, "odd"))
+        larger = max(delta, d2)
+        converged = (larger < NUMERICAL_FLOOR * omega_ref
+                     or abs(delta - d2) <= tol * larger)
 
     return SplittingRecord(
         n_atoms=spec.n_atoms, n_modes=spec.n_modes, g=spec.g,
@@ -539,30 +510,6 @@ def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
         delta_over_omega_atom=delta / omega_ref,
         converged=converged, below_floor=delta < NUMERICAL_FLOOR * omega_ref,
     )
-
-
-def convergence_scan(spec: ManyBodySpec, cutoff_schedule,
-                     rtol: float = 1e-3,
-                     eig_tol: float = 1e-11) -> list[SplittingRecord]:
-    """Splittings along an increasing cutoff schedule.
-
-    Each record's flag states whether delta agrees with the previous level's
-    under the rule of ``ground_splitting``, with ``rtol`` as its tolerance;
-    the first record is never converged.
-    """
-    schedule = [tuple(int(c) for c in cuts) for cuts in cutoff_schedule]
-    for prev, cur in zip(schedule, schedule[1:]):
-        if len(prev) != len(cur) or any(b < a for a, b in zip(prev, cur)):
-            raise ManyBodyError("cutoff schedule must be elementwise non-decreasing")
-        if not any(b > a for a, b in zip(prev, cur)):
-            raise ManyBodyError("cutoff schedule must strictly increase")
-    records = []
-    for cuts in schedule:
-        rec = ground_splitting(spec.with_cutoffs(cuts), refine=False, eig_tol=eig_tol)
-        if records:
-            rec.converged = _converged(spec, rec.delta, records[-1].delta, rtol)
-        records.append(rec)
-    return records
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:

@@ -80,9 +80,9 @@ class TestAsymptoticVacuum:
         spec = ManyBodySpec.from_coupling(4, 3, 1.1)
         gp = asymptotic_vacuum(spec, +1)
         gm = asymptotic_vacuum(spec, -1)
-        assert gp.norm == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(gp.data) == pytest.approx(1.0, abs=1e-10)
         # spin factors <+|-> = 0 per site make the pair exactly orthogonal
-        assert abs(gp.inner(gm)) < 1e-12
+        assert abs(np.vdot(gp.data, gm.data)) < 1e-12
 
     def test_photonic_overlap_closed_form(self):
         # the bosonic factor of <G+|G-> is prod_odd exp(-2|alpha_k|^2)

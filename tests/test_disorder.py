@@ -7,13 +7,14 @@ from fluxchain.disorder import (
     DisorderEnsembleSpec,
     DisorderError,
     ensemble_splitting,
-    perturbation_apply,
+    perturbation_diagonal,
     protection_check,
     sample_frequencies,
 )
-from fluxchain.manybody import BasisIndexer, ManyBodySpec, Wavefunction
+from fluxchain.asymptotics import asymptotic_vacuum
+from fluxchain.manybody import ManyBodySpec
 
-from oracles import parity_diagonal
+from oracles import SZ, parity_diagonal, spin_op
 
 
 def base_spec(n=2, nm=1, g=1.0, **kw):
@@ -129,15 +130,30 @@ class TestPerturbation:
 
     def test_commutes_with_parity(self):
         spec = base_spec(3, 2, 0.8)
-        idx = BasisIndexer(spec, "full")
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(idx.dimension) + 1j * rng.standard_normal(idx.dimension)
-        wf = Wavefunction(idx, v / np.linalg.norm(v))
-        deltas = [0.3, -0.2, 0.5]
+        v = rng.standard_normal(spec.dimension) + 1j * rng.standard_normal(spec.dimension)
+        diag = perturbation_diagonal(spec, [0.3, -0.2, 0.5])
         signs = parity_diagonal(spec)
-        a = signs * perturbation_apply(spec, deltas, wf).data
-        b = perturbation_apply(spec, deltas, Wavefunction(idx, signs * wf.data)).data
-        assert np.max(np.abs(a - b)) < 1e-12
+        assert np.max(np.abs(signs * (diag * v) - diag * (signs * v))) < 1e-12
+
+    def test_matches_kron_oracle(self):
+        # P = sum_j Delta_j/2 sz_j from explicit krons, the identity on the
+        # modes; unequal Deltas pin the atom-to-bit order of the diagonal, and
+        # the odd orders pin the sign of sz
+        n, deltas = 3, [0.5, -0.2, 0.3]
+        spec = base_spec(n, 2, 0.5)
+        p_spin = sum(0.5 * d * spin_op(n, j, SZ) for j, d in enumerate(deltas, 1))
+        modes = np.eye(spec.dimension // spec.spin_dim)
+        diag = np.diag(np.kron(modes, p_spin))
+        assert np.max(np.abs(perturbation_diagonal(spec, deltas) - diag)) < 1e-15
+        states = {"+": asymptotic_vacuum(spec, +1).data,
+                  "-": asymptotic_vacuum(spec, -1).data}
+        for m in (1, 2, 3):
+            p_m = np.kron(modes, np.linalg.matrix_power(p_spin, m))
+            el = protection_check(n, 2, 0.5, m, deltas)
+            for (bra, ket), value in el.items():
+                want = np.vdot(states[bra], p_m @ states[ket])
+                assert abs(value - want) < 1e-13
 
     def test_protection_below_order_n(self):
         rng = np.random.default_rng(21)

@@ -1,9 +1,15 @@
-"""No dead imports: a stdlib stand-in for a linter's unused-import rule.
+"""No dead imports and no dead definitions, checked with the stdlib ``ast``.
 
-Every ``.py`` file under ``src/``, ``scripts/`` and ``tests/`` is parsed with
-``ast``; a name bound by an import must be read somewhere in the module.
-Package ``__init__.py`` files (whose imports are re-exports) and
-``from __future__`` imports are exempt.
+Imports: a stand-in for a linter's unused-import rule.  In every ``.py`` file
+under ``src/``, ``scripts/`` and ``tests/``, a name bound by an import must be
+read somewhere in the module.  Package ``__init__.py`` files (whose imports
+are re-exports) and ``from __future__`` imports are exempt.
+
+Definitions: every module-level function, class and constant under ``src/``,
+and every method of those classes (dunders exempt), must be referenced by
+name, attribute or import in some file under ``src/``, ``scripts/``,
+``tests/`` or ``bench/``, so that removing a caller does not leave dead code
+behind.
 """
 
 import ast
@@ -20,8 +26,20 @@ FILES = sorted(
 )
 
 
+REFERENCING = sorted(
+    path
+    for top in ("src", "scripts", "tests", "bench")
+    for path in (ROOT / top).rglob("*.py")
+)
+
+
 def _names_read(tree: ast.AST) -> set[str]:
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | _string_annotation_names(tree))
+
+
+def _string_annotation_names(tree: ast.AST) -> set[str]:
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             ann = node.returns
@@ -62,3 +80,65 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants, and the methods of
+    those classes as ``Class.method``; dunder names left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name in out if not name.split(".")[-1].startswith("__")]
+
+
+def references(source: str) -> set[str]:
+    """Every name a module reads, attribute it touches or name it imports."""
+    tree = ast.parse(source)
+    out = _string_annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(part for a in node.names for part in a.name.split("."))
+    return out
+
+
+def dead_definitions(source: str, read: set[str]) -> list[str]:
+    return [name for name in definitions(source) if name.split(".")[-1] not in read]
+
+
+def test_definition_checker_flags_only_unreferenced_names():
+    source = (
+        "LIMIT = 3\n"
+        "UNUSED: int = 4\n"
+        "__all__ = []\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.limit = LIMIT\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "def f() -> 'A':\n"
+        "    return A().used()\n"
+    )
+    assert dead_definitions(source, references(source)) == ["UNUSED", "A.unused", "f"]
+    assert dead_definitions(source, references("from m import f")) == [
+        "LIMIT", "UNUSED", "A", "A.used", "A.unused"]
+
+
+def test_no_dead_definitions():
+    read = set().union(*(references(path.read_text()) for path in REFERENCING))
+    dead = [f"{path.relative_to(ROOT)}: {name}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for name in dead_definitions(path.read_text(), read)]
+    assert dead == []
