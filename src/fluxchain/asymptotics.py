@@ -94,12 +94,13 @@ def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def _required_cutoff(alpha: complex) -> int:
-    c = 0
-    while True:
-        mass = float(np.sum(np.abs(coherent_vector(alpha, c)) ** 2))
-        if mass >= MIN_MASS:
-            return c
-        c = max(c + 1, int(1.3 * c))
+    """The least cutoff whose truncated |alpha> keeps ``MIN_MASS``."""
+    # below the Poisson median (at least |alpha|^2 - ln 2) the kept mass is
+    # under one half, so the scan may start just short of |alpha|^2
+    c = max(0, int(abs(alpha) ** 2) - 1)
+    while np.sum(np.abs(coherent_vector(alpha, c)) ** 2) < MIN_MASS:
+        c += 1
+    return c
 
 
 def asymptotic_vacuum(spec: ManyBodySpec, sign: int = +1) -> Wavefunction:

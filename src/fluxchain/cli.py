@@ -3,12 +3,14 @@
 Every run resolves a flat key=value configuration (file keys overridden by
 command-line flags), validates it against the command's schema (unknown keys
 are rejected with their line number), executes, and writes its artifacts plus
-a ``manifest.json`` echoing the resolved configuration and its hash.  Nothing
-in any output depends on wall time, so a fixed seed makes reruns
-byte-identical.
+a ``manifest.json`` echoing the resolved configuration and its hash.  Flags
+are decoded like file values, so ``resolve_config`` alone converts and checks
+every value.  Nothing in any output depends on wall time, so a fixed seed
+makes reruns byte-identical.
 
-Commands: derive, fluxonium, polariton, spectrum, splitting-sweep, overlap,
-disorder, fit-beta.  The default output directory comes from
+``COMMANDS`` maps each command to its schema and its implementation, which
+returns ``{file name: payload}`` (a dict for JSON, ``(header, rows)`` for
+CSV) for ``run`` to write.  The default output directory comes from
 ``FLUXCHAIN_OUTDIR`` (falling back to ./runs).
 """
 
@@ -89,6 +91,7 @@ def fit_beta(records) -> BetaFit:
 
 
 def _parse_value(text: str):
+    """Decode a flag or file value: a JSON scalar or list, else the word."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -118,8 +121,7 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-#: per-command schema: key -> (type converter, default); required when default
-#: is the REQUIRED sentinel
+#: the default of a required key in a schema of key -> (converter, default)
 _REQUIRED = object()
 
 
@@ -141,6 +143,12 @@ def _int(v) -> int:
     return int(v)
 
 
+def _float(v) -> float:
+    if isinstance(v, bool):
+        raise ValueError("expected a number")
+    return float(v)
+
+
 def _choice(*allowed):
     def choice(v):
         if v not in allowed:
@@ -149,16 +157,12 @@ def _choice(*allowed):
     return choice
 
 
-def _float_list(v):
-    if isinstance(v, (int, float)):
-        return [float(v)]
-    return [float(x) for x in v]
-
-
-def _int_list(v):
-    if isinstance(v, (int, float)):
-        return [_int(v)]
-    return [_int(x) for x in v]
+def _list_of(conv):
+    def listed(v):
+        if isinstance(v, str):
+            raise ValueError("expected a number or a JSON list")
+        return [conv(x) for x in ([v] if isinstance(v, (int, float)) else v)]
+    return listed
 
 
 _COMMON = {
@@ -167,65 +171,10 @@ _COMMON = {
     "out_dir": (str, None),
 }
 
-SCHEMAS: dict[str, dict] = {
-    "derive": {
-        "L1": (float, _REQUIRED), "L2": (float, _REQUIRED),
-        "l_r": (float, _REQUIRED), "c_r": (float, _REQUIRED),
-        "a": (float, _REQUIRED), "N": (_int, _REQUIRED),
-        "E_J": (float, _REQUIRED), "E_CJ": (float, _REQUIRED),
-    },
-    "fluxonium": {
-        "E_J": (float, _REQUIRED), "E_CJ": (float, _REQUIRED),
-        "E_LJ": (float, _REQUIRED),
-        "grid_points": (_int, 801),
-        "grid_half_width": (float, 6.0 * math.pi),
-        "n_levels": (_int, 4),
-        "wavefunction_csv": (_bool, False),
-    },
-    "polariton": {
-        "omega_k": (float, _REQUIRED), "omega_F": (float, _REQUIRED),
-        "rabi_min": (float, 0.0), "rabi_max": (float, _REQUIRED),
-        "rabi_count": (_int, 21),
-    },
-    "spectrum": {
-        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
-        "g": (float, _REQUIRED),
-        "omega_F": (float, 1.0), "count": (_int, 10),
-        "sector": (_choice("full", "even", "odd"), "full"), "tol": (float, 1e-10),
-        "safety": (float, 4.0), "even_floor": (_int, 4),
-        "cutoffs": (_int_list, None),
-    },
-    "splitting-sweep": {
-        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
-        "g_grid": (_float_list, _REQUIRED),
-        "omega_F": (float, 1.0),
-        "safety": (float, 4.0), "even_floor": (_int, 4),
-        "tol": (float, 1e-3), "refine": (_bool, True),
-    },
-    "overlap": {
-        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
-        "g_grid": (_float_list, _REQUIRED),
-        "safety": (float, 3.5), "even_floor": (_int, 4),
-        "tol": (float, 1e-10),
-    },
-    "disorder": {
-        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
-        "g": (float, _REQUIRED),
-        "amplitude": (float, 0.5), "count": (_int, 100),
-        "engine": (_choice("exact", "analytic"), "exact"),
-        "omega_F": (float, 1.0),
-        "safety": (float, 4.0), "even_floor": (_int, 4),
-    },
-    "fit-beta": {
-        "records_csv": (str, _REQUIRED),
-    },
-}
-
 
 def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict:
     """Merge file keys and overrides against the command schema."""
-    schema = dict(SCHEMAS[command])
-    schema.update(_COMMON)
+    schema = {**COMMANDS[command][1], **_COMMON}
     file_cfg = dict(file_cfg or {})
     lines = file_cfg.pop("__lines__", {})
 
@@ -239,9 +188,10 @@ def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict
 
     resolved = {}
     for key, (conv, default) in schema.items():
-        if key in overrides and overrides[key] is not None:
+        # a null value, from a flag or a file, leaves the key unset
+        if overrides.get(key) is not None:
             raw = overrides[key]
-        elif key in file_cfg:
+        elif file_cfg.get(key) is not None:
             raw = file_cfg[key]
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}' for {command}")
@@ -249,7 +199,7 @@ def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict
             resolved[key] = default
             continue
         try:
-            resolved[key] = conv(raw) if raw is not None else None
+            resolved[key] = conv(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for '{key}': {raw!r} ({exc})") from exc
     return resolved
@@ -278,11 +228,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows: list[list],
-              chash: str | None = None) -> None:
+def write_csv(path: str, header: list[str], rows, chash: str) -> None:
+    """A CSV table under a ``# manifest: <config hash>`` line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if chash:
-            fh.write(f"# manifest: {chash}\n")
+        fh.write(f"# manifest: {chash}\n")
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -302,40 +251,26 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: str, command: str, resolved: dict,
-                    artifacts: list[str]) -> None:
-    write_json(os.path.join(out_dir, "manifest.json"), {
-        "command": command,
-        "config": {k: v for k, v in sorted(resolved.items())},
-        "config_hash": config_hash(command, resolved),
-        "artifacts": sorted(artifacts),
-    })
-
-
 # --------------------------------------------------------------------------
-# command implementations
+# command implementations: (resolved config, config hash) -> {file: payload}
 
 
-def _cmd_derive(cfg, out_dir, chash):
+def _cmd_derive(cfg, chash):
     raw = circuit.RawCircuit(
         L1=cfg["L1"], L2=cfg["L2"], l_r=cfg["l_r"], c_r=cfg["c_r"],
         a=cfg["a"], N=cfg["N"], E_J=cfg["E_J"], E_CJ=cfg["E_CJ"],
     )
-    consts = circuit.derive_constants(raw)
-    path = os.path.join(out_dir, "derive.json")
-    write_json(path, consts.as_dict())
-    return [path]
+    return {"derive.json": circuit.derive_constants(raw).as_dict()}
 
 
-def _cmd_fluxonium(cfg, out_dir, chash):
+def _cmd_fluxonium(cfg, chash):
     spec = fluxonium.FluxoniumSpec(
         E_J=cfg["E_J"], E_CJ=cfg["E_CJ"], E_LJ=cfg["E_LJ"],
         grid_half_width=cfg["grid_half_width"], grid_points=cfg["grid_points"],
     )
     levels = fluxonium.solve_levels(spec, n_levels=cfg["n_levels"])
     red = fluxonium.two_level_reduction(levels)
-    path = os.path.join(out_dir, "fluxonium.json")
-    write_json(path, {
+    out = {"fluxonium.json": {
         "config_hash": chash,
         "energies": [float(e) for e in levels.energies],
         "omega_F": levels.omega_F,
@@ -343,22 +278,16 @@ def _cmd_fluxonium(cfg, out_dir, chash):
         "anharmonicity": red.anharmonicity,
         "two_level_ok": red.two_level_ok,
         "grid_shift": levels.grid_shift,
-    })
-    artifacts = [path]
+    }}
     if cfg["wavefunction_csv"]:
-        wf_path = os.path.join(out_dir, "wavefunctions.csv")
-        rows = [
-            [phi, psi0, psi1]
-            for phi, psi0, psi1 in zip(
-                levels.phi_grid, levels.wavefunctions[0], levels.wavefunctions[1]
-            )
-        ]
-        write_csv(wf_path, ["phi", "psi0", "psi1"], rows, chash=chash)
-        artifacts.append(wf_path)
-    return artifacts
+        out["wavefunctions.csv"] = (
+            ["phi", "psi0", "psi1"],
+            zip(levels.phi_grid, levels.wavefunctions[0], levels.wavefunctions[1]),
+        )
+    return out
 
 
-def _cmd_polariton(cfg, out_dir, chash):
+def _cmd_polariton(cfg, chash):
     if cfg["rabi_count"] < 0:
         raise ConfigError("rabi_count must be non-negative")
     if cfg["rabi_count"] == 0:
@@ -366,16 +295,9 @@ def _cmd_polariton(cfg, out_dir, chash):
         warnings.warn("empty rabi grid; writing empty table", stacklevel=2)
     else:
         grid = np.linspace(cfg["rabi_min"], cfg["rabi_max"], cfg["rabi_count"])
+    header = ["Omega", "lower", "upper", "stable", "determinant"]
     rows = hopfield.branch_sweep(cfg["omega_k"], cfg["omega_F"], grid)
-    path = os.path.join(out_dir, "polariton.csv")
-    write_csv(
-        path,
-        ["Omega", "lower", "upper", "stable", "determinant"],
-        [[r["Omega"], r["lower"], r["upper"], r["stable"], r["determinant"]]
-         for r in rows],
-        chash=chash,
-    )
-    return [path]
+    return {"polariton.csv": (header, [[r[h] for h in header] for r in rows])}
 
 
 def _spec_from_cfg(cfg, g):
@@ -389,35 +311,20 @@ def _spec_from_cfg(cfg, g):
     )
 
 
-def _cmd_spectrum(cfg, out_dir, chash):
+def _cmd_spectrum(cfg, chash):
     spec = _spec_from_cfg(cfg, cfg["g"])
     res = manybody.lowest_spectrum(
         spec, sector=cfg["sector"], m=cfg["count"], tol=cfg["tol"]
     )
-    path = os.path.join(out_dir, "spectrum.csv")
-    write_csv(
-        path,
+    return {"spectrum.csv": (
         ["N", "N_m", "g", "sector", "level", "energy", "residual"],
         [[cfg["N"], cfg["N_m"], cfg["g"], res.sector, i,
           float(res.eigenvalues[i]), float(res.residual_norms[i])]
          for i in range(len(res.eigenvalues))],
-        chash=chash,
-    )
-    return [path]
+    )}
 
 
-def _sweep_header(n_modes: int) -> list[str]:
-    return (["N", "N_m", "g"] + [f"n_max_{k}" for k in range(1, n_modes + 1)]
-            + ["E_even", "E_odd", "delta", "delta_over_omegaF", "converged"])
-
-
-def _sweep_row(rec: manybody.SplittingRecord) -> list:
-    return ([rec.n_atoms, rec.n_modes, rec.g] + list(rec.cutoffs)
-            + [rec.e_even, rec.e_odd, rec.delta, rec.delta_over_omega_atom,
-               rec.converged])
-
-
-def _cmd_splitting_sweep(cfg, out_dir, chash):
+def _cmd_splitting_sweep(cfg, chash):
     grid = cfg["g_grid"]
     if not grid:
         warnings.warn("empty g grid; writing empty sweep", stacklevel=2)
@@ -426,13 +333,15 @@ def _cmd_splitting_sweep(cfg, out_dir, chash):
             _spec_from_cfg(cfg, g), tol=cfg["tol"], refine=cfg["refine"]
         )
     records = manybody.parallel_map(run_one, sorted(grid), cfg["jobs"])
-    path = os.path.join(out_dir, "splitting_sweep.csv")
-    write_csv(path, _sweep_header(cfg["N_m"]), [_sweep_row(r) for r in records],
-              chash=chash)
-    return [path]
+    return {"splitting_sweep.csv": (
+        ["N", "N_m", "g", *(f"n_max_{k}" for k in range(1, cfg["N_m"] + 1)),
+         "E_even", "E_odd", "delta", "delta_over_omegaF", "converged"],
+        [[r.n_atoms, r.n_modes, r.g, *r.cutoffs, r.e_even, r.e_odd, r.delta,
+          r.delta_over_omega_atom, r.converged] for r in records],
+    )}
 
 
-def _cmd_overlap(cfg, out_dir, chash):
+def _cmd_overlap(cfg, chash):
     rows = []
     for g in sorted(cfg["g_grid"]):
         spec = _spec_from_cfg(cfg, g)
@@ -456,17 +365,15 @@ def _cmd_overlap(cfg, out_dir, chash):
         })
     beta = asymptotics.beta_exponent(cfg["N"], cfg["N_m"])
     n2 = float(cfg["N"] ** 2)
-    path = os.path.join(out_dir, "overlap.json")
-    write_json(path, {
+    return {"overlap.json": {
         "config_hash": chash,
         "points": rows,
         "beta_exponent": beta,
         "beta_bounds_ok": 1.6 * n2 < beta < 2.1 * n2,
-    })
-    return [path]
+    }}
 
 
-def _cmd_disorder(cfg, out_dir, chash):
+def _cmd_disorder(cfg, chash):
     base = _spec_from_cfg(cfg, cfg["g"])
     dspec = disorder.DisorderEnsembleSpec(
         base=base, amplitude=cfg["amplitude"], count=cfg["count"],
@@ -474,26 +381,23 @@ def _cmd_disorder(cfg, out_dir, chash):
     )
     stats = disorder.ensemble_splitting(dspec, engine=cfg["engine"],
                                         jobs=cfg["jobs"])
-    csv_path = os.path.join(out_dir, "disorder.csv")
-    write_csv(
-        csv_path,
-        ["realization", "seed", *(f"omega_F_{j}" for j in range(1, cfg["N"] + 1)),
-         "delta"],
-        [[r.realization, cfg["seed"], *r.omega_atoms, r.delta]
-         for r in stats.records],
-        chash=chash,
-    )
-    json_path = os.path.join(out_dir, "disorder_summary.json")
-    write_json(json_path, {
-        "config_hash": chash,
-        "mean": stats.mean_delta, "std": stats.std_delta,
-        "engine": stats.engine, "g": cfg["g"], "N": cfg["N"],
-        "seed": stats.seed, "count": cfg["count"],
-    })
-    return [csv_path, json_path]
+    return {
+        "disorder.csv": (
+            ["realization", "seed",
+             *(f"omega_F_{j}" for j in range(1, cfg["N"] + 1)), "delta"],
+            [[r.realization, cfg["seed"], *r.omega_atoms, r.delta]
+             for r in stats.records],
+        ),
+        "disorder_summary.json": {
+            "config_hash": chash,
+            "mean": stats.mean_delta, "std": stats.std_delta,
+            "engine": stats.engine, "g": cfg["g"], "N": cfg["N"],
+            "seed": stats.seed, "count": cfg["count"],
+        },
+    }
 
 
-def _cmd_fit_beta(cfg, out_dir, chash):
+def _cmd_fit_beta(cfg, chash):
     records = []
     for row in read_csv_rows(cfg["records_csv"]):
         n_modes = int(row["N_m"])
@@ -507,43 +411,98 @@ def _cmd_fit_beta(cfg, out_dir, chash):
         ))
     fit = fit_beta(records)
     n2 = float(fit.n_atoms**2)
-    path = os.path.join(out_dir, "fit_beta.json")
-    write_json(path, {
+    return {"fit_beta.json": {
         "config_hash": chash,
         "N": fit.n_atoms, "beta": fit.beta, "intercept": fit.intercept,
         "g2_min": fit.g2_min, "g2_max": fit.g2_max,
         "residual_rms": fit.residual_rms, "point_count": fit.point_count,
         "bounds": [1.6 * n2, 2.1 * n2],
         "bounds_ok": 1.6 * n2 < fit.beta < 2.1 * n2,
-    })
-    return [path]
+    }}
 
 
-_COMMANDS = {
-    "derive": _cmd_derive,
-    "fluxonium": _cmd_fluxonium,
-    "polariton": _cmd_polariton,
-    "spectrum": _cmd_spectrum,
-    "splitting-sweep": _cmd_splitting_sweep,
-    "overlap": _cmd_overlap,
-    "disorder": _cmd_disorder,
-    "fit-beta": _cmd_fit_beta,
+#: command name -> (implementation, schema of its keys besides _COMMON)
+COMMANDS: dict[str, tuple] = {
+    "derive": (_cmd_derive, {
+        "L1": (_float, _REQUIRED), "L2": (_float, _REQUIRED),
+        "l_r": (_float, _REQUIRED), "c_r": (_float, _REQUIRED),
+        "a": (_float, _REQUIRED), "N": (_int, _REQUIRED),
+        "E_J": (_float, _REQUIRED), "E_CJ": (_float, _REQUIRED),
+    }),
+    "fluxonium": (_cmd_fluxonium, {
+        "E_J": (_float, _REQUIRED), "E_CJ": (_float, _REQUIRED),
+        "E_LJ": (_float, _REQUIRED),
+        "grid_points": (_int, 801),
+        "grid_half_width": (_float, 6.0 * math.pi),
+        "n_levels": (_int, 4),
+        "wavefunction_csv": (_bool, False),
+    }),
+    "polariton": (_cmd_polariton, {
+        "omega_k": (_float, _REQUIRED), "omega_F": (_float, _REQUIRED),
+        "rabi_min": (_float, 0.0), "rabi_max": (_float, _REQUIRED),
+        "rabi_count": (_int, 21),
+    }),
+    "spectrum": (_cmd_spectrum, {
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
+        "g": (_float, _REQUIRED),
+        "omega_F": (_float, 1.0), "count": (_int, 10),
+        "sector": (_choice("full", "even", "odd"), "full"), "tol": (_float, 1e-10),
+        "safety": (_float, 4.0), "even_floor": (_int, 4),
+        "cutoffs": (_list_of(_int), None),
+    }),
+    "splitting-sweep": (_cmd_splitting_sweep, {
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
+        "g_grid": (_list_of(_float), _REQUIRED),
+        "omega_F": (_float, 1.0),
+        "safety": (_float, 4.0), "even_floor": (_int, 4),
+        "tol": (_float, 1e-3), "refine": (_bool, True),
+    }),
+    "overlap": (_cmd_overlap, {
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
+        "g_grid": (_list_of(_float), _REQUIRED),
+        "safety": (_float, 3.5), "even_floor": (_int, 4),
+        "tol": (_float, 1e-10),
+    }),
+    "disorder": (_cmd_disorder, {
+        "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
+        "g": (_float, _REQUIRED),
+        "amplitude": (_float, 0.5), "count": (_int, 100),
+        "engine": (_choice("exact", "analytic"), "exact"),
+        "omega_F": (_float, 1.0),
+        "safety": (_float, 4.0), "even_floor": (_int, 4),
+    }),
+    "fit-beta": (_cmd_fit_beta, {
+        "records_csv": (str, _REQUIRED),
+    }),
 }
 
 
 def run(command: str, file_cfg: dict | None = None,
         overrides: dict | None = None) -> int:
     """Resolve, validate, execute and write artifacts plus the manifest."""
-    if command not in _COMMANDS:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
     resolved = resolve_config(command, file_cfg, overrides or {})
     out_dir = resolved.get("out_dir") or os.environ.get(ENV_OUTDIR) or "runs"
     out_dir = os.path.join(out_dir, command)
-    os.makedirs(out_dir, exist_ok=True)
     resolved["out_dir"] = out_dir
     chash = config_hash(command, resolved)
-    artifacts = _COMMANDS[command](resolved, out_dir, chash)
-    _write_manifest(out_dir, command, resolved, artifacts)
+    payloads = COMMANDS[command][0](resolved, chash)
+    os.makedirs(out_dir, exist_ok=True)  # only once the command has succeeded
+    artifacts = []
+    for name, payload in payloads.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(payload, dict):
+            write_json(path, payload)
+        else:
+            write_csv(path, *payload, chash)
+        artifacts.append(path)
+    write_json(os.path.join(out_dir, "manifest.json"), {
+        "command": command,
+        "config": dict(sorted(resolved.items())),
+        "config_hash": chash,
+        "artifacts": sorted(artifacts),
+    })
     return 0
 
 
@@ -553,33 +512,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="chain-of-junction-atoms resonator simulator",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, schema in SCHEMAS.items():
+    for name, (_impl, schema) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key = value file")
-        sp.add_argument("--seed", type=_int, default=None)
-        sp.add_argument("--jobs", type=_int, default=None)
-        sp.add_argument("--out-dir", dest="out_dir", default=None)
-        for key, (conv, _default) in schema.items():
-            flag = "--" + key.replace("_", "-").lower()
-            if conv in (_float_list, _int_list):
-                sp.add_argument(flag, dest=key, default=None,
-                                type=lambda s: json.loads(s))
-            else:
-                sp.add_argument(flag, dest=key, default=None, type=conv)
+        for key, (conv, _default) in {**_COMMON, **schema}.items():
+            sp.add_argument("--" + key.replace("_", "-").lower(), dest=key,
+                            type=str if conv is str else _parse_value)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    file_cfg = parse_config_file(args.config) if args.config else None
-    overrides = {
-        k: v for k, v in vars(args).items()
-        if k not in ("command", "config") and v is not None
-    }
+    overrides = vars(_build_parser().parse_args(argv))
+    command, config = overrides.pop("command"), overrides.pop("config")
     try:
+        file_cfg = parse_config_file(config) if config else None
         return run(command, file_cfg, overrides)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -357,6 +357,9 @@ class HamiltonianEngine:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H x for a sector vector (D,) or a column stack (D, b)."""
+        if x.ndim not in (1, 2) or x.shape[0] != self.indexer.dimension:
+            raise ManyBodyError(f"input shape {x.shape} does not lead with the "
+                                f"sector dimension {self.indexer.dimension}")
         rows = np.ascontiguousarray(np.atleast_2d(x.T))
         v = rows.reshape((-1,) + self._shape)
         out = v * self.diagonal.reshape(self._shape)

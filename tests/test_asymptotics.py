@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.special import zeta
 
 from fluxchain.asymptotics import (
+    MIN_MASS,
     CutoffError,
     analytic_splitting_general,
     analytic_splitting_n2,
@@ -94,10 +95,18 @@ class TestAsymptoticVacuum:
         assert np.vdot(plus, minus).real == pytest.approx(expected, abs=1e-8)
 
     def test_cutoff_error_reports_requirement(self):
-        spec = ManyBodySpec.from_coupling(2, 1, 1.5, cutoffs=(3,))
-        with pytest.raises(CutoffError) as err:
-            asymptotic_vacuum(spec, +1)
-        assert err.value.required > 3
+        # |alpha|^2 = 9, 25, 64: the least cutoff keeping MIN_MASS
+        for g, need in ((1.5, 20), (2.5, 42), (4.0, 90)):
+            spec = ManyBodySpec.from_coupling(2, 1, g, cutoffs=(3,))
+            with pytest.raises(CutoffError) as err:
+                asymptotic_vacuum(spec, +1)
+            assert err.value.required == need
+            with pytest.raises(CutoffError):
+                asymptotic_vacuum(ManyBodySpec.from_coupling(
+                    2, 1, g, cutoffs=(need - 1,)), +1)
+            alpha = displaced_amplitudes(spec, [1, 1])[0]
+            assert np.sum(np.abs(coherent_vector(alpha, need - 1)) ** 2) < MIN_MASS
+            assert np.sum(np.abs(coherent_vector(alpha, need)) ** 2) >= MIN_MASS
 
     def test_energy_expectation_equals_configuration_energy(self):
         # the atomic term averages to zero in an x-polarized product state and

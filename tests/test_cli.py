@@ -1,10 +1,14 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from fluxchain.cli import (
+    COMMANDS,
     ConfigError,
+    _build_parser,
     config_hash,
     fit_beta,
     main,
@@ -79,6 +83,7 @@ class TestConfigHandling:
         with pytest.raises(ConfigError) as err:
             parse_config_file(str(p))
         assert ":1" in str(err.value)
+        assert main(["polariton", "--config", str(p)]) == 1
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError) as err:
@@ -242,11 +247,36 @@ class TestStrictConfig:
             with pytest.raises(ConfigError):
                 resolve_config("splitting-sweep", None, dict(self.BASE, refine=raw))
 
-    def test_bad_bool_flag_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["splitting-sweep", "--n", "2", "--n-m", "1", "--g-grid", "[1.0]",
-                  "--refine", "nope", "--out-dir", str(tmp_path)])
+    def test_bad_bool_flag_rejected(self, tmp_path, capsys):
+        code = main(["splitting-sweep", "--n", "2", "--n-m", "1", "--g-grid", "[1.0]",
+                     "--refine", "nope", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "'refine'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_failed_command_writes_nothing(self, tmp_path):
+        with pytest.raises(ConfigError):
+            run("polariton", None, {"omega_k": 1.0, "omega_F": 1.0, "rabi_max": 0.8,
+                                    "rabi_count": -1, "out_dir": str(tmp_path)})
+        assert not any(tmp_path.iterdir())
+
+    def test_flags_and_file_keys_resolve_alike(self, tmp_path, capsys):
+        argv = ["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5"]
+        for value, levels in (("3.0", 3), ("null", 10)):  # null: the default
+            out = tmp_path / value
+            assert main(argv + ["--count", value, "--out-dir", str(out / "flag")]) == 0
+            cfg = out / "run.cfg"
+            cfg.write_text(f"count = {value}\n")
+            assert main(argv + ["--config", str(cfg),
+                                "--out-dir", str(out / "file")]) == 0
+            flag = (out / "flag" / "spectrum" / "spectrum.csv").read_bytes()
+            assert flag == (out / "file" / "spectrum" / "spectrum.csv").read_bytes()
+            assert len(flag.splitlines()) == 2 + levels
+        capsys.readouterr()
+        bad = tmp_path / "bad"
+        assert main(argv + ["--count", "2.7", "--out-dir", str(bad)]) == 1
+        assert "error: bad value for 'count'" in capsys.readouterr().err
+        assert not bad.exists()
 
     def test_non_integral_ints_rejected(self):
         args = {"N": 2, "N_m": 1, "g": 0.5}
@@ -263,3 +293,55 @@ class TestStrictConfig:
             with pytest.raises(ConfigError):
                 run(command, None, dict(args, out_dir=str(tmp_path)))
         assert not any(tmp_path.iterdir())
+
+
+# one small configuration per command, from the TestRun cases above
+SMALL_RUNS = {
+    "derive": dict(L1=1e-9, L2=1e-9, l_r=1e-6, c_r=4e-10, a=1e-3, N=5,
+                   E_J=1e-24, E_CJ=3e-25),
+    "fluxonium": {"E_J": 3.0, "E_CJ": 1.0, "E_LJ": 0.15, "wavefunction_csv": True},
+    "polariton": {"omega_k": 1.0, "omega_F": 1.0, "rabi_max": 0.8, "rabi_count": 5},
+    "spectrum": {"N": 2, "N_m": 1, "g": 0.5, "count": 4},
+    "splitting-sweep": {"N": 2, "N_m": 1, "g_grid": [1.0, 1.2, 1.4, 1.6],
+                        "tol": 1e-2},
+    "overlap": {"N": 2, "N_m": 1, "g_grid": [0.6, 1.0]},
+    "disorder": {"N": 2, "N_m": 1, "g": 1.0, "amplitude": 0.3, "count": 5,
+                 "engine": "analytic", "seed": 17},
+    "fit-beta": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_lists_the_files_written(command, tmp_path):
+    args = dict(SMALL_RUNS[command], out_dir=str(tmp_path))
+    if command == "fit-beta":
+        run("splitting-sweep", None,
+            dict(SMALL_RUNS["splitting-sweep"], out_dir=str(tmp_path / "sweep")))
+        args["records_csv"] = str(
+            tmp_path / "sweep" / "splitting-sweep" / "splitting_sweep.csv")
+    assert run(command, None, args) == 0
+    out = tmp_path / command
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["artifacts"] == written
+    chash = manifest["config_hash"]
+    for path in map(Path, written):
+        if path.suffix == ".csv":
+            assert path.read_text().splitlines()[0] == f"# manifest: {chash}"
+        elif path.name != "derive.json":
+            assert json.loads(path.read_text())["config_hash"] == chash
+
+
+def test_readme_examples_resolve():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    seen = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        if not line.startswith("fluxchain "):
+            continue
+        args = vars(_build_parser().parse_args(shlex.split(line)[1:]))
+        command = args.pop("command")
+        assert args.pop("config") is None
+        resolve_config(command, None, args)
+        seen.add(command)
+    assert seen == set(COMMANDS)

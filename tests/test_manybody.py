@@ -178,6 +178,21 @@ class TestApplyHamiltonian:
         with pytest.raises(ManyBodyError):
             dense_matrix(spec, "full")
 
+    def test_matvec_rejects_wrong_leading_length(self):
+        op = HamiltonianEngine(small_spec(), "even")
+        dim = op.indexer.dimension
+        assert dim == 24
+        # a multiple of the sector dimension must not pass as a column stack
+        for bad in (np.ones(2 * dim), np.ones(dim - 1), np.ones((2 * dim, 3)),
+                    np.ones((dim, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ManyBodyError):
+                op.matvec(bad)
+        x = np.random.default_rng(3).standard_normal((dim, 3))
+        block = op.dense()
+        assert op.matvec(x[:, 0]).shape == (dim,)
+        assert np.allclose(op.matvec(x[:, 0]), block @ x[:, 0])
+        assert np.allclose(op.matvec(x), block @ x)
+
 
 # ------------------------------------------------------------------ parity
 
