@@ -143,6 +143,13 @@ def _int(v) -> int:
     return int(v)
 
 
+def _positive_int(v) -> int:
+    n = _int(v)
+    if n < 1:
+        raise ValueError("expected an integer of at least 1")
+    return n
+
+
 def _float(v) -> float:
     if isinstance(v, bool):
         raise ValueError("expected a number")
@@ -167,7 +174,7 @@ def _list_of(conv):
 
 _COMMON = {
     "seed": (_int, 20260810),
-    "jobs": (_int, 1),
+    "jobs": (_positive_int, 1),
     "out_dir": (str, None),
 }
 
@@ -527,7 +534,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = parse_config_file(config) if config else None
         return run(command, file_cfg, overrides)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -406,8 +406,29 @@ class SpectrumResult:
     vectors: list[Wavefunction] | None = None
 
 
+def _padded_start(op: HamiltonianEngine, start: Wavefunction) -> np.ndarray:
+    """``start``, a vector of the same chain and sector at cutoffs no larger
+    than ``op``'s, zero-padded onto ``op``'s sector in its real gauge."""
+    idx, spec = start.indexer, op.spec
+    if (idx.sector != op.indexer.sector
+            or idx.spec.with_cutoffs(spec.cutoffs) != spec
+            or any(a > b for a, b in zip(idx.spec.cutoffs, spec.cutoffs))):
+        raise ManyBodyError("start must be a vector of the same chain and sector "
+                            "with cutoffs at most the spec's")
+    # sector coordinates are (mode_Nm, ..., mode_1, spin bits 2..N); padding
+    # keeps every occupation, so parity and the gauge phase of each state
+    # stay, and the start is taken to the real gauge on its own support
+    old_shape = tuple(reversed(idx.spec.mode_dims)) + (op._shape[-1],)
+    inner = tuple(slice(d) for d in old_shape)
+    padded = np.zeros(op._shape)
+    padded[inner] = (start.data.reshape(old_shape)
+                     * op.phase.reshape(op._shape)[inner].conj()).real
+    return padded.reshape(-1)
+
+
 def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
-                    tol: float = 1e-11, with_vectors: bool = False) -> SpectrumResult:
+                    tol: float = 1e-11, with_vectors: bool = False,
+                    start: Wavefunction | None = None) -> SpectrumResult:
     """m lowest eigenpairs of H restricted to a parity sector.
 
     The sector dimension alone picks the route: dense diagonalization at or
@@ -418,12 +439,19 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     one in the full space).  Only the dense route is guaranteed to return an
     exactly degenerate level as often as its multiplicity; Lanczos may
     return fewer copies.
+
+    ``start`` warm-starts a Lanczos solve from a sector vector of the same
+    chain and sector at per-mode cutoffs no larger than ``spec``'s (the
+    ground vector of a smaller solve), zero-padded to ``spec``'s cutoffs.
+    The dense route ignores it.
     """
     if m < 1:
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
         raise ManyBodyError("tol must be positive")
     if sector == "full":
+        if start is not None:
+            raise ManyBodyError("a start vector needs a parity sector")
         if m > spec.dimension:
             raise ManyBodyError("m exceeds the sector dimension")
         even, odd = (lowest_spectrum(spec, s, min(m, spec.dimension // 2), tol,
@@ -444,6 +472,8 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     indexer = op.indexer
     if m > indexer.dimension:
         raise ManyBodyError("m exceeds the sector dimension")
+    if start is not None:
+        start = _padded_start(op, start)
 
     if indexer.dimension <= DENSE_LIMIT:
         h = op.dense()
@@ -452,7 +482,7 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
         iterations, method = 0, "dense"
     else:
         res = lowest_eigenpairs(op.matvec, indexer.dimension, m, tol=tol,
-                                scale=op.norm_bound())
+                                scale=op.norm_bound(), start=start)
         vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
         iterations, method = res.matvec_count, "lanczos"
     out_vecs = None
@@ -477,10 +507,6 @@ class SplittingRecord:
     below_floor: bool = False
 
 
-def _sector_ground(spec: ManyBodySpec, sector: str) -> float:
-    return float(lowest_spectrum(spec, sector, 1).eigenvalues[0])
-
-
 def _refined_cutoffs(cutoffs) -> tuple[int, ...]:
     return tuple(c + max(2, math.ceil(0.25 * c)) for c in cutoffs)
 
@@ -492,17 +518,20 @@ def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
     ``tol`` is the relative change of delta under one cutoff refinement that
     still counts as converged, and two splittings below the floor always do;
     refinement is skipped (and the record marked unconverged) when
-    ``refine`` is false.
+    ``refine`` is false.  The refined solves start from the base ground
+    vectors, zero-padded to the larger cutoffs.
     """
-    e_even = _sector_ground(spec, "even")
-    e_odd = _sector_ground(spec, "odd")
+    base = {s: lowest_spectrum(spec, s, 1, with_vectors=refine) for s in SECTORS}
+    e_even, e_odd = (float(base[s].eigenvalues[0]) for s in SECTORS)
     delta = abs(e_even - e_odd)
     omega_ref = float(np.mean(np.abs(spec.omega_atoms))) or 1.0
 
     converged = False
     if refine:
         bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
-        d2 = abs(_sector_ground(bumped, "even") - _sector_ground(bumped, "odd"))
+        e2_even, e2_odd = (float(lowest_spectrum(bumped, s, 1, start=base[s].vectors[0])
+                                 .eigenvalues[0]) for s in SECTORS)
+        d2 = abs(e2_even - e2_odd)
         larger = max(delta, d2)
         converged = (larger < NUMERICAL_FLOOR * omega_ref
                      or abs(delta - d2) <= tol * larger)

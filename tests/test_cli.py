@@ -278,6 +278,29 @@ class TestStrictConfig:
         assert "error: bad value for 'count'" in capsys.readouterr().err
         assert not bad.exists()
 
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        argv = ["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = -3\n")
+        for extra in (["--jobs", "0"], ["--config", str(cfg)]):
+            out = tmp_path / "out"
+            assert main(argv + extra + ["--out-dir", str(out)]) == 1
+            assert "error: bad value for 'jobs'" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_os_errors_exit_one(self, tmp_path, capsys):
+        argv = ["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5"]
+        missing = tmp_path / "missing.cfg"
+        assert main(argv + ["--config", str(missing),
+                            "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        assert main(argv + ["--out-dir", str(blocker / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert blocker.read_text() == "a regular file\n"
+
     def test_non_integral_ints_rejected(self):
         args = {"N": 2, "N_m": 1, "g": 0.5}
         assert resolve_config("spectrum", None, dict(args, count=3.0))["count"] == 3
