@@ -48,7 +48,6 @@ from .asymptotics import (
 )
 from .disorder import (
     DisorderEnsembleSpec,
-    EnsembleStats,
     ensemble_splitting,
     protection_check,
     sample_frequencies,

@@ -176,15 +176,15 @@ def finite_size_mu(raw: RawCircuit) -> float:
     return math.sin(x) / x
 
 
-def coupling_estimate(chi: float, n_atoms: int, mu: float, nu: float,
-                      z_line: float = Z_LINE_DEFAULT) -> float:
+def coupling_estimate(chi: float, n_atoms: int, mu: float, nu: float) -> float:
     """Dimensionless ratio Omega_1 / omega_1 from impedance bookkeeping.
 
-    Equals sqrt(R_quantum / z_line) * mu * nu * chi * sqrt(N); with mu = 1,
-    nu = 1/4, chi = 1 and a 50 Ohm line this is about 5.7 per sqrt(atom).
+    Equals sqrt(R_quantum / Z_LINE_DEFAULT) * mu * nu * chi * sqrt(N), for a
+    50 Ohm line; with mu = 1, nu = 1/4 and chi = 1 this is about 5.7 per
+    sqrt(atom).
     """
     if not 0.0 <= chi <= 1.0:
         raise CircuitError("chi must lie in [0, 1]")
     if n_atoms < 1:
         raise CircuitError("n_atoms must be at least 1")
-    return math.sqrt(R_QUANTUM / z_line) * mu * nu * chi * math.sqrt(n_atoms)
+    return math.sqrt(R_QUANTUM / Z_LINE_DEFAULT) * mu * nu * chi * math.sqrt(n_atoms)

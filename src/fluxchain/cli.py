@@ -53,10 +53,14 @@ class BetaFit:
 def fit_beta(records) -> BetaFit:
     """Fit the splitting decay exponent from converged sweep records.
 
-    Only converged records with delta/omega above the numerical floor enter;
-    excluded floor points are warned about.  Requires at least four usable
-    points whose g^2 values span a factor of two.
+    All records must come from one chain (one N and N_m).  Only converged
+    records with delta/omega above the numerical floor enter; excluded floor
+    points are warned about.  Requires at least four usable points whose g^2
+    values span a factor of two.
     """
+    chains = sorted({(rec.n_atoms, rec.n_modes) for rec in records})
+    if len(chains) > 1:
+        raise ConfigError(f"records mix chains (N, N_m) {chains}; fit one at a time")
     usable = []
     for rec in records:
         if not rec.converged:
@@ -386,36 +390,44 @@ def _cmd_disorder(cfg, chash):
         base=base, amplitude=cfg["amplitude"], count=cfg["count"],
         seed=cfg["seed"],
     )
-    stats = disorder.ensemble_splitting(dspec, engine=cfg["engine"],
-                                        jobs=cfg["jobs"])
+    freqs = disorder.sample_frequencies(dspec)
+    deltas = disorder.ensemble_splitting(dspec, engine=cfg["engine"],
+                                         jobs=cfg["jobs"])
     return {
         "disorder.csv": (
             ["realization", "seed",
              *(f"omega_F_{j}" for j in range(1, cfg["N"] + 1)), "delta"],
-            [[r.realization, cfg["seed"], *r.omega_atoms, r.delta]
-             for r in stats.records],
+            [[r, cfg["seed"], *freqs[r], deltas[r]] for r in range(cfg["count"])],
         ),
         "disorder_summary.json": {
             "config_hash": chash,
-            "mean": stats.mean_delta, "std": stats.std_delta,
-            "engine": stats.engine, "g": cfg["g"], "N": cfg["N"],
-            "seed": stats.seed, "count": cfg["count"],
+            "mean": float(np.mean(deltas)), "std": float(np.std(deltas)),
+            "engine": cfg["engine"], "g": cfg["g"], "N": cfg["N"],
+            "seed": cfg["seed"], "count": cfg["count"],
         },
     }
 
 
 def _cmd_fit_beta(cfg, chash):
+    path = cfg["records_csv"]
     records = []
-    for row in read_csv_rows(cfg["records_csv"]):
-        n_modes = int(row["N_m"])
-        records.append(manybody.SplittingRecord(
-            n_atoms=int(row["N"]), n_modes=n_modes, g=float(row["g"]),
-            cutoffs=tuple(int(row[f"n_max_{k}"]) for k in range(1, n_modes + 1)),
-            e_even=float(row["E_even"]), e_odd=float(row["E_odd"]),
-            delta=float(row["delta"]),
-            delta_over_omega_atom=float(row["delta_over_omegaF"]),
-            converged=row["converged"].strip().lower() == "true",
-        ))
+    for i, row in enumerate(read_csv_rows(path), start=1):
+        if None in row or None in row.values():
+            raise ConfigError(f"{path}: record {i} does not have one field per column")
+        try:
+            n_modes = int(row["N_m"])
+            records.append(manybody.SplittingRecord(
+                n_atoms=int(row["N"]), n_modes=n_modes, g=float(row["g"]),
+                cutoffs=tuple(int(row[f"n_max_{k}"]) for k in range(1, n_modes + 1)),
+                e_even=float(row["E_even"]), e_odd=float(row["E_odd"]),
+                delta=float(row["delta"]),
+                delta_over_omega_atom=float(row["delta_over_omegaF"]),
+                converged=_bool(row["converged"].strip()),
+            ))
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing column {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: record {i}: {exc}") from exc
     fit = fit_beta(records)
     n2 = float(fit.n_atoms**2)
     return {"fit_beta.json": {

@@ -40,23 +40,6 @@ class DisorderEnsembleSpec:
             raise DisorderError("count must be at least 1")
 
 
-@dataclass
-class RealizationRecord:
-    realization: int
-    omega_atoms: tuple[float, ...]
-    delta: float
-    converged: bool
-
-
-@dataclass
-class EnsembleStats:
-    mean_delta: float
-    std_delta: float
-    records: list[RealizationRecord]
-    seed: int
-    engine: str
-
-
 def sample_frequencies(spec: DisorderEnsembleSpec) -> np.ndarray:
     """(count, N) array of disordered atomic frequencies.
 
@@ -72,14 +55,15 @@ def sample_frequencies(spec: DisorderEnsembleSpec) -> np.ndarray:
 
 
 def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact",
-                       refine: bool = True, jobs: int = 1) -> EnsembleStats:
-    """Mean and standard deviation of the splitting across realizations.
+                       jobs: int = 1) -> np.ndarray:
+    """Splitting of each realization, in realization order.
 
-    engine='exact' runs the sector eigensolvers per realization (bounded by
-    ``EXACT_ENGINE_BUDGET``); engine='analytic' evaluates the dominant-order
-    closed form, whose per-realization value is signed.  Realizations are
-    independent jobs; results are keyed by realization index, so the worker
-    count never changes the output.
+    Realization r has the atomic frequencies of row r of
+    ``sample_frequencies(spec)``.  engine='exact' runs the sector eigensolvers
+    at the base cutoffs (bounded by ``EXACT_ENGINE_BUDGET``); engine='analytic'
+    evaluates the dominant-order closed form, whose per-realization value is
+    signed.  Realizations are independent jobs and come back in realization
+    order, so the worker count never changes the output.
     """
     if engine not in ("exact", "analytic"):
         raise DisorderError("engine must be 'exact' or 'analytic'")
@@ -88,28 +72,15 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact",
             f"exact engine refused: dimension {spec.base.dimension} exceeds "
             f"{EXACT_ENGINE_BUDGET}; use the analytic engine"
         )
-    freqs = sample_frequencies(spec)
+    base = spec.base
 
-    def one(r: int) -> RealizationRecord:
-        omega = tuple(float(w) for w in freqs[r])
+    def one(omega) -> float:
         if engine == "exact":
-            rec = ground_splitting(spec.base.with_omega_atoms(omega), refine=refine)
-            return RealizationRecord(r, omega, float(rec.delta), rec.converged)
-        delta = analytic_splitting_general(
-            spec.base.n_atoms, spec.base.n_modes, spec.base.g,
-            omega, spec.base.omega_modes[0],
-        )
-        return RealizationRecord(r, omega, float(delta), True)
+            return ground_splitting(base.with_omega_atoms(omega), refine=False).delta
+        return analytic_splitting_general(base.n_atoms, base.n_modes, base.g,
+                                          omega, base.omega_modes[0])
 
-    records = parallel_map(one, range(spec.count), jobs)
-    deltas = np.array([rec.delta for rec in records])
-    return EnsembleStats(
-        mean_delta=float(np.mean(deltas)),
-        std_delta=float(np.std(deltas)),
-        records=records,
-        seed=spec.seed,
-        engine=engine,
-    )
+    return np.array(parallel_map(one, sample_frequencies(spec), jobs), dtype=float)
 
 
 def perturbation_diagonal(spec: ManyBodySpec, deltas) -> np.ndarray:

@@ -155,24 +155,23 @@ class ManyBodySpec:
 
     @classmethod
     def from_coupling(cls, n_atoms: int, n_modes: int, g: float, *,
-                      omega_mode: float = 1.0,
                       omega_atoms=None,
                       cutoffs=None, safety: float = 4.0,
                       even_floor: int = 4) -> "ManyBodySpec":
         """Build the standard resonant chain from the per-atom coupling g.
 
-        Mode frequencies are k * omega_mode; couplings follow the dispersion
-        ratios with W_1 = g sqrt(N) omega_mode; atomic frequencies default to
-        resonance with mode 1.
+        Frequencies are in units of mode 1: mode frequencies are k; couplings
+        follow the dispersion ratios with W_1 = g sqrt(N); atomic frequencies
+        default to resonance with mode 1.
         """
         if g < 0:
             raise ManyBodyError("g must be non-negative")
         if omega_atoms is None:
-            omega_atoms = (omega_mode,) * n_atoms
+            omega_atoms = (1.0,) * n_atoms
         omega_atoms = tuple(float(w) for w in omega_atoms)
-        omegas = tuple(k * omega_mode for k in range(1, n_modes + 1))
+        omegas = tuple(float(k) for k in range(1, n_modes + 1))
         rabi = tuple(
-            g * math.sqrt(n_atoms) * omega_mode * r
+            g * math.sqrt(n_atoms) * r
             for r in collective_rabi_ratios(n_atoms, n_modes)
         )
         if cutoffs is None:

@@ -13,9 +13,11 @@ from fluxchain.cli import (
     fit_beta,
     main,
     parse_config_file,
+    read_csv_rows,
     resolve_config,
     run,
 )
+from fluxchain import manybody
 from fluxchain.manybody import SplittingRecord
 
 
@@ -35,6 +37,24 @@ def synthetic_records(beta=8.0, gs=(0.8, 1.0, 1.2, 1.5), n=2, floor_g=None):
             delta_over_omega_atom=1e-15, converged=True,
         ))
     return recs
+
+
+def sweep_table(records):
+    """Header and string rows of a splitting-sweep CSV, as fit-beta reads it."""
+    header = ["N", "N_m", "g", "n_max_1", "E_even", "E_odd", "delta",
+              "delta_over_omegaF", "converged"]
+    rows = [[str(x) for x in (r.n_atoms, r.n_modes, r.g, *r.cutoffs, r.e_even,
+                              r.e_odd, r.delta, r.delta_over_omega_atom)]
+            + [str(r.converged).lower()] for r in records]
+    return header, rows
+
+
+def fit_beta_main(tmp_path, header, rows):
+    """Exit code of the fit-beta command on a CSV of the given rows."""
+    path = tmp_path / "records.csv"
+    path.write_text("# manifest: 0\n" + "\n".join(map(",".join, [header, *rows])) + "\n")
+    return main(["fit-beta", "--records-csv", str(path),
+                 "--out-dir", str(tmp_path / "out")])
 
 
 class TestFitBeta:
@@ -59,6 +79,41 @@ class TestFitBeta:
         recs = synthetic_records(gs=(1.0, 1.05, 1.1, 1.15))
         with pytest.raises(ConfigError):
             fit_beta(recs)
+
+    def test_refuses_records_of_different_chains(self):
+        with pytest.raises(ConfigError, match=r"\(2, 1\), \(3, 1\)"):
+            fit_beta(synthetic_records(n=2) + synthetic_records(n=3))
+
+    def test_cli_refuses_records_of_different_chains(self, tmp_path, capsys):
+        header, rows = sweep_table(synthetic_records(n=2) + synthetic_records(n=3))
+        assert fit_beta_main(tmp_path, header, rows) == 1
+        assert "error: records mix chains" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_names_a_missing_column(self, tmp_path, capsys):
+        header, rows = sweep_table(synthetic_records())
+        for row in (header, *rows):
+            row.pop()  # drop the converged column
+        assert fit_beta_main(tmp_path, header, rows) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'records.csv'}: ")
+        assert "missing column 'converged'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.pop(), "record 2 does not have one field per column"),
+        (lambda row: row.append("1.0"), "record 2 does not have one field per column"),
+        (lambda row: row.__setitem__(2, "one"), "record 2: could not convert"),
+        (lambda row: row.__setitem__(8, "ture"), "record 2: expected true/false"),
+    ], ids=["too few fields", "too many fields", "not a number", "not a boolean"])
+    def test_cli_names_a_bad_record(self, tmp_path, capsys, edit, message):
+        header, rows = sweep_table(synthetic_records())
+        edit(rows[1])
+        assert fit_beta_main(tmp_path, header, rows) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'records.csv'}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigHandling:
@@ -154,6 +209,29 @@ class TestRun:
             assert a == b
         lines = (tmp_path / "a" / "disorder" / "disorder.csv").read_text().splitlines()
         assert lines[1] == "realization,seed,omega_F_1,omega_F_2,delta"
+
+    def test_disorder_exact_engine(self, tmp_path, monkeypatch):
+        # the bench cli_small ensemble; its 462-state sectors go through Lanczos
+        args = {"N": 2, "N_m": 2, "g": 1.2, "amplitude": 0.3, "count": 4,
+                "even_floor": 6, "seed": 17}
+        base = manybody.ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6)
+        assert base.dimension // 2 > manybody.DENSE_LIMIT
+        solves = []
+        solve = manybody.lowest_spectrum
+        monkeypatch.setattr(manybody, "lowest_spectrum",
+                            lambda *a, **kw: solves.append(a) or solve(*a, **kw))
+        run("disorder", None, dict(args, jobs=1, out_dir=str(tmp_path / "1")))
+        assert len(solves) == 2 * args["count"]  # one per sector, no refinement
+        run("disorder", None, dict(args, jobs=2, out_dir=str(tmp_path / "2")))
+        for name in ("disorder.csv", "disorder_summary.json"):
+            assert ((tmp_path / "1" / "disorder" / name).read_bytes()
+                    == (tmp_path / "2" / "disorder" / name).read_bytes())
+        rows = read_csv_rows(str(tmp_path / "1" / "disorder" / "disorder.csv"))
+        assert len(rows) == args["count"]
+        for row in rows:
+            omega = (float(row["omega_F_1"]), float(row["omega_F_2"]))
+            want = manybody.ground_splitting(base.with_omega_atoms(omega), refine=False)
+            assert row["delta"] == repr(want.delta)
 
     def test_fit_beta_end_to_end(self, tmp_path):
         run("splitting-sweep", None,

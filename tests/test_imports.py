@@ -10,6 +10,12 @@ and every method of those classes (dunders exempt), must be referenced by
 name, attribute or import in some file under ``src/``, ``scripts/``,
 ``tests/`` or ``bench/``, so that removing a caller does not leave dead code
 behind.
+
+Parameters: every parameter with a default, of a function or method under
+``src/``, must be passed somewhere in those files: as a keyword in any call
+(which covers helpers that forward ``**kw``), as a string key, or by position
+in a call of that function's name.  A default that no caller overrides is a
+constant.
 """
 
 import ast
@@ -142,3 +148,86 @@ def test_no_dead_definitions():
             for path in sorted((ROOT / "src").rglob("*.py"))
             for name in dead_definitions(path.read_text(), read)]
     assert dead == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) of every parameter with a default.
+
+    The position counts the arguments a caller writes before it (a method's
+    ``self`` or ``cls`` left out); it is None for keyword-only parameters.
+    """
+    tree = ast.parse(source)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, functions)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, functions):
+            continue
+        args = node.args
+        positional = (args.posonlyargs + args.args)[1 if id(node) in methods else 0:]
+        first = len(positional) - len(args.defaults)
+        out += [(node.name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+        out += [(node.name, a.arg, None)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def passed_arguments(source: str) -> tuple[set[str], dict[str, int]]:
+    """Keywords and string keys a module uses, and for each called name the
+    most positional arguments one call passes it (a starred one counts as
+    unbounded)."""
+    keys, positional = set(), {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            keys.update(kw.arg for kw in node.keywords if kw.arg)
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            positional[name] = max(positional.get(name, 0), count)
+        elif isinstance(node, ast.Subscript):
+            keys.add(getattr(node.slice, "value", None))
+        elif isinstance(node, ast.Dict):
+            keys.update(getattr(k, "value", None) for k in node.keys)
+    return keys, positional
+
+
+def unpassed_parameters(source: str, keys: set[str],
+                        positional: dict[str, int]) -> list[str]:
+    return [f"{function}({param})"
+            for function, param, position in defaulted_parameters(source)
+            if param not in keys
+            and (position is None or positional.get(function, 0) <= position)]
+
+
+def test_parameter_checker_flags_only_unpassed_defaults():
+    source = (
+        "class A:\n"
+        "    def m(self, x, y=1, z=2):\n"
+        "        return x + y + z\n"
+        "def f(a, b=0, *, c=1, d=2, e=3):\n"
+        "    return A().m(a, b)\n"
+        "def g(*rows, scale=1.0, **kw):\n"
+        "    return f(*rows, c=scale, **kw)\n"
+        "def h(w=1):\n"
+        "    return g(d=4, w=w)\n"
+    )
+    keys, positional = passed_arguments(source)
+    assert unpassed_parameters(source, keys, positional) == [
+        "f(e)", "g(scale)", "m(z)"]
+    keys, positional = passed_arguments("A().m(1, 2, 3)\ncfg['e'] = 0\n{'scale': 1}\n")
+    assert unpassed_parameters(source, keys, positional) == [
+        "f(b)", "f(c)", "f(d)", "h(w)"]
+
+
+def test_no_unpassed_parameters():
+    keys, positional = set(), {}
+    for path in REFERENCING:
+        k, p = passed_arguments(path.read_text())
+        keys |= k
+        for name, count in p.items():
+            positional[name] = max(positional.get(name, 0), count)
+    unpassed = [f"{path.relative_to(ROOT)}: {name}"
+                for path in sorted((ROOT / "src").rglob("*.py"))
+                for name in unpassed_parameters(path.read_text(), keys, positional)]
+    assert unpassed == []
