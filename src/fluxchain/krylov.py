@@ -2,10 +2,25 @@
 
 Built for resolving near-degenerate sector ground states of a real symmetric
 operator down to the floating-point floor: the projected matrix is a small
-dense block (exact under full reorthogonalization), restarts keep a thick
-band of Ritz vectors, and every pair is certified with an explicit residual
-before it is returned.  The basis is stored column-stacked, so projections
-and reorthogonalization run as BLAS matrix-vector products.
+dense block that holds Q^T A Q to rounding, restarts keep a thick band of
+Ritz vectors (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)), and
+every pair is certified with an explicit residual before it is returned.
+The basis is stored column-stacked, so projections run as BLAS
+matrix-vector products.
+
+Each step costs one matvec and about one sweep over the basis:
+
+* the recurrence first subtracts the couplings it already knows, beta times
+  the previous vector on an ordinary step, or the arrow of couplings to the
+  kept Ritz vectors on the first step after a restart, and then alpha times
+  the current vector;
+* one classical Gram-Schmidt pass against the whole basis removes what
+  rounding left behind, and a second pass runs only when the first cancelled
+  most of the vector, its norm falling below 1/sqrt(2) of its value before
+  the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976));
+  the recurrence and both corrections enter the projected block;
+* the projected block is solved only for the eigenpairs the step needs,
+  the k lowest, or as many as the restart keeps (LAPACK ``dsyevr``).
 
 Arithmetic is real and the start vector is seeded gaussian noise, so a solve
 is deterministic and its start has weight on every eigenvector; a start
@@ -34,9 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 #: seed of the start vector and of the directions taken after a breakdown
 SEED = 7
+#: a Gram-Schmidt pass that leaves less than this share of the norm is repeated
+DGKS = 1 / np.sqrt(2)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -57,13 +75,20 @@ class LanczosResult:
     restarts: int = 0
 
 
-def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> float:
     """Classical Gram-Schmidt, twice, of ``w`` (in place) against the columns
-    of ``basis``; returns the first pass's coefficients and the remaining norm."""
-    coeffs = basis.T @ w
-    w -= basis @ coeffs
+    of ``basis``; returns the remaining norm."""
     w -= basis @ (basis.T @ w)
-    return coeffs, float(np.linalg.norm(w))
+    w -= basis @ (basis.T @ w)
+    return float(np.linalg.norm(w))
+
+
+def _lowest_ritz(block: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` lowest eigenpairs of the symmetric projected block."""
+    vals, vecs, _, _, info = lapack.dsyevr(block, range="I", il=1, iu=count)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed on the projected block (info={info})")
+    return vals[:count], vecs
 
 
 def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
@@ -82,6 +107,7 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     basis_size = min(max(2 * k + 28, 36), dim)
+    keep = min(max(k + 6, 2 * k), basis_size - 2)
 
     rng = np.random.default_rng(SEED)
     v = rng.standard_normal(dim)
@@ -92,18 +118,38 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
         v = start / norm + 1e-3 * (v / np.linalg.norm(v))
     Q = np.empty((dim, basis_size + 1), order="F")
     Q[:, 0] = v / np.linalg.norm(v)
+    # projected block Q^T A Q; row m holds the couplings of Q[:, m] to
+    # Q[:, lo:m] that the recurrence already knows before its matvec
     proj = np.zeros((basis_size, basis_size))
-    m = n_mv = restarts = 0
+    m = lo = n_mv = restarts = 0
     best_vals = best_res = None
 
     while n_mv < max_matvecs:
-        w = matvec(Q[:, m])
+        q = Q[:, m]
+        w = matvec(q)
         n_mv += 1
-        coeffs, beta = _orthogonalize(Q[:, : m + 1], w)
-        proj[m, : m + 1] = proj[: m + 1, m] = coeffs
+        w -= Q[:, lo:m] @ proj[m, lo:m]
+        proj[m, m] = alpha = q @ w
+        w -= alpha * q
+        # one Gram-Schmidt pass removes the rounding the recurrence left;
+        # a second runs only if it cancelled most of w (DGKS)
+        basis = Q[:, : m + 1]
+        before = np.linalg.norm(w)
+        corr = basis.T @ w
+        w -= basis @ corr
+        beta = float(np.linalg.norm(w))
+        if beta < DGKS * before:
+            extra = basis.T @ w
+            w -= basis @ extra
+            corr += extra
+            beta = float(np.linalg.norm(w))
+        proj[m, : m + 1] += corr
+        proj[: m + 1, m] = proj[m, : m + 1]
         m += 1
 
-        vals, svecs = np.linalg.eigh(proj[:m, :m])
+        restart = m == basis_size
+        want = max(k, keep) if restart else k
+        vals, svecs = _lowest_ritz(proj[:m, :m], min(want, m))
         best_vals = vals[: min(k, m)]
         best_res = np.abs(beta * svecs[m - 1, : min(k, m)])
 
@@ -121,23 +167,30 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
             # estimates were optimistic; keep iterating
 
         if beta < 1e-13 * scale:
-            # invariant subspace hit: continue in a seeded random direction
+            # invariant subspace hit: continue in a seeded random direction,
+            # which no recurrence couples to the basis
             w = rng.standard_normal(dim)
-            _, beta = _orthogonalize(Q[:, :m], w)
-        Q[:, m] = w / beta
+            Q[:, m] = w / _orthogonalize(Q[:, :m], w)
+            beta = 0.0
+        else:
+            Q[:, m] = w / beta
 
-        if m == basis_size:
+        if restart:
             # thick restart: rotate to the lowest Ritz vectors, keep the
-            # residual direction as the next Lanczos vector.  The projected
-            # block restricted to kept Ritz vectors is exactly diagonal.
-            keep = min(max(k + 6, 2 * k), m - 2)
+            # residual direction as the next Lanczos vector.  The block on
+            # the kept Ritz vectors is diagonal, and the residual direction
+            # couples to them through the arrow beta * (last row of svecs).
             kept = Q[:, :m] @ svecs[:, :keep]
             Q[:, keep] = Q[:, m]
             Q[:, :keep] = kept
             proj[:] = 0.0
             proj[:keep, :keep] = np.diag(vals[:keep])
-            m = keep
+            proj[keep, :keep] = beta * svecs[m - 1, :keep]
+            m, lo = keep, 0
             restarts += 1
+        else:
+            proj[m, m - 1] = beta
+            lo = m - 1
 
     raise EigenConvergenceError(
         f"no convergence after {n_mv} matvecs (best residual estimates "

@@ -44,7 +44,8 @@ from .krylov import lowest_eigenpairs
 NUMERICAL_FLOOR = 1e-13
 
 #: sector dimension at or below which a solve is dense, above it Lanczos;
-#: the measured crossover of the two routes (CHANGES.md)
+#: near the measured crossover of the two routes, about 300 states for one
+#: level and 450 for four (CHANGES.md)
 DENSE_LIMIT = 400
 
 #: refuse to assemble dense matrices larger than this
@@ -431,7 +432,7 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     """m lowest eigenpairs of H restricted to a parity sector.
 
     The sector dimension alone picks the route: dense diagonalization at or
-    below ``DENSE_LIMIT`` states, where it is the faster of the two, and
+    below ``DENSE_LIMIT`` states, near where the two take the same time, and
     Lanczos above it.  A full-space spectrum is always the merge of the two
     sector solves, which sidesteps cross-sector quasi-degeneracy entirely;
     its vectors stay sector wavefunctions, in merged order (``embed`` places

@@ -563,3 +563,56 @@ def test_krylov_counts_every_operator_call():
                             scale=float(np.linalg.norm(h, 2)))
     assert res.restarts > 0
     assert res.matvec_count == len(calls)
+
+
+def test_krylov_continues_past_an_invariant_subspace():
+    # two levels: the Krylov space of the start closes after two steps, so a
+    # third pair needs the seeded direction taken at the breakdown
+    diag = np.random.default_rng(9).permutation(np.repeat([-1.0, 1.0], [50, 100]))
+    res = lowest_eigenpairs(lambda x: diag * x, 150, 3, tol=1e-12, scale=1.0)
+    np.testing.assert_allclose(res.eigenvalues, [-1.0, -1.0, 1.0], atol=1e-12)
+    x = res.eigenvectors
+    assert np.max(np.abs(x.T @ x - np.eye(3))) < 1e-12
+    assert np.max(res.residuals) < 1e-11
+
+
+def _clustered_matrix(n=2000, seed=11):
+    """Dense symmetric matrix with a random eigenbasis: a three-fold cluster
+    at spacing 1e-7 at the bottom, the other levels uniform in [0.002, 1]."""
+    rng = np.random.default_rng(seed)
+    levels = np.concatenate([[0.0, 1e-7, 2e-7], rng.uniform(0.002, 1.0, n - 3)])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    h = (q * levels) @ q.T
+    return (h + h.T) / 2
+
+
+@pytest.fixture(scope="module")
+def clustered():
+    h = _clustered_matrix()
+    return h, np.linalg.eigvalsh(h)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+@pytest.mark.parametrize("k", [3, 6])
+def test_krylov_resolves_cluster_through_restarts(clustered, shift, k):
+    # the shift makes the recurrence cancel most of every A q, leaving its
+    # rounding at eps * 1e4 for the Gram-Schmidt pass to remove; a ghost
+    # copy of a converged level would show as non-orthonormal Ritz vectors
+    h, ref = clustered
+    a = h + shift * np.eye(len(h))
+    scale = 1.0 + shift
+    res = lowest_eigenpairs(lambda x: a @ x, len(a), k, tol=1e-12, scale=scale)
+    assert res.restarts >= 7
+    assert np.max(np.abs(res.eigenvalues - (ref[:k] + shift))) < 1e-10 * scale
+    x = res.eigenvectors
+    assert np.max(np.abs(x.T @ x - np.eye(k))) < 1e-12
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_sector_ground_solve_matvec_budget(sector):
+    # the splitting_n3 benchmark point: about 5.5k states per sector, which
+    # converge in 99-102 matvecs; a cheaper step must not slow the iteration
+    spec = ManyBodySpec.from_coupling(3, 3, 0.7, even_floor=8, safety=2.5)
+    res = lowest_spectrum(spec, sector, 1)
+    assert res.method == "lanczos"
+    assert res.iterations <= 110
