@@ -599,9 +599,9 @@ def test_krylov_resolves_cluster_through_restarts(clustered, shift, k):
     # rounding at eps * 1e4 for the Gram-Schmidt pass to remove; a ghost
     # copy of a converged level would show as non-orthonormal Ritz vectors
     h, ref = clustered
-    a = h + shift * np.eye(len(h))
     scale = 1.0 + shift
-    res = lowest_eigenpairs(lambda x: a @ x, len(a), k, tol=1e-12, scale=scale)
+    res = lowest_eigenpairs(lambda x: h @ x + shift * x, len(h), k, tol=1e-12,
+                            scale=scale)
     assert res.restarts >= 7
     assert np.max(np.abs(res.eigenvalues - (ref[:k] + shift))) < 1e-10 * scale
     x = res.eigenvectors
