@@ -18,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import e as E_CHARGE, h as H_PLANCK, hbar as HBAR
+#: elementary charge and Planck constant, exact in the 2019 SI
+E_CHARGE = 1.602176634e-19
+H_PLANCK = 6.62607015e-34
+HBAR = H_PLANCK / (2.0 * math.pi)
 
 #: reduced flux quantum, hbar / 2e
 PHI0_REDUCED = HBAR / (2.0 * E_CHARGE)

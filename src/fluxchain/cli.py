@@ -525,7 +525,10 @@ def run(command: str, file_cfg: dict | None = None,
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command name, with the flags of every command, or
+    of ``command`` only: argparse hands the rest of the line to that one
+    subparser, so the others need none."""
     p = argparse.ArgumentParser(
         prog="fluxchain",
         description="chain-of-junction-atoms resonator simulator",
@@ -533,6 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_impl, schema) in COMMANDS.items():
         sp = sub.add_parser(name)
+        if command is not None and name != command:
+            continue
         sp.add_argument("--config", default=None, help="key = value file")
         for key, (conv, _default) in {**_COMMON, **schema}.items():
             sp.add_argument("--" + key.replace("_", "-").lower(), dest=key,
@@ -541,7 +546,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    overrides = vars(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # word that is not an option names the subparser that parses the rest
+    command = next((a for a in argv if not a.startswith("-")), None)
+    overrides = vars(_build_parser(command).parse_args(argv))
     command, config = overrides.pop("command"), overrides.pop("config")
     try:
         file_cfg = parse_config_file(config) if config else None

@@ -2,10 +2,17 @@
 
 The inductive shunt makes the junction phase an extended variable, so the
 Hamiltonian 4 E_CJ N^2 + (E_LJ/2) phi^2 + E_J cos(phi) is discretized on a
-uniform grid with hard walls, central second differences for N = -i d/dphi,
-and dense tridiagonal diagonalization.  The sweet-spot external flux is
-already absorbed into the +cos sign, which places the wells near +-pi when
-E_J dominates E_LJ.
+uniform grid with hard walls and central second differences for
+N = -i d/dphi.  The lowest levels of that tridiagonal matrix T come from
+shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the
+package's own ``krylov.lowest_eigenpairs`` runs on -(T - sigma)^-1, whose
+lowest eigenvalues belong to the lowest levels of T and stand far apart
+from the rest.  The shift sigma lies below T's Gershgorin bound, so
+T - sigma is strictly diagonally dominant and positive definite, and cyclic
+reduction solves it stably (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+627 (1970)).  Each returned energy is the Rayleigh quotient of its vector
+with T.  The sweet-spot external flux is already absorbed into the +cos
+sign, which places the wells near +-pi when E_J dominates E_LJ.
 """
 
 from __future__ import annotations
@@ -13,7 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+from .krylov import lowest_eigenpairs
+
+#: relative residual at which a shift-invert Lanczos pair is accepted
+LANCZOS_TOL = 1e-13
+#: cyclic reduction stops halving a grid system at this many rows
+REDUCED_SIZE = 64
+#: relative gap below which two wavefunction peaks count as equally high
+SIGN_TIE = 1e-6
 
 
 class FluxoniumError(ValueError):
@@ -59,7 +74,8 @@ class FluxoniumSpec:
 class FluxoniumLevels:
     """Low-lying eigenpairs and the matrix elements the chain model needs.
 
-    ``wavefunctions[i]`` is quadrature-normalized: sum |psi|^2 * dphi = 1.
+    ``wavefunctions[i]`` is quadrature-normalized: sum |psi|^2 * dphi = 1,
+    and its highest peak (the leftmost, if peaks tie) is positive.
     ``grid_shift`` is the worst level movement (relative to the level spread)
     when the grid is refined from M to 2M-1 points.
     """
@@ -80,15 +96,75 @@ class TwoLevelReduction:
     two_level_ok: bool
 
 
+def _cyclic_reduction(diag: np.ndarray, off: np.ndarray):
+    """x -> A^-1 x for the diagonally dominant symmetric tridiagonal A with
+    ``diag`` on its diagonal and ``off`` beside it.
+
+    Each level of the reduction uses the odd rows to eliminate the odd
+    unknowns from the even rows, which halves the system and keeps it
+    tridiagonal and diagonally dominant; once it is at most
+    ``REDUCED_SIZE`` rows it is inverted densely.  All of this is computed
+    here once, so a solve is one vectorized sweep down the levels, one small
+    matrix-vector product and one sweep back up.
+    """
+    levels = []
+    a = np.concatenate(([0.0], off))  # coupling of row i to unknown i-1
+    b = np.asarray(diag, dtype=float)
+    c = np.concatenate((off, [0.0]))  # coupling of row i to unknown i+1
+    while b.size > REDUCED_SIZE:
+        n_even, n_odd = (b.size + 1) // 2, b.size // 2
+        a_odd, b_odd, c_odd = a[1::2], b[1::2], c[1::2]
+        # even row j eliminates unknown 2j-1 with odd row j-1 and unknown
+        # 2j+1 with odd row j
+        left = -a[2::2] / b_odd[: n_even - 1]
+        right = -c[0::2][:n_odd] / b_odd
+        b = b[0::2].copy()
+        b[1:] += left * c_odd[: n_even - 1]
+        b[:n_odd] += right * a_odd
+        a = np.concatenate(([0.0], left * a_odd[: n_even - 1]))
+        c = np.concatenate((right * c_odd, np.zeros(n_even - n_odd)))
+        levels.append((left, right, a_odd, b_odd, c_odd))
+    reduced = np.linalg.inv(np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1))
+
+    def solve(f: np.ndarray) -> np.ndarray:
+        odd_rhs = []
+        for left, right, _, _, _ in levels:
+            f_odd = f[1::2]
+            f = f[0::2].copy()
+            f[1:] += left * f_odd[: left.size]
+            f[: right.size] += right * f_odd
+            odd_rhs.append(f_odd)
+        x = reduced @ f
+        for (_, _, a_odd, b_odd, c_odd), f_odd in zip(reversed(levels), reversed(odd_rhs)):
+            x_odd = f_odd - a_odd * x[: f_odd.size]
+            x_odd[: x.size - 1] -= c_odd[: x.size - 1] * x[1:]
+            x_odd /= b_odd
+            full = np.empty(x.size + x_odd.size)
+            full[0::2], full[1::2] = x, x_odd
+            x = full
+        return x
+
+    return solve
+
+
 def _grid_eigensolve(spec: FluxoniumSpec, n_levels: int):
     phi = np.linspace(-spec.grid_half_width, spec.grid_half_width, spec.grid_points)
     dphi = phi[1] - phi[0]
     kinetic = 4.0 * spec.E_CJ / dphi**2
     diag = 2.0 * kinetic + 0.5 * spec.E_LJ * phi**2 + spec.E_J * np.cos(phi)
     off = np.full(spec.grid_points - 1, -kinetic)
-    vals, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_levels - 1)
-    )
+    # one below the Gershgorin bound: the shifted matrix has every
+    # eigenvalue at least 1, so its inverse has norm at most 1
+    reach = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    sigma = float(np.min(diag - reach)) - 1.0
+    solve = _cyclic_reduction(diag - sigma, off)
+    res = lowest_eigenpairs(lambda x: -solve(x), spec.grid_points, n_levels,
+                            tol=LANCZOS_TOL, scale=1.0)
+    vecs = res.eigenvectors
+    t_vecs = diag[:, None] * vecs
+    t_vecs[1:] += off[:, None] * vecs[:-1]
+    t_vecs[:-1] += off[:, None] * vecs[1:]
+    vals = np.einsum("ij,ij->j", vecs, t_vecs)
     return phi, dphi, vals, vecs
 
 
@@ -118,12 +194,16 @@ def solve_levels(spec: FluxoniumSpec, n_levels: int = 4,
     if shift > convergence_tol:
         raise GridConvergenceError(shift, convergence_tol)
 
-    # quadrature normalization and a deterministic sign convention
+    # quadrature normalization and a deterministic sign convention: the
+    # largest-magnitude entry is positive, and of entries that tie with it
+    # to SIGN_TIE (the two mirror peaks of an odd state in a symmetric
+    # potential) the leftmost one, so rounding cannot pick the sign
     psis = vecs.T / np.sqrt(dphi)
-    for i in range(n_levels):
-        m = np.argmax(np.abs(psis[i]))
-        if psis[i][m] < 0:
-            psis[i] = -psis[i]
+    for psi in psis:
+        mag = np.abs(psi)
+        m = np.argmax(mag >= (1.0 - SIGN_TIE) * mag.max())
+        if psi[m] < 0:
+            psi *= -1.0
 
     phi01 = float(abs(np.sum(psis[0] * phi * psis[1]) * dphi))
     omega_f = float(vals[1] - vals[0])

@@ -19,8 +19,10 @@ Each step costs one matvec and about one sweep over the basis:
   most of the vector, its norm falling below 1/sqrt(2) of its value before
   the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976));
   the recurrence and both corrections enter the projected block;
-* the projected block is solved only for the eigenpairs the step needs,
-  the k lowest, or as many as the restart keeps (LAPACK ``dsyevr``).
+* on every second step, on a restart and once the Krylov space is
+  exhausted, the projected block is diagonalized (``numpy.linalg.eigh``)
+  and its k lowest pairs, or as many as the restart keeps, are used; a
+  converged pair is thus seen at most one matvec late.
 
 Arithmetic is real and the start vector is seeded gaussian noise, so a solve
 is deterministic and its start has weight on every eigenvector; a start
@@ -49,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 #: seed of the start vector and of the directions taken after a breakdown
 SEED = 7
@@ -81,14 +82,6 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> float:
     w -= basis @ (basis.T @ w)
     w -= basis @ (basis.T @ w)
     return float(np.linalg.norm(w))
-
-
-def _lowest_ritz(block: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` lowest eigenpairs of the symmetric projected block."""
-    vals, vecs, _, _, info = lapack.dsyevr(block, range="I", il=1, iu=count)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed on the projected block (info={info})")
-    return vals[:count], vecs
 
 
 def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
@@ -128,7 +121,10 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
         q = Q[:, m]
         w = matvec(q)
         n_mv += 1
-        w -= Q[:, lo:m] @ proj[m, lo:m]
+        if m - lo == 1:
+            w -= proj[m, lo] * Q[:, lo]
+        else:
+            w -= Q[:, lo:m] @ proj[m, lo:m]
         proj[m, m] = alpha = q @ w
         w -= alpha * q
         # one Gram-Schmidt pass removes the rounding the recurrence left;
@@ -148,12 +144,15 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
         m += 1
 
         restart = m == basis_size
-        want = max(k, keep) if restart else k
-        vals, svecs = _lowest_ritz(proj[:m, :m], min(want, m))
-        best_vals = vals[: min(k, m)]
-        best_res = np.abs(beta * svecs[m - 1, : min(k, m)])
+        # the projected block is solved on every second step only, and on
+        # a restart or once the Krylov space is exhausted
+        solved = restart or m >= dim or m % 2 == 0
+        if solved:
+            vals, svecs = np.linalg.eigh(proj[:m, :m])
+            best_vals = vals[: min(k, m)]
+            best_res = np.abs(beta * svecs[m - 1, : min(k, m)])
 
-        if m >= dim or (m >= k and np.all(best_res < tol * scale)):
+        if solved and (m >= dim or (m >= k and np.all(best_res < tol * scale))):
             ritz = Q[:, :m] @ svecs[:, :k]
             ritz /= np.linalg.norm(ritz, axis=0)
             rq, explicit = np.empty(k), np.empty(k)
@@ -173,7 +172,7 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
             Q[:, m] = w / _orthogonalize(Q[:, :m], w)
             beta = 0.0
         else:
-            Q[:, m] = w / beta
+            np.divide(w, beta, out=Q[:, m])
 
         if restart:
             # thick restart: rotate to the lowest Ritz vectors, keep the

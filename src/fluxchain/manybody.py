@@ -36,16 +36,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .krylov import lowest_eigenpairs
 
 #: splittings below this (relative to omega_F) are numerically unresolvable
 NUMERICAL_FLOOR = 1e-13
 
-#: sector dimension at or below which a solve is dense, above it Lanczos;
-#: near the measured crossover of the two routes, about 300 states for one
-#: level and 450 for four (CHANGES.md)
+#: sector dimension at or below which a solve is dense, above it Lanczos.
+#: Dense numpy.linalg.eigh computes every pair; it takes as long as Lanczos
+#: near 200 states for one level and 300 for four, and at 400 states about
+#: 28 ms against 9-16 ms (2 cores, default OpenBLAS threads; CHANGES.md)
 DENSE_LIMIT = 400
 
 #: refuse to assemble dense matrices larger than this
@@ -352,7 +352,11 @@ class HamiltonianEngine:
             hi = list(lo)
             lo[spec.n_modes - m] = slice(None, -1)
             hi[spec.n_modes - m] = slice(1, None)
+            # sqrt(n+1) spread over the contiguous axes behind mode m, so
+            # the slice updates run as plain elementwise products
             sq = np.sqrt(np.arange(1, dim, dtype=float)).reshape((-1,) + (1,) * (m + 1))
+            sq = np.ascontiguousarray(
+                np.broadcast_to(sq, (dim - 1,) + self._shape[spec.n_modes - m:]))
             self._terms.append((x_m, sq, tuple(lo), tuple(hi)))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -432,8 +436,7 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     """m lowest eigenpairs of H restricted to a parity sector.
 
     The sector dimension alone picks the route: dense diagonalization at or
-    below ``DENSE_LIMIT`` states, near where the two take the same time, and
-    Lanczos above it.  A full-space spectrum is always the merge of the two
+    below ``DENSE_LIMIT`` states, and Lanczos above it.  A full-space spectrum is always the merge of the two
     sector solves, which sidesteps cross-sector quasi-degeneracy entirely;
     its vectors stay sector wavefunctions, in merged order (``embed`` places
     one in the full space).  Only the dense route is guaranteed to return an
@@ -477,7 +480,8 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
 
     if indexer.dimension <= DENSE_LIMIT:
         h = op.dense()
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, m - 1])
+        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = vals[:m], vecs[:, :m]
         residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
         iterations, method = 0, "dense"
     else:

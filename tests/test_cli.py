@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from fluxchain.cli import (
+    _COMMON,
     COMMANDS,
     ConfigError,
     _build_parser,
@@ -446,3 +448,39 @@ def test_readme_examples_resolve():
         resolve_config(command, None, args)
         seen.add(command)
     assert seen == set(COMMANDS)
+
+
+def _parser_output(parse, argv, capsys):
+    """(exit code, stdout, stderr) of one argparse run."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, err = _parser_output(main, ["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    assert (code, out, err) == _parser_output(_build_parser().parse_args, ["--help"], capsys)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_help_lists_its_flags(command, capsys):
+    # main builds only this command's flags; the parser with every
+    # command's flags prints the same
+    code, out, err = _parser_output(main, [command, "--help"], capsys)
+    assert (code, err) == (0, "")
+    keys = {**_COMMON, **COMMANDS[command][1]}
+    assert set(re.findall(r"--[a-z0-9-]+", out)) == (
+        {"--help", "--config"} | {"--" + key.replace("_", "-").lower() for key in keys})
+    assert (code, out, err) == _parser_output(
+        _build_parser().parse_args, [command, "--help"], capsys)
+
+
+@pytest.mark.parametrize("argv", [[], ["nonsense"], ["spectrum", "--bogus", "1"],
+                                  ["--bogus", "derive"], ["derive", "--l1"]])
+def test_parser_errors_unchanged(argv, capsys):
+    code, out, err = _parser_output(main, argv, capsys)
+    assert code == 2 and "error:" in err
+    assert (code, out, err) == _parser_output(_build_parser().parse_args, argv, capsys)

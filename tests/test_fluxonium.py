@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from scipy.linalg import cosm
+from scipy.linalg import cosm, eigh_tridiagonal
 
 from fluxchain.fluxonium import (
+    REDUCED_SIZE,
     FluxoniumError,
     FluxoniumSpec,
     GridConvergenceError,
+    _cyclic_reduction,
     harmonic_reference,
     solve_levels,
     two_level_reduction,
@@ -126,3 +128,57 @@ def test_two_level_reduction_needs_three_levels():
     lv = solve_levels(FluxoniumSpec(**WELL), n_levels=2)
     with pytest.raises(FluxoniumError):
         two_level_reduction(lv)
+
+
+@pytest.mark.parametrize("size", [2, 3, REDUCED_SIZE, REDUCED_SIZE + 1, 2 * REDUCED_SIZE + 3, 801])
+def test_cyclic_reduction_matches_dense_solve(size):
+    rng = np.random.default_rng(size)
+    # weakly diagonally dominant, like a fine flux grid
+    off = rng.choice([-1.0, 1.0], size - 1) * rng.uniform(0.5, 1.0, size - 1)
+    reach = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    diag = reach + rng.uniform(0.01, 0.5, size)
+    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    f = rng.standard_normal(size)
+    x = _cyclic_reduction(diag, off)(f)
+    assert np.max(np.abs(x - np.linalg.solve(a, f))) < 1e-12 * np.max(np.abs(x))
+
+
+def _oracle_levels(spec, n_levels):
+    """Lowest levels of the same grid from LAPACK's tridiagonal solver, with
+    the documented normalization and sign convention."""
+    phi = np.linspace(-spec.grid_half_width, spec.grid_half_width, spec.grid_points)
+    dphi = phi[1] - phi[0]
+    kinetic = 4.0 * spec.E_CJ / dphi**2
+    diag = 2.0 * kinetic + 0.5 * spec.E_LJ * phi**2 + spec.E_J * np.cos(phi)
+    off = np.full(spec.grid_points - 1, -kinetic)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    psis = vecs.T / np.sqrt(dphi)
+    for psi in psis:
+        mag = np.abs(psi)
+        if psi[np.argmax(mag >= (1.0 - 1e-6) * mag.max())] < 0:
+            psi *= -1.0
+    return vals, psis
+
+
+@pytest.mark.parametrize("energies", [WELL, dict(E_J=1.0, E_CJ=1.0, E_LJ=0.15),
+                                      dict(E_J=1e-30, E_CJ=1.0, E_LJ=0.15)],
+                         ids=["double-well", "shallow-well", "oscillator"])
+@pytest.mark.parametrize("points", [201, 801, 1601])
+def test_levels_match_lapack_tridiagonal_oracle(energies, points):
+    spec = FluxoniumSpec(**energies, grid_points=points)
+    ref_vals, ref_psis = _oracle_levels(spec, 6)
+    for n_levels in range(2, 7):
+        lv = solve_levels(spec, n_levels=n_levels, convergence_tol=1.0)
+        scale = np.max(np.abs(ref_vals[:n_levels]))
+        assert np.max(np.abs(lv.energies - ref_vals[:n_levels])) < 1e-10 * scale
+        assert np.max(np.abs(lv.wavefunctions - ref_psis[:n_levels])) < 1e-8
+
+
+def test_odd_state_sign_is_fixed_by_its_left_peak():
+    # in the symmetric double well psi1 is odd: its two peaks tie, and the
+    # left one is positive whatever rounding does to their magnitudes
+    lv = solve_levels(FluxoniumSpec(**WELL), n_levels=2)
+    psi1 = lv.wavefunctions[1]
+    assert np.allclose(psi1, -psi1[::-1], atol=1e-8)
+    left = np.argmax(np.abs(psi1[: psi1.size // 2]))
+    assert psi1[left] > 0

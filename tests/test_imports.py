@@ -16,9 +16,16 @@ Parameters: every parameter with a default, of a function or method under
 (which covers helpers that forward ``**kw``), as a string key, or by position
 in a call of that function's name.  A default that no caller overrides is a
 constant.
+
+Runtime: the package runs on numpy alone, so importing it and running CLI
+commands in a fresh interpreter must load no ``scipy`` module; tests and
+the benchmark use scipy only as an independent oracle.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,3 +238,29 @@ def test_no_unpassed_parameters():
                 for path in sorted((ROOT / "src").rglob("*.py"))
                 for name in unpassed_parameters(path.read_text(), keys, positional)]
     assert unpassed == []
+
+
+_NO_SCIPY_RUN = """
+import sys
+import fluxchain, fluxchain.cli
+for argv in (
+    ["derive", "--l1", "1e-9", "--l2", "1e-9", "--l-r", "1e-6", "--c-r", "4e-10",
+     "--a", "1e-3", "--n", "5", "--e-j", "1e-24", "--e-cj", "3e-25"],
+    ["fluxonium", "--e-j", "3", "--e-cj", "1", "--e-lj", "0.15",
+     "--wavefunction-csv", "true"],
+    ["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5", "--count", "3"],
+):
+    assert fluxchain.cli.main(argv + ["--out-dir", sys.argv[1]]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_package_and_cli_load_no_scipy(tmp_path):
+    # a fresh interpreter: this test session has scipy loaded already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["derive", "fluxonium", "spectrum"]
