@@ -525,10 +525,10 @@ def run(command: str, file_cfg: dict | None = None,
     return 0
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command name, with the flags of every command, or
-    of ``command`` only: argparse hands the rest of the line to that one
-    subparser, so the others need none."""
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command name, with the flags of ``command`` only:
+    argparse hands the rest of the line to that one subparser, so the others
+    need none."""
     p = argparse.ArgumentParser(
         prog="fluxchain",
         description="chain-of-junction-atoms resonator simulator",
@@ -536,7 +536,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_impl, schema) in COMMANDS.items():
         sp = sub.add_parser(name)
-        if command is not None and name != command:
+        if name != command:
             continue
         sp.add_argument("--config", default=None, help="key = value file")
         for key, (conv, _default) in {**_COMMON, **schema}.items():

@@ -153,11 +153,13 @@ def _grid_eigensolve(spec: FluxoniumSpec, n_levels: int):
     kinetic = 4.0 * spec.E_CJ / dphi**2
     diag = 2.0 * kinetic + 0.5 * spec.E_LJ * phi**2 + spec.E_J * np.cos(phi)
     off = np.full(spec.grid_points - 1, -kinetic)
-    # one below the Gershgorin bound: the shifted matrix has every
-    # eigenvalue at least 1, so its inverse has norm at most 1
+    # T / E_CJ carries no energy unit, and one below its Gershgorin bound
+    # the shifted matrix has every eigenvalue at least 1, so its inverse has
+    # norm at most 1 and LANCZOS_TOL is a residual relative to that norm in
+    # any unit
     reach = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
-    sigma = float(np.min(diag - reach)) - 1.0
-    solve = _cyclic_reduction(diag - sigma, off)
+    sigma = float(np.min((diag - reach) / spec.E_CJ)) - 1.0
+    solve = _cyclic_reduction(diag / spec.E_CJ - sigma, off / spec.E_CJ)
     res = lowest_eigenpairs(lambda x: -solve(x), spec.grid_points, n_levels,
                             tol=LANCZOS_TOL, scale=1.0)
     vecs = res.eigenvectors

@@ -442,7 +442,8 @@ def test_readme_examples_resolve():
     for line in block.replace("\\\n", " ").splitlines():
         if not line.startswith("fluxchain "):
             continue
-        args = vars(_build_parser().parse_args(shlex.split(line)[1:]))
+        words = shlex.split(line)[1:]
+        args = vars(_build_parser(words[0]).parse_args(words))
         command = args.pop("command")
         assert args.pop("config") is None
         resolve_config(command, None, args)
@@ -461,26 +462,37 @@ def _parser_output(parse, argv, capsys):
 def test_top_level_help_lists_every_command(capsys):
     code, out, err = _parser_output(main, ["--help"], capsys)
     assert (code, err) == (0, "")
-    assert "{" + ",".join(COMMANDS) + "}" in out
-    assert (code, out, err) == _parser_output(_build_parser().parse_args, ["--help"], capsys)
+    assert " ".join(out.split()).startswith(
+        "usage: fluxchain [-h] {" + ",".join(COMMANDS) + "} ...")
+
+
+def test_top_level_options_take_no_value():
+    # main takes the first word that is not an option as the command, which
+    # holds only while no top-level option takes a value
+    options = [a for a in _build_parser(None)._actions if a.option_strings]
+    assert options and all(a.nargs == 0 for a in options)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_command_help_lists_its_flags(command, capsys):
-    # main builds only this command's flags; the parser with every
-    # command's flags prints the same
     code, out, err = _parser_output(main, [command, "--help"], capsys)
     assert (code, err) == (0, "")
+    assert " ".join(out.split()).startswith(f"usage: fluxchain {command} [-h] [--config CONFIG]")
     keys = {**_COMMON, **COMMANDS[command][1]}
     assert set(re.findall(r"--[a-z0-9-]+", out)) == (
         {"--help", "--config"} | {"--" + key.replace("_", "-").lower() for key in keys})
-    assert (code, out, err) == _parser_output(
-        _build_parser().parse_args, [command, "--help"], capsys)
 
 
-@pytest.mark.parametrize("argv", [[], ["nonsense"], ["spectrum", "--bogus", "1"],
-                                  ["--bogus", "derive"], ["derive", "--l1"]])
-def test_parser_errors_unchanged(argv, capsys):
+@pytest.mark.parametrize("argv, usage, error", [
+    ([], "fluxchain", "the following arguments are required: command"),
+    (["nonsense"], "fluxchain", "argument command: invalid choice: 'nonsense' (choose from "
+     + ", ".join(f"'{name}'" for name in COMMANDS) + ")"),
+    (["spectrum", "--bogus", "1"], "fluxchain", "unrecognized arguments: --bogus 1"),
+    (["--bogus", "derive"], "fluxchain", "unrecognized arguments: --bogus"),
+    (["derive", "--l1"], "fluxchain derive", "argument --l1: expected one argument"),
+])
+def test_parser_errors(argv, usage, error, capsys):
     code, out, err = _parser_output(main, argv, capsys)
-    assert code == 2 and "error:" in err
-    assert (code, out, err) == _parser_output(_build_parser().parse_args, argv, capsys)
+    assert (code, out) == (2, "")
+    assert " ".join(err.split()).startswith(f"usage: {usage} [-h] ")
+    assert err.splitlines()[-1] == f"{usage}: error: {error}"

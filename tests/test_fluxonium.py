@@ -182,3 +182,17 @@ def test_odd_state_sign_is_fixed_by_its_left_peak():
     assert np.allclose(psi1, -psi1[::-1], atol=1e-8)
     left = np.argmax(np.abs(psi1[: psi1.size // 2]))
     assert psi1[left] > 0
+
+
+@pytest.mark.parametrize("unit", [1e10, 1e-24], ids=["rad/s", "joule"])
+@pytest.mark.parametrize("energies", [WELL, dict(E_J=1.0, E_CJ=1.0, E_LJ=0.15)],
+                         ids=["double-well", "shallow-well"])
+def test_levels_scale_with_the_energy_unit(energies, unit):
+    # the same junction in another energy unit: energies scale, states do not
+    ref = solve_levels(FluxoniumSpec(**energies), n_levels=4)
+    lv = solve_levels(FluxoniumSpec(**{k: unit * v for k, v in energies.items()}), n_levels=4)
+    assert np.max(np.abs(lv.energies / unit - ref.energies)) < 1e-10 * np.max(np.abs(ref.energies))
+    assert lv.omega_F / unit == pytest.approx(ref.omega_F, rel=1e-10)
+    assert lv.phi01 == pytest.approx(ref.phi01, rel=1e-10)
+    assert lv.grid_shift == pytest.approx(ref.grid_shift, rel=1e-6)
+    assert np.max(np.abs(lv.wavefunctions - ref.wavefunctions)) < 1e-8
