@@ -7,8 +7,9 @@ N = -i d/dphi.  The lowest levels of that tridiagonal matrix T come from
 shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the
 package's own ``krylov.lowest_eigenpairs`` runs on -(T - sigma)^-1, whose
 lowest eigenvalues belong to the lowest levels of T and stand far apart
-from the rest.  The shift sigma lies below T's Gershgorin bound, so
-T - sigma is strictly diagonally dominant and positive definite, and cyclic
+from the rest.  The solve runs on T / E_CJ, so it is the same in any energy
+unit, with the shift sigma below that matrix's Gershgorin bound: the shifted
+matrix is strictly diagonally dominant and positive definite, and cyclic
 reduction solves it stably (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
 627 (1970)).  Each returned energy is the Rayleigh quotient of its vector
 with T.  The sweet-spot external flux is already absorbed into the +cos
@@ -50,7 +51,7 @@ class GridConvergenceError(RuntimeError):
 class FluxoniumSpec:
     """Junction energies plus the flux-grid layout.
 
-    Energies share one unit system (any fixed angular-frequency unit).  The
+    Energies share one unit (any fixed angular-frequency or energy unit).  The
     grid spans [-grid_half_width, +grid_half_width] with an odd point count so
     phi = 0 sits on a grid point.
     """

@@ -31,9 +31,14 @@ atomic frequency are flagged as floor-limited.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -548,10 +553,46 @@ def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
     )
 
 
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS (Linux and Windows wheels keep it in
+    numpy.libs, macOS wheels in numpy/.dylibs), or None for another BLAS."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for where in (os.path.join(site, "numpy.libs"), os.path.join(site, "numpy", ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*"))):
+            lib = ctypes.CDLL(path)
+            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                return lib
+    return None
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Cap numpy's OpenBLAS at ``n`` threads inside the block; the cap is
+    process-wide, and the previous count comes back on exit."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(max(1, min(n, old)))
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
 def parallel_map(fn, items, jobs: int = 1) -> list:
-    """[fn(x) for x in items] on up to ``jobs`` threads, in the order of items."""
+    """[fn(x) for x in items] on up to ``jobs`` threads, in the order of items.
+
+    Workers times BLAS threads stay within the usable cores: with several
+    workers each BLAS call gets the cores divided by ``jobs``.  Two workers
+    that share OpenBLAS's default pool on two cores contend for it, which
+    made a 4-realization ensemble slower than one worker.
+    """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with _blas_threads((cores or 1) // jobs), ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))

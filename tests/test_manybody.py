@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fluxchain.manybody import (
     ManyBodyError,
     ManyBodySpec,
     Wavefunction,
+    _openblas,
     _padded_start,
     _refined_cutoffs,
     choose_cutoffs,
@@ -21,6 +23,7 @@ from fluxchain.manybody import (
     embed,
     ground_splitting,
     lowest_spectrum,
+    parallel_map,
     spatial_weights,
 )
 from fluxchain.asymptotics import analytic_splitting_n2, asymptotic_vacuum
@@ -616,3 +619,21 @@ def test_sector_ground_solve_matvec_budget(sector):
     res = lowest_spectrum(spec, sector, 1)
     assert res.method == "lanczos"
     assert res.iterations <= 110
+
+
+def test_parallel_map_keeps_order():
+    assert parallel_map(lambda x: x * x, range(7), jobs=3) == [x * x for x in range(7)]
+
+
+def test_parallel_map_caps_blas_threads_and_restores_them():
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    threads = lib.scipy_openblas_get_num_threads64_
+    before = threads()
+    cap = max(1, min(len(os.sched_getaffinity(0)) // 2, before))
+    assert parallel_map(lambda _: threads(), range(4), jobs=2) == [cap] * 4
+    assert threads() == before
+    with pytest.raises(ZeroDivisionError):
+        parallel_map(lambda x: 1 / x, [1, 0], jobs=2)
+    assert threads() == before
