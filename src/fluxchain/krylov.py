@@ -44,11 +44,28 @@ block, a few times eps ||A||; the Rayleigh quotient is formed once from the
 final vector and is off the eigenvalue by the squared residual over the gap.
 Two sector energies near -14 can then be subtracted down to splittings of
 1e-11 without the start seed showing in the difference.
+
+Every solve owns its BLAS thread budget (``solve_threads``).  At or below
+``THREADED_LIMIT`` states it runs on one OpenBLAS thread: a step there is
+Python-bound, with GEMVs of some thousand rows and a projected block of at
+most 36 x 36.  A second thread there saves no time: it doubled the CPU
+time, and a solve ran about ten times slower while another process held
+the second core.  One thread also sums every long dot product in one order,
+so the result does not depend on the core count.  Above the limit a solve runs on the usable
+cores.  The caps of the solves and of ``manybody.parallel_map`` share one
+process-wide count (``blas_threads``), so a solve in a worker gets the
+smaller of its cap and the pool's.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -56,6 +73,91 @@ import numpy as np
 SEED = 7
 #: a Gram-Schmidt pass that leaves less than this share of the norm is repeated
 DGKS = 1 / np.sqrt(2)
+
+#: dimension at or below which a solve runs on one BLAS thread, above it on
+#: the usable cores.  One N=4 sector ground solve, fresh processes, median
+#: wall time at one thread against two (2 cores; CHANGES.md): 0.76 against
+#: 0.75 s at 103,680 states, 1.25 s both at 151,200, 1.66 against 1.40 s at
+#: 176,000 and 3.02 against 2.67 s at 290,400; two threads cost 1.8-2x CPU
+THREADED_LIMIT = 160_000
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS (Linux and Windows wheels keep it in
+    numpy.libs, macOS wheels in numpy/.dylibs), or None for another BLAS."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for where in (os.path.join(site, "numpy.libs"), os.path.join(site, "numpy", ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*"))):
+            lib = ctypes.CDLL(path)
+            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+                lib.scipy_openblas_set_num_threads64_.restype = None
+                lib.scipy_openblas_get_num_threads64_.argtypes = []
+                lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+                return lib
+    return None
+
+
+class _ThreadCaps:
+    """The caps on OpenBLAS's thread count that are open now, in any thread.
+
+    The count is one setting of the whole process, so a block that saved it
+    and restored it alone could undo the cap of a block open in another
+    thread.  Here the count is the smallest open cap, never above the count
+    found when the first cap opened, and that count comes back when the last
+    cap closes.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.open: list[int] = []
+        self.uncapped = 1
+
+    def apply(self, lib):
+        lib.scipy_openblas_set_num_threads64_(min(self.open + [self.uncapped]))
+
+
+_caps = _ThreadCaps()
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Cap numpy's OpenBLAS at ``n`` threads inside the block.
+
+    Caps nest and overlap across threads: the count is the smallest cap
+    open in the process, and the count before the first cap comes back on
+    exit from the last.  With another BLAS the block runs uncapped.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    n = max(1, n)
+    with _caps.lock:
+        if not _caps.open:
+            _caps.uncapped = lib.scipy_openblas_get_num_threads64_()
+        _caps.open.append(n)
+        _caps.apply(lib)
+    try:
+        yield
+    finally:
+        with _caps.lock:
+            _caps.open.remove(n)
+            _caps.apply(lib)
+
+
+def solve_threads(dim: int):
+    """The BLAS cap of one eigensolve on ``dim`` states: one thread at or
+    below ``THREADED_LIMIT``, the usable cores above it."""
+    return blas_threads(1 if dim <= THREADED_LIMIT else usable_cores())
 
 
 class EigenConvergenceError(RuntimeError):
@@ -96,9 +198,16 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
     ``eigenvectors``, and their Rayleigh quotients as ``eigenvalues``.
     ``start``, a nonzero ``(dim,)`` vector, seeds the iteration in place of
     pure noise.
+
+    The solve runs under ``solve_threads(dim)``.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    with solve_threads(dim):
+        return _lanczos(matvec, dim, k, tol, scale, max_matvecs, start)
+
+
+def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:
     basis_size = min(max(2 * k + 28, 36), dim)
     keep = min(max(k + 6, 2 * k), basis_size - 2)
 

@@ -18,10 +18,12 @@ indexed by (occupations, spin bits 2..N), since parity fixes bit 1, and in
 the gauge |n> -> i^n |n> per mode the sector operator is real, a diagonal
 minus one small spin-space product and two occupation-shifted slice adds per
 mode (``HamiltonianEngine``).  Its size alone picks the eigensolver: dense
-at or below ``DENSE_LIMIT`` states, Lanczos above.  A full-space spectrum is
-the merge of the two sector spectra.  Public vectors and matrices stay in
-the documented complex basis; ``embed`` places a sector vector in the full
-space.
+at or below ``DENSE_LIMIT`` states, Lanczos above.  Both routes run under
+``krylov.solve_threads``: one OpenBLAS thread up to ``THREADED_LIMIT``
+states, so a sector's energies do not depend on the core count, and the
+usable cores above it.  A full-space spectrum is the merge of the two
+sector spectra.  Public vectors and matrices stay in the documented complex
+basis; ``embed`` places a sector vector in the full space.
 
 Ground-state splittings are always computed sector by sector; subtracting
 two nearly equal full-space eigenvalues cannot reach the 1e-12 level that
@@ -31,26 +33,22 @@ atomic frequency are flagged as floor-limited.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
-from .krylov import lowest_eigenpairs
+from .krylov import blas_threads, lowest_eigenpairs, solve_threads, usable_cores
 
 #: splittings below this (relative to omega_F) are numerically unresolvable
 NUMERICAL_FLOOR = 1e-13
 
 #: sector dimension at or below which a solve is dense, above it Lanczos.
-#: Dense numpy.linalg.eigh computes every pair; it takes as long as Lanczos
-#: near 200 states for one level and 300 for four, and at 400 states about
-#: 28 ms against 9-16 ms (2 cores, default OpenBLAS threads; CHANGES.md)
+#: Dense numpy.linalg.eigh computes every pair; on one BLAS thread, as every
+#: solve this small runs, it takes as long as Lanczos near 200 states for
+#: one level and 300 for four, and at 400 states 19-24 ms against 9-13 ms
+#: (2 cores; CHANGES.md)
 DENSE_LIMIT = 400
 
 #: refuse to assemble dense matrices larger than this
@@ -441,7 +439,8 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     """m lowest eigenpairs of H restricted to a parity sector.
 
     The sector dimension alone picks the route: dense diagonalization at or
-    below ``DENSE_LIMIT`` states, and Lanczos above it.  A full-space spectrum is always the merge of the two
+    below ``DENSE_LIMIT`` states, and Lanczos above it; either runs under
+    ``krylov.solve_threads``.  A full-space spectrum is always the merge of the two
     sector solves, which sidesteps cross-sector quasi-degeneracy entirely;
     its vectors stay sector wavefunctions, in merged order (``embed`` places
     one in the full space).  Only the dense route is guaranteed to return an
@@ -484,10 +483,11 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
         start = _padded_start(op, start)
 
     if indexer.dimension <= DENSE_LIMIT:
-        h = op.dense()
-        vals, vecs = np.linalg.eigh(h)
-        vals, vecs = vals[:m], vecs[:, :m]
-        residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+        with solve_threads(indexer.dimension):
+            h = op.dense()
+            vals, vecs = np.linalg.eigh(h)
+            vals, vecs = vals[:m], vecs[:, :m]
+            residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
         iterations, method = 0, "dense"
     else:
         res = lowest_eigenpairs(op.matvec, indexer.dimension, m, tol=tol,
@@ -553,50 +553,17 @@ def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
     )
 
 
-@cache
-def _openblas():
-    """numpy's bundled OpenBLAS (Linux and Windows wheels keep it in
-    numpy.libs, macOS wheels in numpy/.dylibs), or None for another BLAS."""
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for where in (os.path.join(site, "numpy.libs"), os.path.join(site, "numpy", ".dylibs")):
-        for path in sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*"))):
-            lib = ctypes.CDLL(path)
-            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-                lib.scipy_openblas_set_num_threads64_.restype = None
-                lib.scipy_openblas_get_num_threads64_.argtypes = []
-                lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-                return lib
-    return None
-
-
-@contextmanager
-def _blas_threads(n: int):
-    """Cap numpy's OpenBLAS at ``n`` threads inside the block; the cap is
-    process-wide, and the previous count comes back on exit."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(max(1, min(n, old)))
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(old)
-
-
 def parallel_map(fn, items, jobs: int = 1) -> list:
     """[fn(x) for x in items] on up to ``jobs`` threads, in the order of items.
 
     Workers times BLAS threads stay within the usable cores: with several
-    workers each BLAS call gets the cores divided by ``jobs``.  Two workers
-    that shared OpenBLAS's default pool on two cores contended for it: a
-    4-realization ensemble took 84 ms instead of 55.
+    workers each BLAS call gets the cores divided by ``jobs``, and a solve
+    in a worker the smaller of that and its own cap (``krylov.blas_threads``).
+    Two workers that shared OpenBLAS's default pool on two cores contended
+    for it: a 4-realization ensemble took 84 ms instead of 55.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with _blas_threads((cores or 1) // jobs), ThreadPoolExecutor(max_workers=jobs) as ex:
+    with blas_threads(usable_cores() // jobs), ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))

@@ -1,11 +1,14 @@
 import math
-import os
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from fluxchain import krylov
+from fluxchain.fluxonium import FluxoniumSpec, solve_levels
 from fluxchain.krylov import EigenConvergenceError, lowest_eigenpairs
 from fluxchain.manybody import (
     DENSE_LIMIT,
@@ -14,7 +17,6 @@ from fluxchain.manybody import (
     ManyBodyError,
     ManyBodySpec,
     Wavefunction,
-    _openblas,
     _padded_start,
     _refined_cutoffs,
     choose_cutoffs,
@@ -625,16 +627,129 @@ def test_parallel_map_keeps_order():
     assert parallel_map(lambda x: x * x, range(7), jobs=3) == [x * x for x in range(7)]
 
 
-def test_parallel_map_caps_blas_threads_and_restores_them():
-    lib = _openblas()
+@pytest.fixture
+def openblas():
+    lib = krylov._openblas()
     if lib is None:
         pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
-    threads = lib.scipy_openblas_get_num_threads64_
+    return lib
+
+
+def recording_solve(lib, dim, seen, fail=False):
+    """A Lanczos solve on a diagonal operator whose every matvec records
+    OpenBLAS's thread count in ``seen``; it raises once if ``fail``."""
+    diag = np.linspace(0.0, 1.0, dim)
+
+    def matvec(x):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        if fail:
+            raise ZeroDivisionError("operator failed")
+        return diag * x
+
+    return lowest_eigenpairs(matvec, dim, 2, tol=1e-10, scale=1.0)
+
+
+def test_parallel_map_runs_each_solve_on_one_blas_thread(openblas):
+    threads = openblas.scipy_openblas_get_num_threads64_
     before = threads()
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cap = max(1, min(cores // 2, before))
-    assert parallel_map(lambda _: threads(), range(4), jobs=2) == [cap] * 4
+    seen = [[], []]
+    parallel_map(lambda i: recording_solve(openblas, 300 + i, seen[i]), range(2), jobs=2)
+    assert all(seen) and set(seen[0] + seen[1]) == {1}
+    assert threads() == before
+    with pytest.raises(ZeroDivisionError):
+        parallel_map(lambda i: recording_solve(openblas, 300, [], fail=i == 1),
+                     range(2), jobs=2)
+    assert threads() == before
+
+
+def test_parallel_map_caps_blas_threads_and_restores_them(openblas, monkeypatch):
+    # above the crossover a lone solve keeps the usable cores, and inside
+    # the pool it gets the cores divided by the workers
+    monkeypatch.setattr(krylov, "THREADED_LIMIT", 100)
+    threads = openblas.scipy_openblas_get_num_threads64_
+    before = threads()
+    cores = krylov.usable_cores()
+    lone = []
+    recording_solve(openblas, 300, lone)
+    assert set(lone) == {min(cores, before)}
+    pooled = [[], []]
+    parallel_map(lambda i: recording_solve(openblas, 300, pooled[i]), range(2), jobs=2)
+    assert set(pooled[0] + pooled[1]) == {max(1, min(cores // 2, before))}
     assert threads() == before
     with pytest.raises(ZeroDivisionError):
         parallel_map(lambda x: 1 / x, [1, 0], jobs=2)
     assert threads() == before
+
+
+def test_overlapping_solves_in_threads_keep_their_cap(openblas):
+    # each solve's cap is process-wide; a solve that saved and restored the
+    # count alone would hand its neighbour the count from before its own cap
+    threads = openblas.scipy_openblas_get_num_threads64_
+    before = threads()
+    seen = [[] for _ in range(4)]
+
+    def worker(i):
+        for _ in range(5):
+            recording_solve(openblas, 200 + 10 * i, seen[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert all(seen) and set(sum(seen, [])) == {1}
+    assert threads() == before
+
+
+def test_solves_run_uncapped_with_another_blas(monkeypatch):
+    # on a numpy that links another BLAS every cap is skipped; the solves
+    # and the pool still run, to the values they give under the cap
+    lib = krylov._openblas()
+    dense, lanczos = small_spec(), above_dense_limit_spec()
+    flux = FluxoniumSpec(E_J=3.0, E_CJ=1.0, E_LJ=0.15)
+    points = [small_spec(g=g) for g in (0.8, 1.2)]
+
+    def results():
+        return (lowest_spectrum(dense, "even", 3).eigenvalues,
+                lowest_spectrum(lanczos, "even", 2).eigenvalues,
+                solve_levels(flux).energies,
+                [r.delta for r in parallel_map(ground_splitting, points, jobs=2)])
+
+    capped = results()
+    monkeypatch.setattr(krylov, "glob", SimpleNamespace(glob=lambda pattern: []))
+    krylov._openblas.cache_clear()
+    try:
+        assert krylov._openblas() is None
+        uncapped = results()
+        if lib is not None:
+            before = lib.scipy_openblas_get_num_threads64_()
+            assert parallel_map(lambda _: lib.scipy_openblas_get_num_threads64_(),
+                                range(2), jobs=2) == [before] * 2
+    finally:
+        krylov._openblas.cache_clear()
+    for a, b in zip(capped, uncapped):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_sector_solve_does_not_depend_on_the_core_count(openblas):
+    # 13,680 states: below the crossover every solve runs on one thread, so
+    # the count the process had before the solve leaves no trace in it;
+    # unpinned, OpenBLAS splits the long dot products across threads
+    if krylov.usable_cores() < 2:
+        pytest.skip("one usable core")
+    spec = ManyBodySpec.from_coupling(5, 3, 0.5, safety=2.5)
+    before = openblas.scipy_openblas_get_num_threads64_()
+    try:
+        runs = []
+        for count in (1, 2):
+            openblas.scipy_openblas_set_num_threads64_(count)
+            runs.append(lowest_spectrum(spec, "even", 1).eigenvalues)
+    finally:
+        openblas.scipy_openblas_set_num_threads64_(before)
+    assert np.array_equal(runs[0], runs[1])
