@@ -637,7 +637,7 @@ def openblas():
 
 def recording_solve(lib, dim, seen, fail=False):
     """A Lanczos solve on a diagonal operator whose every matvec records
-    OpenBLAS's thread count in ``seen``; it raises once if ``fail``."""
+    OpenBLAS's thread count in ``seen``; with ``fail`` the first raises."""
     diag = np.linspace(0.0, 1.0, dim)
 
     def matvec(x):
