@@ -49,7 +49,7 @@ Every solve owns its BLAS thread budget (``solve_threads``).  At or below
 ``THREADED_LIMIT`` states it runs on one OpenBLAS thread: a step there is
 Python-bound, with GEMVs of some thousand rows and a projected block of at
 most 36 x 36.  A second thread there saves no time: it doubled the CPU
-time, and a solve ran about ten times slower while another process held
+time, and a solve ran two to ten times slower while another process held
 the second core.  One thread also sums every long dot product in one order,
 so the result does not depend on the core count.  Above the limit a solve runs on the usable
 cores.  The caps of the solves and of ``manybody.parallel_map`` share one
