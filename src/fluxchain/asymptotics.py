@@ -43,17 +43,23 @@ class CutoffError(ValueError):
 
 
 def coherent_amplitudes(n_atoms: int, n_modes: int, g: float) -> np.ndarray:
-    """Per-mode coherent amplitudes of the + vacuum.
+    """Per-mode coherent amplitudes of the + vacuum, in the continuum
+    closed form.
 
     alpha_k = g sqrt(2) i^k / (k^1.5 sin(pi/2N)) for odd k, exactly zero for
     even k (their spatial weights sum to zero over a uniform configuration).
+    The closed form keeps the continuum normalization at the zone boundary:
+    at odd N with N_m = N its entry k = N is sqrt(2) above the vacuum's own
+    amplitude, ``displaced_amplitudes`` (0.5443 against 0.3849 at N = 3,
+    g = 1).  ``choose_cutoffs`` sizes that mode from this larger value, and
+    the ``overlap`` command reports it as ``amplitudes_abs``.
     """
     if n_atoms < 2:
         raise ManyBodyError("need at least two atoms")
     if not 1 <= n_modes <= n_atoms:
         raise ManyBodyError("need 1 <= n_modes <= n_atoms")
-    if g < 0:
-        raise ManyBodyError("g must be non-negative")
+    if not 0 <= g < math.inf:
+        raise ManyBodyError(f"g must be finite and non-negative, got {g}")
     s = math.sin(math.pi / (2.0 * n_atoms))
     out = np.zeros(n_modes, dtype=complex)
     for k in range(1, n_modes + 1):

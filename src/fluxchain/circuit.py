@@ -94,16 +94,6 @@ class DerivedConstants:
     l_r_renorm: float
     chi: float
 
-    def as_dict(self) -> dict:
-        return {
-            "E_Lr": self.E_Lr,
-            "E_LJ": self.E_LJ,
-            "G": self.G,
-            "E_Cr": self.E_Cr,
-            "l_r_renorm": self.l_r_renorm,
-            "chi": self.chi,
-        }
-
 
 def derive_constants(raw: RawCircuit) -> DerivedConstants:
     """Reduce lumped-element values to the effective Hamiltonian constants.

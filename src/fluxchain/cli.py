@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -271,7 +271,7 @@ def _cmd_derive(cfg, chash):
         L1=cfg["L1"], L2=cfg["L2"], l_r=cfg["l_r"], c_r=cfg["c_r"],
         a=cfg["a"], N=cfg["N"], E_J=cfg["E_J"], E_CJ=cfg["E_CJ"],
     )
-    return {"derive.json": circuit.derive_constants(raw).as_dict()}
+    return {"derive.json": asdict(circuit.derive_constants(raw))}
 
 
 def _cmd_fluxonium(cfg, chash):

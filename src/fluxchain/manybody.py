@@ -22,8 +22,8 @@ at or below ``DENSE_LIMIT`` states, Lanczos above.  Both routes run under
 ``krylov.solve_threads``: one OpenBLAS thread up to ``THREADED_LIMIT``
 states, so a sector's energies do not depend on the core count, and the
 usable cores above it.  A full-space spectrum is the merge of the two
-sector spectra.  Public vectors and matrices stay in the documented complex
-basis; ``embed`` places a sector vector in the full space.
+sector spectra.  Public vectors stay in the documented complex basis;
+``embed`` places a sector vector in the full space.
 
 Ground-state splittings are always computed sector by sector; subtracting
 two nearly equal full-space eigenvalues cannot reach the 1e-12 level that
@@ -50,9 +50,6 @@ NUMERICAL_FLOOR = 1e-13
 #: one level and 300 for four, and at 400 states 19-24 ms against 9-13 ms
 #: (2 cores; CHANGES.md)
 DENSE_LIMIT = 400
-
-#: refuse to assemble dense matrices larger than this
-DENSE_ASSEMBLY_LIMIT = 4096
 
 #: refuse to build spaces larger than this many basis states
 DIMENSION_BUDGET = 6_000_000
@@ -119,39 +116,34 @@ def choose_cutoffs(n_atoms: int, n_modes: int, g: float, safety: float = 4.0,
 
 @dataclass(frozen=True)
 class ManyBodySpec:
-    """Full truncated model: frequencies, couplings, weights and cutoffs.
+    """The truncated chain: N atoms, N_m modes, the per-atom coupling g, the
+    atomic frequencies and the Fock cutoffs.
 
     ``omega_atoms`` is per site from the outset so disorder costs nothing.
-    ``rabi`` holds the collective coupling W_k of every retained mode.
+    Mode frequencies, collective couplings W_k and spatial weights f_k(j)
+    follow from these in units of mode 1.
     """
 
     n_atoms: int
     n_modes: int
+    g: float
     omega_atoms: tuple[float, ...]
-    omega_modes: tuple[float, ...]
-    rabi: tuple[float, ...]
     cutoffs: tuple[int, ...]
-    weights: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         if self.n_atoms < 1 or not 1 <= self.n_modes <= self.n_atoms:
             raise ManyBodyError("need n_atoms >= 1 and 1 <= n_modes <= n_atoms")
+        if not 0 <= self.g < math.inf:
+            raise ManyBodyError(f"g must be finite and non-negative, got {self.g}")
         if len(self.omega_atoms) != self.n_atoms:
             raise ManyBodyError("omega_atoms length mismatch")
-        for name, seq in (("omega_modes", self.omega_modes),
-                          ("rabi", self.rabi), ("cutoffs", self.cutoffs)):
-            if len(seq) != self.n_modes:
-                raise ManyBodyError(f"{name} length mismatch")
-        if any(w <= 0 for w in self.omega_modes):
-            raise ManyBodyError("mode frequencies must be positive")
-        if any(w < 0 for w in self.rabi):
-            raise ManyBodyError("rabi couplings must be non-negative")
+        if not all(math.isfinite(w) for w in self.omega_atoms):
+            raise ManyBodyError(
+                f"atomic frequencies omega_F must be finite, got {self.omega_atoms}")
+        if len(self.cutoffs) != self.n_modes:
+            raise ManyBodyError("cutoffs length mismatch")
         if any(c < 1 for c in self.cutoffs):
             raise ManyBodyError("cutoffs must be at least 1")
-        if len(self.weights) != self.n_modes or any(
-            len(r) != self.n_atoms for r in self.weights
-        ):
-            raise ManyBodyError("weights must be n_modes rows of n_atoms entries")
         if self.dimension > DIMENSION_BUDGET:
             raise ManyBodyError(
                 f"dimension {self.dimension} exceeds budget {DIMENSION_BUDGET}"
@@ -162,36 +154,42 @@ class ManyBodySpec:
                       omega_atoms=None,
                       cutoffs=None, safety: float = 4.0,
                       even_floor: int = 4) -> "ManyBodySpec":
-        """Build the standard resonant chain from the per-atom coupling g.
+        """The standard resonant chain at per-atom coupling g.
 
-        Frequencies are in units of mode 1: mode frequencies are k; couplings
-        follow the dispersion ratios with W_1 = g sqrt(N); atomic frequencies
-        default to resonance with mode 1.
+        Atomic frequencies default to resonance with mode 1, and cutoffs to
+        ``choose_cutoffs`` at ``safety`` and ``even_floor``.
         """
-        if g < 0:
-            raise ManyBodyError("g must be non-negative")
         if omega_atoms is None:
             omega_atoms = (1.0,) * n_atoms
-        omega_atoms = tuple(float(w) for w in omega_atoms)
-        omegas = tuple(float(k) for k in range(1, n_modes + 1))
-        rabi = tuple(
-            g * math.sqrt(n_atoms) * r
-            for r in collective_rabi_ratios(n_atoms, n_modes)
-        )
         if cutoffs is None:
             cutoffs = choose_cutoffs(n_atoms, n_modes, g, safety=safety,
                                      even_floor=even_floor)
-        return cls(
-            n_atoms=n_atoms, n_modes=n_modes,
-            omega_atoms=omega_atoms, omega_modes=omegas, rabi=rabi,
-            cutoffs=tuple(int(c) for c in cutoffs),
-            weights=spatial_weights(n_atoms, n_modes),
-        )
+        return cls(n_atoms=n_atoms, n_modes=n_modes, g=float(g),
+                   omega_atoms=tuple(float(w) for w in omega_atoms),
+                   cutoffs=tuple(int(c) for c in cutoffs))
 
     @property
-    def g(self) -> float:
-        """Per-atom dimensionless coupling W_1 / (sqrt(N) w_1)."""
-        return self.rabi[0] / (math.sqrt(self.n_atoms) * self.omega_modes[0])
+    def omega_modes(self) -> tuple[float, ...]:
+        """Mode frequencies w_k = k, in units of mode 1."""
+        return tuple(float(k) for k in range(1, self.n_modes + 1))
+
+    @property
+    def rabi(self) -> tuple[float, ...]:
+        """Collective couplings W_k, following the dispersion ratios with
+        W_1 = g sqrt(N)."""
+        return tuple(self.g * math.sqrt(self.n_atoms) * r
+                     for r in collective_rabi_ratios(self.n_atoms, self.n_modes))
+
+    @property
+    def weights(self) -> tuple[tuple[float, ...], ...]:
+        """Spatial weights f_k(j), one row per mode."""
+        return spatial_weights(self.n_atoms, self.n_modes)
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """Coupling prefactors c_kj = W_k sqrt(2/N) f_k(j), one row per mode."""
+        return np.array(self.weights) * (
+            np.array(self.rabi)[:, None] * math.sqrt(2.0 / self.n_atoms))
 
     @property
     def spin_dim(self) -> int:
@@ -338,10 +336,7 @@ class HamiltonianEngine:
         self.diagonal = spin_e[self.indexer.indices & (spec.spin_dim - 1)] + mode_e[occ]
         self.phase = np.array([1, 1j, -1, -1j])[_photon_totals(spec)[occ] % 4]
 
-        # coupling prefactor of (k, j): W_k sqrt(2/N) f_k(j)
-        self.couplings = np.array(spec.weights) * (
-            np.array(spec.rabi)[:, None] * math.sqrt(2.0 / n)
-        )
+        self.couplings = spec.couplings
         rest = np.arange(half)
         self._terms = []
         for m, dim in enumerate(spec.mode_dims):
@@ -390,17 +385,6 @@ class HamiltonianEngine:
             np.sum(np.abs(self.couplings) * np.sqrt(np.array(self.spec.cutoffs))[:, None])
         )
         return max(scale, 1.0)
-
-
-def dense_matrix(spec: ManyBodySpec, sector: str) -> np.ndarray:
-    """One parity block of the Hamiltonian as a dense matrix in the
-    documented complex basis."""
-    op = HamiltonianEngine(spec, sector)
-    if op.indexer.dimension > DENSE_ASSEMBLY_LIMIT:
-        raise ManyBodyError(
-            f"dense assembly refused at dimension {op.indexer.dimension}"
-        )
-    return op.phase[:, None] * op.dense() * op.phase.conj()
 
 
 @dataclass

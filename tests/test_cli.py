@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,7 @@ class TestRun:
                    E_J=1e-24, E_CJ=3e-25)
         assert run("derive", None, {**cfg, "out_dir": str(tmp_path)}) == 0
         payload = json.loads((tmp_path / "derive" / "derive.json").read_text())
-        ref = derive_constants(RawCircuit(**cfg)).as_dict()
+        ref = asdict(derive_constants(RawCircuit(**cfg)))
         assert set(payload) == {"E_Lr", "E_LJ", "G", "E_Cr", "l_r_renorm", "chi"}
         for key, val in ref.items():
             assert payload[key] == pytest.approx(val, rel=1e-14)
@@ -367,6 +368,28 @@ class TestStrictConfig:
             assert main(argv + extra + ["--out-dir", str(out)]) == 1
             assert "error: bad value for 'jobs'" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_non_finite_g_or_omega_f_rejected(self, tmp_path, capsys):
+        # refused before any cutoff choice or solve, with explicit cutoffs
+        # and with the defaults sized from g
+        argv = ["spectrum", "--n", "2", "--n-m", "1", "--out-dir", str(tmp_path)]
+        for extra, key in ((["--g", "nan", "--cutoffs", "[10]"], "g"),
+                           (["--g", "inf", "--cutoffs", "[10]"], "g"),
+                           (["--g", "nan"], "g"),
+                           (["--g", "inf"], "g"),
+                           (["--g", "1.0", "--omega-f", "nan"], "omega_F"),
+                           (["--g", "1.0", "--omega-f", "inf"], "omega_F")):
+            assert main(argv + extra) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(rf"error: .*\b{key}\b.*\n", err), err
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_writes_g_as_given(self, tmp_path):
+        # two couplings that W_1 / (sqrt(N) w_1) would give back a bit off
+        assert main(["splitting-sweep", "--n", "3", "--n-m", "1",
+                     "--g-grid", "[0.65, 0.75]", "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "splitting-sweep" / "splitting_sweep.csv").read_text()
+        assert [r.split(",")[2] for r in rows.splitlines()[2:]] == ["0.65", "0.75"]
 
     def test_os_errors_exit_one(self, tmp_path, capsys):
         argv = ["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5"]

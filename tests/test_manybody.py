@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,6 @@ from fluxchain.manybody import (
     _refined_cutoffs,
     choose_cutoffs,
     collective_rabi_ratios,
-    dense_matrix,
     embed,
     ground_splitting,
     lowest_spectrum,
@@ -48,6 +48,12 @@ def above_dense_limit_spec(g=1.0, **kw):
     """N = 3, N_m = 2 with the first cutoff sized so one sector just exceeds
     DENSE_LIMIT (16 (c + 1) states at second cutoff 3)."""
     return small_spec(3, 2, g, (DENSE_LIMIT // 16, 3), **kw)
+
+
+def dense_block(spec, sector):
+    """One parity block of H as a dense matrix in the documented complex basis."""
+    op = HamiltonianEngine(spec, sector)
+    return op.phase[:, None] * op.dense() * op.phase.conj()
 
 
 def apply_h(spec, wf):
@@ -84,12 +90,33 @@ def test_rabi_ratios_reference_values():
 
 
 def test_spec_validation_and_g_roundtrip():
+    # g is stored as given: W_1 / (sqrt(N) w_1) misses 17 of these 236
+    # values in the last bit
+    for n in range(2, 6):
+        for i in range(1, 60):
+            g = round(0.05 * i, 2)
+            assert ManyBodySpec.from_coupling(n, 1, g, cutoffs=(3,)).g == g
     spec = small_spec(g=0.7)
-    assert spec.g == pytest.approx(0.7, rel=1e-12)
     with pytest.raises(ManyBodyError):
         ManyBodySpec.from_coupling(2, 3, 1.0)
     with pytest.raises(ManyBodyError):
         small_spec(cutoffs=(0, 2))
+    for g in (math.nan, math.inf, -0.1):
+        with pytest.raises(ManyBodyError, match="g must be finite"):
+            small_spec(g=g)
+    with pytest.raises(ManyBodyError, match="omega_F"):
+        spec.with_omega_atoms((1.0, math.nan))
+
+
+def test_spec_holds_the_chain_inputs_and_derives_the_rest():
+    spec = small_spec(3, 2, 0.9, (4, 3), omega_atoms=(0.8, 1.1, 1.3))
+    assert [f.name for f in fields(ManyBodySpec)] == [
+        "n_atoms", "n_modes", "g", "omega_atoms", "cutoffs"]
+    assert spec.omega_modes == (1.0, 2.0)
+    assert spec.rabi[0] == pytest.approx(0.9 * math.sqrt(3), rel=1e-15)
+    np.testing.assert_allclose(
+        spec.couplings, np.array(spec.weights) * np.array(spec.rabi)[:, None]
+        * math.sqrt(2.0 / 3), rtol=1e-14)
 
 
 # ------------------------------------------------------------------ cutoffs
@@ -150,7 +177,7 @@ class TestApplyHamiltonian:
             for sector, want in (("even", 1), ("odd", -1)):
                 sel = np.flatnonzero(signs == want)
                 block = href[np.ix_(sel, sel)]
-                assert np.max(np.abs(dense_matrix(spec, sector) - block)) < tol
+                assert np.max(np.abs(dense_block(spec, sector) - block)) < tol
                 w = rand_wf(BasisIndexer(spec, sector), 1)
                 assert np.max(np.abs(apply_h(spec, w) - block @ w.data)) < tol
 
@@ -183,8 +210,6 @@ class TestApplyHamiltonian:
         # the operator acts on parity sectors only, never the whole space
         with pytest.raises(ManyBodyError):
             HamiltonianEngine(spec, "full")
-        with pytest.raises(ManyBodyError):
-            dense_matrix(spec, "full")
 
     def test_matvec_rejects_wrong_leading_length(self):
         op = HamiltonianEngine(small_spec(), "even")
@@ -252,7 +277,7 @@ class TestLowestSpectrum:
     def test_lanczos_matches_dense_per_sector(self):
         spec = small_spec(3, 2, 1.0, (4, 3))
         for sector in ("even", "odd"):
-            d = scipy.linalg.eigvalsh(dense_matrix(spec, sector), subset_by_index=[0, 3])
+            d = scipy.linalg.eigvalsh(dense_block(spec, sector), subset_by_index=[0, 3])
             l = sector_lanczos(spec, sector, 4, tol=1e-12)
             assert np.max(np.abs(d - l.eigenvalues)) < 1e-9
             assert np.all(l.residuals < 1e-8)
@@ -272,7 +297,7 @@ class TestLowestSpectrum:
     def test_sector_union_equals_full_spectrum(self):
         spec = small_spec(2, 2, 0.9, (3, 2))
         full = scipy.linalg.eigvalsh(dense_hamiltonian(spec))
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(dense_matrix(spec, s))
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(dense_block(spec, s))
                                         for s in ("even", "odd")]))
         assert np.max(np.abs(union - full)) < 1e-9
 
@@ -330,7 +355,7 @@ class TestLowestSpectrum:
         # would leave the other class's levels out of the Krylov space
         spec = ManyBodySpec.from_coupling(3, 1, 0.5, safety=2.5)
         for sector in ("even", "odd"):
-            ref = scipy.linalg.eigvalsh(dense_matrix(spec, sector),
+            ref = scipy.linalg.eigvalsh(dense_block(spec, sector),
                                         subset_by_index=[0, 3])
             res = sector_lanczos(spec, sector, 4, tol=1e-11)
             assert np.max(np.abs(res.eigenvalues - ref)) < 1e-9
