@@ -239,11 +239,13 @@ def analytic_splitting_general(n_atoms: int, n_modes: int, g: float,
     2 w_1 N! prod_j (wF_j / 2 w_1) exp(-beta g^2); keeps only the exponential
     order, so it is linear in every atomic frequency and signed when
     frequencies are (products of atomic frequencies are applied verbatim,
-    negative samples included).
+    negative samples included).  ``omega_atoms`` of shape ``(count, N)``
+    gives one estimate per row, each equal to the call on that row alone.
     """
     omega_atoms = np.asarray(omega_atoms, dtype=float)
-    if omega_atoms.shape != (n_atoms,):
+    if omega_atoms.shape[-1:] != (n_atoms,) or omega_atoms.ndim > 2:
         raise ManyBodyError("omega_atoms must have one entry per atom")
     pref = 2.0 * omega_mode * math.factorial(n_atoms)
-    pref *= float(np.prod(omega_atoms / (2.0 * omega_mode)))
-    return pref * math.exp(-beta_exponent(n_atoms, n_modes) * g * g)
+    pref = pref * np.prod(omega_atoms / (2.0 * omega_mode), axis=-1)
+    out = pref * math.exp(-beta_exponent(n_atoms, n_modes) * g * g)
+    return float(out) if omega_atoms.ndim == 1 else out

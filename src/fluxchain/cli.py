@@ -3,7 +3,8 @@
 Every run resolves a flat key=value configuration (file keys overridden by
 command-line flags), validates it against the command's schema (unknown keys
 are rejected with their line number), executes, and writes its artifacts plus
-a ``manifest.json`` echoing the resolved configuration and its hash.  Flags
+a ``manifest.json`` echoing the resolved configuration and its hash, the
+numpy version and the BLAS/OpenMP thread variables (``THREAD_ENV``).  Flags
 are decoded like file values, so ``resolve_config`` alone converts and checks
 every value.  Nothing in any output depends on wall time, so a fixed seed
 makes reruns byte-identical.
@@ -31,6 +32,9 @@ import numpy as np
 from . import asymptotics, circuit, disorder, fluxonium, hopfield, manybody
 
 ENV_OUTDIR = "FLUXCHAIN_OUTDIR"
+#: thread-count variables of the BLAS and OpenMP runtimes, echoed in manifests
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -391,8 +395,7 @@ def _cmd_disorder(cfg, chash):
         seed=cfg["seed"],
     )
     freqs = disorder.sample_frequencies(dspec)
-    deltas = disorder.ensemble_splitting(dspec, engine=cfg["engine"],
-                                         jobs=cfg["jobs"])
+    deltas = disorder.ensemble_splitting(dspec, engine=cfg["engine"])
     return {
         "disorder.csv": (
             ["realization", "seed",
@@ -521,6 +524,8 @@ def run(command: str, file_cfg: dict | None = None,
         "config": dict(sorted(resolved.items())),
         "config_hash": chash,
         "artifacts": sorted(artifacts),
+        "numpy": np.__version__,
+        "thread_env": {k: os.environ.get(k) for k in THREAD_ENV},
     })
     return 0
 

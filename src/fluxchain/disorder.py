@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import analytic_splitting_general, asymptotic_vacuum
-from .manybody import ManyBodySpec, ground_splitting, parallel_map, spin_diagonal
+from .manybody import SECTORS, ManyBodySpec, sector_spectra, spin_diagonal
 
 #: exact-engine ensembles refuse specs above this many basis states
 EXACT_ENGINE_BUDGET = 2_000_000
@@ -54,16 +54,17 @@ def sample_frequencies(spec: DisorderEnsembleSpec) -> np.ndarray:
     return out
 
 
-def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact",
-                       jobs: int = 1) -> np.ndarray:
+def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact") -> np.ndarray:
     """Splitting of each realization, in realization order.
 
     Realization r has the atomic frequencies of row r of
-    ``sample_frequencies(spec)``.  engine='exact' runs the sector eigensolvers
-    at the base cutoffs (bounded by ``EXACT_ENGINE_BUDGET``); engine='analytic'
-    evaluates the dominant-order closed form, whose per-realization value is
-    signed.  Realizations are independent jobs and come back in realization
-    order, so the worker count never changes the output.
+    ``sample_frequencies(spec)``.  engine='exact' solves both parity sectors
+    of every realization at the base cutoffs (bounded by
+    ``EXACT_ENGINE_BUDGET``), all as columns of ``sector_spectra``, whose
+    stacks leave each column's bits as a lone solve gives them; each delta
+    equals ``ground_splitting(..., refine=False).delta``.  engine='analytic'
+    evaluates the dominant-order closed form on every row at once; its
+    per-realization value is signed.
     """
     if engine not in ("exact", "analytic"):
         raise DisorderError("engine must be 'exact' or 'analytic'")
@@ -73,14 +74,13 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact",
             f"{EXACT_ENGINE_BUDGET}; use the analytic engine"
         )
     base = spec.base
-
-    def one(omega) -> float:
-        if engine == "exact":
-            return ground_splitting(base.with_omega_atoms(omega), refine=False).delta
-        return analytic_splitting_general(base.n_atoms, base.n_modes, base.g,
-                                          omega, base.omega_modes[0])
-
-    return np.array(parallel_map(one, sample_frequencies(spec), jobs), dtype=float)
+    freqs = sample_frequencies(spec)
+    if engine == "analytic":
+        return analytic_splitting_general(base.n_atoms, base.n_modes, base.g, freqs,
+                                          base.omega_modes[0])
+    solved = sector_spectra([(base.with_omega_atoms(w), s) for w in freqs for s in SECTORS])
+    energies = np.array([r.eigenvalues[0] for r in solved]).reshape(-1, len(SECTORS))
+    return np.abs(energies[:, 0] - energies[:, 1])
 
 
 def perturbation_diagonal(spec: ManyBodySpec, deltas) -> np.ndarray:

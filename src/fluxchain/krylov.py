@@ -171,137 +171,204 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass
 class LanczosResult:
+    """The certified pairs of each column, in the column order of the stack.
+
+    ``matvec_count`` is the number of operator calls the loop made, each on
+    the whole stack; ``column_matvecs`` counts each column's matvecs up to
+    its certification, the count a solve of that column alone would make.
+    A lone solve (scalar ``scale``) drops the column axis throughout.
+    """
+
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
     matvec_count: int
     restarts: int = 0
+    column_matvecs: np.ndarray | int = 0
+
+
+def basis_size(dim: int, k: int) -> int:
+    """Krylov vectors a solve for ``k`` pairs on ``dim`` states keeps, one
+    more being the next Lanczos vector."""
+    return min(max(2 * k + 28, 36), dim)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, each one BLAS call through matmul."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> float:
-    """Classical Gram-Schmidt, twice, of ``w`` (in place) against the columns
+    """Classical Gram-Schmidt, twice, of ``w`` (in place) against the rows
     of ``basis``; returns the remaining norm."""
-    w -= basis @ (basis.T @ w)
-    w -= basis @ (basis.T @ w)
-    return float(np.linalg.norm(w))
+    w -= (basis @ w) @ basis
+    w -= (basis @ w) @ basis
+    return float(np.sqrt(w @ w))
 
 
-def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale: float,
+def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale,
                       max_matvecs: int = 60000, start=None) -> LanczosResult:
-    """k lowest eigenpairs of a real symmetric operator given only its matvec.
+    """k lowest eigenpairs of each of b real symmetric operators on ``dim``
+    states, given only their stacked matvec.
 
-    ``tol`` is relative to ``scale``, an operator-norm estimate.  Residual
+    ``scale`` holds one operator-norm estimate per column, shape ``(b,)``;
+    ``matvec`` maps a ``(b, dim)`` stack to the stack of products, row i by
+    operator i.  ``tol`` is relative to each column's scale.  Residual
     estimates from the projected problem drive the iteration; explicit
     residuals ||A x - lambda x|| gate acceptance at ``10 * tol * scale``,
     except once the Krylov space is exhausted and the projection is exact.
     The Ritz vectors those residuals certify are returned as the columns of
-    ``eigenvectors``, and their Rayleigh quotients as ``eigenvalues``.
-    ``start``, a nonzero ``(dim,)`` vector, seeds the iteration in place of
-    pure noise.
+    ``eigenvectors[i]``, and their Rayleigh quotients as ``eigenvalues[i]``.
+    ``start``, a ``(b, dim)`` stack of finite nonzero rows, seeds the
+    iteration in place of pure noise.
+
+    A scalar ``scale`` solves one operator whose ``matvec`` takes ``(dim,)``
+    vectors, as a stack of one; ``start`` is then one vector and the result
+    has no column axis.
 
     The solve runs under ``solve_threads(dim)``.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    lone = np.ndim(scale) == 0
+    if lone:
+        lone_matvec = matvec
+
+        def matvec(x):
+            return lone_matvec(x[0])[None]
+
+        start = None if start is None else np.asarray(start)[None]
+    scale = np.atleast_1d(np.asarray(scale, dtype=float))
     with solve_threads(dim):
-        return _lanczos(matvec, dim, k, tol, scale, max_matvecs, start)
+        res = _lanczos(matvec, dim, k, tol, scale, max_matvecs, start)
+    if lone:
+        return LanczosResult(res.eigenvalues[0], res.eigenvectors[0], res.residuals[0],
+                             res.matvec_count, res.restarts, int(res.column_matvecs[0]))
+    return res
 
 
 def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:
-    basis_size = min(max(2 * k + 28, 36), dim)
-    keep = min(max(k + 6, 2 * k), basis_size - 2)
+    b = scale.size
+    size = basis_size(dim, k)
+    keep = min(max(k + 6, 2 * k), size - 2)
+    gate = tol * scale
 
-    rng = np.random.default_rng(SEED)
-    v = rng.standard_normal(dim)
+    # one generator per column, as a lone solve of that column would draw
+    rngs = [np.random.default_rng(SEED) for _ in range(b)]
+    v = np.stack([rng.standard_normal(dim) for rng in rngs])
     if start is not None:
-        norm = np.linalg.norm(start) if np.shape(start) == (dim,) else 0.0
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ValueError(f"start must be a finite nonzero ({dim},) vector")
-        v = start / norm + 1e-3 * (v / np.linalg.norm(v))
-    Q = np.empty((dim, basis_size + 1), order="F")
-    Q[:, 0] = v / np.linalg.norm(v)
-    # projected block Q^T A Q; row m holds the couplings of Q[:, m] to
+        start = np.asarray(start, dtype=float)
+        norm = np.sqrt(_dots(start, start)) if start.shape == (b, dim) else np.zeros(1)
+        if not np.all(np.isfinite(norm) & (norm > 0.0)):
+            raise ValueError(f"start must hold {b} finite nonzero ({dim},) rows")
+        v = start / norm[:, None] + 1e-3 * (v / np.sqrt(_dots(v, v))[:, None])
+    # the bases are row-stacked, so every slice Q[:, lo:m] is a (b, m - lo,
+    # dim) view whose products run as one BLAS call per column
+    Q = np.empty((b, size + 1, dim))
+    Q[:, 0] = v / np.sqrt(_dots(v, v))[:, None]
+    # projected blocks Q^T A Q; row m holds the couplings of Q[:, m] to
     # Q[:, lo:m] that the recurrence already knows before its matvec
-    proj = np.zeros((basis_size, basis_size))
-    m = lo = n_mv = restarts = 0
+    proj = np.zeros((b, size, size))
+    m = lo = restarts = 0
+    # a column's matvecs are the steps of the stack while it runs plus its
+    # own certifications; ``lag`` is the most certifications of a running one
+    steps = lag = 0
+    calls = 0
+    certs = np.zeros(b, dtype=int)
+    counts = np.zeros(b, dtype=int)
+    done = np.zeros(b, dtype=bool)
+    out_vals, out_res = np.empty((b, k)), np.empty((b, k))
+    out_vecs = np.empty((b, k, dim))
     best_vals = best_res = None
 
-    while n_mv < max_matvecs:
+    while steps + lag < max_matvecs:
         q = Q[:, m]
         w = matvec(q)
-        n_mv += 1
+        steps += 1
         if m - lo == 1:
-            w -= proj[m, lo] * Q[:, lo]
+            w -= proj[:, m, lo, None] * Q[:, lo]
         else:
-            w -= Q[:, lo:m] @ proj[m, lo:m]
-        proj[m, m] = alpha = q @ w
-        w -= alpha * q
+            w -= (proj[:, m, None, lo:m] @ Q[:, lo:m])[:, 0]
+        proj[:, m, m] = alpha = _dots(q, w)
+        w -= alpha[:, None] * q
         # one Gram-Schmidt pass removes the rounding the recurrence left;
-        # a second runs only if it cancelled most of w (DGKS)
+        # a second runs, column by column, where it cancelled most of w (DGKS)
         basis = Q[:, : m + 1]
-        before = np.linalg.norm(w)
-        corr = basis.T @ w
-        w -= basis @ corr
-        beta = float(np.linalg.norm(w))
-        if beta < DGKS * before:
-            extra = basis.T @ w
-            w -= basis @ extra
-            corr += extra
-            beta = float(np.linalg.norm(w))
-        proj[m, : m + 1] += corr
-        proj[: m + 1, m] = proj[m, : m + 1]
+        before = np.sqrt(_dots(w, w))
+        corr = (basis @ w[:, :, None])[:, :, 0]
+        w -= (corr[:, None, :] @ basis)[:, 0]
+        beta = np.sqrt(_dots(w, w))
+        if (beta < DGKS * before).any():
+            for i in np.flatnonzero(beta < DGKS * before):
+                extra = basis[i] @ w[i]
+                w[i] -= extra @ basis[i]
+                corr[i] += extra
+                beta[i] = np.sqrt(w[i] @ w[i])
+        proj[:, m, : m + 1] += corr
+        proj[:, : m + 1, m] = proj[:, m, : m + 1]
         m += 1
 
-        restart = m == basis_size
-        # the projected block is solved on every second step only, and on
+        restart = m == size
+        # the projected blocks are solved on every fourth step only, and on
         # a restart or once the Krylov space is exhausted
-        solved = restart or m >= dim or m % 2 == 0
-        if solved:
-            vals, svecs = np.linalg.eigh(proj[:m, :m])
-            best_vals = vals[: min(k, m)]
-            best_res = np.abs(beta * svecs[m - 1, : min(k, m)])
+        if restart or m >= dim or m % 4 == 0:
+            vals, svecs = np.linalg.eigh(proj[:, :m, :m])
+            best_vals = vals[:, : min(k, m)]
+            best_res = np.abs(beta[:, None] * svecs[:, m - 1, : min(k, m)])
+            ready = ~done & (m >= dim or (m >= k and np.all(best_res < gate[:, None], axis=1)))
+            if ready.any():
+                ritz = svecs[:, :, :k].transpose(0, 2, 1) @ Q[:, :m]
+                ritz /= np.sqrt(_dots(ritz, ritz))[:, :, None]
+                rq, explicit = np.empty((b, k)), np.empty((b, k))
+                for j in range(k):
+                    hx = matvec(ritz[:, j])
+                    rq[:, j] = _dots(ritz[:, j], hx)
+                    hx -= rq[:, j, None] * ritz[:, j]
+                    explicit[:, j] = np.sqrt(_dots(hx, hx))
+                calls += k
+                certs[ready] += k
+                # estimates may be optimistic; a column they fooled iterates on
+                accept = ready & (m >= dim or np.all(explicit < 10.0 * gate[:, None], axis=1))
+                out_vals[accept], out_res[accept] = rq[accept], explicit[accept]
+                out_vecs[accept] = ritz[accept]
+                counts[accept] = steps + certs[accept]
+                done |= accept
+                if done.all():
+                    return LanczosResult(out_vals, out_vecs.transpose(0, 2, 1), out_res,
+                                         steps + calls, restarts, counts)
+                lag = int(certs[~done].max())
 
-        if solved and (m >= dim or (m >= k and np.all(best_res < tol * scale))):
-            ritz = Q[:, :m] @ svecs[:, :k]
-            ritz /= np.linalg.norm(ritz, axis=0)
-            rq, explicit = np.empty(k), np.empty(k)
-            for j in range(k):
-                hx = matvec(ritz[:, j])
-                n_mv += 1
-                rq[j] = ritz[:, j] @ hx
-                explicit[j] = np.linalg.norm(hx - rq[j] * ritz[:, j])
-            if m >= dim or np.all(explicit < 10.0 * tol * scale):
-                return LanczosResult(rq, ritz, explicit, n_mv, restarts)
-            # estimates were optimistic; keep iterating
-
-        if beta < 1e-13 * scale:
-            # invariant subspace hit: continue in a seeded random direction,
-            # which no recurrence couples to the basis
-            w = rng.standard_normal(dim)
-            Q[:, m] = w / _orthogonalize(Q[:, :m], w)
-            beta = 0.0
+        broke = beta < 1e-13 * scale
+        if not broke.any():
+            np.divide(w, beta[:, None], out=Q[:, m])
         else:
-            np.divide(w, beta, out=Q[:, m])
+            np.divide(w, np.where(broke, 1.0, beta)[:, None], out=Q[:, m])
+            for i in np.flatnonzero(broke):
+                # invariant subspace hit: continue in a seeded random
+                # direction, which no recurrence couples to the basis
+                r = rngs[i].standard_normal(dim)
+                Q[i, m] = r / _orthogonalize(Q[i, :m], r)
+            beta[broke] = 0.0
 
         if restart:
             # thick restart: rotate to the lowest Ritz vectors, keep the
             # residual direction as the next Lanczos vector.  The block on
             # the kept Ritz vectors is diagonal, and the residual direction
             # couples to them through the arrow beta * (last row of svecs).
-            kept = Q[:, :m] @ svecs[:, :keep]
+            kept = svecs[:, :, :keep].transpose(0, 2, 1) @ Q[:, :m]
             Q[:, keep] = Q[:, m]
             Q[:, :keep] = kept
             proj[:] = 0.0
-            proj[:keep, :keep] = np.diag(vals[:keep])
-            proj[keep, :keep] = beta * svecs[m - 1, :keep]
+            proj[:, range(keep), range(keep)] = vals[:, :keep]
+            proj[:, keep, :keep] = beta[:, None] * svecs[:, m - 1, :keep]
             m, lo = keep, 0
             restarts += 1
         else:
-            proj[m, m - 1] = beta
+            proj[:, m, m - 1] = beta
             lo = m - 1
 
     raise EigenConvergenceError(
-        f"no convergence after {n_mv} matvecs (best residual estimates "
+        f"no convergence after {steps + lag} matvecs (best residual estimates "
         f"{np.array2string(np.asarray(best_res), precision=3)})",
         best_vals, best_res,
     )

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .krylov import blas_threads, lowest_eigenpairs, solve_threads, usable_cores
+from .krylov import basis_size, blas_threads, lowest_eigenpairs, solve_threads, usable_cores
 
 #: splittings below this (relative to omega_F) are numerically unresolvable
 NUMERICAL_FLOOR = 1e-13
@@ -50,6 +50,10 @@ NUMERICAL_FLOOR = 1e-13
 #: one level and 300 for four, and at 400 states 19-24 ms against 9-13 ms
 #: (2 cores; CHANGES.md)
 DENSE_LIMIT = 400
+
+#: bytes of Krylov basis, or of dense sector matrices, that one stacked
+#: solve of ``sector_spectra`` may hold; columns beyond it go to the next stack
+STACK_BYTES = 2 * 2**20
 
 #: refuse to build spaces larger than this many basis states
 DIMENSION_BUDGET = 6_000_000
@@ -307,33 +311,49 @@ def embed(wf: Wavefunction) -> Wavefunction:
 
 
 class HamiltonianEngine:
-    """The real operator of one parity sector, applied matrix-free.
+    """The real operators of a stack of parity sectors, applied matrix-free.
 
-    Sector states are indexed as (occupations, spin bits 2..N) in the order of
-    ``BasisIndexer(spec, sector).indices``.  In the gauge |n> -> i^n |n> per
-    mode, H restricted to the sector is
+    A column of the stack is a spec and a sector; the columns of one engine
+    share N, N_m, g and the cutoffs, and may differ in sector and atomic
+    frequencies.  Sector states are indexed as (occupations, spin bits
+    2..N) in the order of ``BasisIndexer(spec, sector).indices``.  In the
+    gauge |n> -> i^n |n> per mode, H restricted to a sector is
 
         diag - sum_m (a_m + a_m^dag) (x) X_m,    X_m = sum_j c_mj sx_j,
 
     where sx_1 acts as the identity on bits 2..N and sx_j flips bit j-1 of
     them, so each X_m is one real 2^(N-1) square matrix, the same in both
-    sectors.  ``phase`` (i^photons per state) maps sector vectors of this
-    operator to the documented complex basis.
+    sectors.  So are the sqrt(n) factors and ``phase`` (i^photons per state),
+    which maps sector vectors of this operator to the documented complex
+    basis; only ``diagonal`` has one row per column.
     """
 
-    def __init__(self, spec: ManyBodySpec, sector: str):
-        if sector not in SECTORS:
+    def __init__(self, spec, sector):
+        """One column, or equal-length sequences of specs and sectors."""
+        if isinstance(sector, str):
+            spec, sector = [spec], [sector]
+        self.specs, self.sectors = list(spec), list(sector)
+        if not self.specs or len(self.specs) != len(self.sectors):
+            raise ManyBodyError("need one sector per spec")
+        if any(s not in SECTORS for s in self.sectors):
             raise ManyBodyError("sector must be 'even' or 'odd'")
-        self.spec = spec
-        self.indexer = BasisIndexer(spec, sector)
+        spec = self.spec = self.specs[0]
+        if any(s.with_omega_atoms(spec.omega_atoms) != spec for s in self.specs):
+            raise ManyBodyError("the columns of a stack differ in atomic frequencies "
+                                "and sector only")
+        self.indexers = [BasisIndexer(s, sec) for s, sec in zip(self.specs, self.sectors)]
+        self.dimension = self.indexers[0].dimension
         n, half = spec.n_atoms, spec.spin_dim // 2
         self._shape = tuple(reversed(spec.mode_dims)) + (half,)
 
-        spin_e = spin_diagonal(spec.omega_atoms)
+        # each column's diagonal straight from its spin and mode tables; the
+        # occupations of sector state s are s // half in either sector
         mode_e = _mode_table([w * np.arange(dim, dtype=float)
                               for w, dim in zip(spec.omega_modes, spec.mode_dims)])
-        occ = self.indexer.indices >> n
-        self.diagonal = spin_e[self.indexer.indices & (spec.spin_dim - 1)] + mode_e[occ]
+        occ = np.arange(self.dimension) // half
+        self.diagonal = np.stack([
+            spin_diagonal(s.omega_atoms)[idx.indices & (spec.spin_dim - 1)] + mode_e[occ]
+            for s, idx in zip(self.specs, self.indexers)])
         self.phase = np.array([1, 1j, -1, -1j])[_photon_totals(spec)[occ] % 4]
 
         self.couplings = spec.couplings
@@ -357,34 +377,53 @@ class HamiltonianEngine:
                 np.broadcast_to(sq, (dim - 1,) + self._shape[spec.n_modes - m:]))
             self._terms.append((x_m, sq, tuple(lo), tuple(hi)))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H x for a sector vector (D,) or a column stack (D, b)."""
-        if x.ndim not in (1, 2) or x.shape[0] != self.indexer.dimension:
-            raise ManyBodyError(f"input shape {x.shape} does not lead with the "
-                                f"sector dimension {self.indexer.dimension}")
-        rows = np.ascontiguousarray(np.atleast_2d(x.T))
+    @property
+    def indexer(self) -> BasisIndexer:
+        """The basis of a one-column engine."""
+        if len(self.indexers) != 1:
+            raise ManyBodyError("a stack has one indexer per column")
+        return self.indexers[0]
+
+    def _apply(self, rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
         v = rows.reshape((-1,) + self._shape)
-        out = v * self.diagonal.reshape(self._shape)
+        out = v * diagonal.reshape((-1,) + self._shape)
         for x_m, sq, lo, hi in self._terms:
-            t = (v.reshape(-1, self._shape[-1]) @ x_m).reshape(v.shape)
+            # one spin-space product per row, so a row's bits never depend
+            # on the rows stacked beside it
+            t = (v.reshape(len(v), -1, self._shape[-1]) @ x_m).reshape(v.shape)
             # <n| a |n+1> = <n+1| a^dag |n> = sqrt(n+1)
             out[lo] -= sq * t[hi]
             out[hi] -= sq * t[lo]
-        out = out.reshape(rows.shape)
+        return out.reshape(rows.shape)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H x for a stack (b, D), row i by column i.  A one-column engine
+        also takes a sector vector (D,) or a column stack (D, c)."""
+        dim, b = self.dimension, len(self.specs)
+        if x.shape == (b, dim):
+            return self._apply(np.ascontiguousarray(x), self.diagonal)
+        if b != 1 or x.ndim not in (1, 2) or x.shape[0] != dim:
+            raise ManyBodyError(f"input shape {x.shape} is neither a ({b}, {dim}) stack "
+                                f"nor leads with the sector dimension of one column")
+        out = self._apply(np.ascontiguousarray(np.atleast_2d(x.T)), self.diagonal)
         return out[0] if x.ndim == 1 else out.T
 
     def dense(self) -> np.ndarray:
-        """The real sector matrix, one identity column per basis state."""
-        return self.matvec(np.eye(self.indexer.dimension))
+        """The real sector matrices of the stack, (b, D, D): the coupling
+        block, the same for every column, plus each column's diagonal."""
+        dim = self.dimension
+        h = np.repeat(self._apply(np.eye(dim), np.zeros(dim))[None], len(self.specs), axis=0)
+        h[:, range(dim), range(dim)] = self.diagonal
+        return h
 
-    def norm_bound(self) -> float:
-        """An upper bound on the operator norm (at least 1), the scale of
-        Lanczos tolerances."""
-        scale = float(np.max(np.abs(self.diagonal)))
+    def norm_bound(self) -> np.ndarray:
+        """An upper bound on each column's operator norm (at least 1), the
+        scale of its Lanczos tolerances."""
+        scale = np.max(np.abs(self.diagonal), axis=1)
         scale += 2.0 * float(
             np.sum(np.abs(self.couplings) * np.sqrt(np.array(self.spec.cutoffs))[:, None])
         )
-        return max(scale, 1.0)
+        return np.maximum(scale, 1.0)
 
 
 @dataclass
@@ -397,11 +436,12 @@ class SpectrumResult:
     vectors: list[Wavefunction] | None = None
 
 
-def _padded_start(op: HamiltonianEngine, start: Wavefunction) -> np.ndarray:
-    """``start``, a vector of the same chain and sector at cutoffs no larger
-    than ``op``'s, zero-padded onto ``op``'s sector in its real gauge."""
-    idx, spec = start.indexer, op.spec
-    if (idx.sector != op.indexer.sector
+def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int = 0) -> np.ndarray:
+    """``start``, a vector of the chain and sector of ``op``'s column
+    ``column`` at cutoffs no larger than ``op``'s, zero-padded onto that
+    sector in its real gauge."""
+    idx, spec = start.indexer, op.specs[column]
+    if (idx.sector != op.sectors[column]
             or idx.spec.with_cutoffs(spec.cutoffs) != spec
             or any(a > b for a, b in zip(idx.spec.cutoffs, spec.cutoffs))):
         raise ManyBodyError("start must be a vector of the same chain and sector "
@@ -417,6 +457,57 @@ def _padded_start(op: HamiltonianEngine, start: Wavefunction) -> np.ndarray:
     return padded.reshape(-1)
 
 
+def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool = False,
+                   starts=None) -> list[SpectrumResult]:
+    """``lowest_spectrum`` of each (spec, sector) column, in column order.
+
+    The columns share N, N_m, g and the cutoffs, and so one sector dimension
+    and one route; sector and atomic frequencies may differ.  Consecutive
+    columns are solved together, as one stack of at most ``STACK_BYTES`` of
+    Krylov basis or dense matrices, and a column's result is the same, bit
+    for bit, whatever is stacked beside it.  ``starts``, one sector vector
+    per column, warm-starts Lanczos columns as ``lowest_spectrum``'s
+    ``start`` does.
+    """
+    columns = list(columns)
+    if m < 1:
+        raise ManyBodyError("m must be at least 1")
+    if tol <= 0:
+        raise ManyBodyError("tol must be positive")
+    dim = columns[0][0].dimension // 2
+    if m > dim:
+        raise ManyBodyError("m exceeds the sector dimension")
+    dense = dim <= DENSE_LIMIT
+    width = max(1, STACK_BYTES // (8 * dim * (dim if dense else basis_size(dim, m) + 1)))
+    out = []
+    for first in range(0, len(columns), width):
+        chunk = columns[first:first + width]
+        op = HamiltonianEngine([s for s, _ in chunk], [sec for _, sec in chunk])
+        start = None
+        if starts is not None:
+            start = np.stack([_padded_start(op, st, i)
+                              for i, st in enumerate(starts[first:first + width])])
+        if dense:
+            with solve_threads(dim):
+                h = op.dense()
+                vals, vecs = np.linalg.eigh(h)
+                vals, vecs = vals[:, :m], vecs[:, :, :m]
+                residuals = np.linalg.norm(h @ vecs - vecs * vals[:, None, :], axis=1)
+            iterations, method = [0] * len(chunk), "dense"
+        else:
+            res = lowest_eigenpairs(op.matvec, dim, m, tol=tol, scale=op.norm_bound(),
+                                    start=start)
+            vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
+            iterations, method = res.column_matvecs, "lanczos"
+        for i, idx in enumerate(op.indexers):
+            wfs = None
+            if with_vectors:
+                wfs = [Wavefunction(idx, op.phase * vecs[i, :, j]) for j in range(m)]
+            out.append(SpectrumResult(vals[i], residuals[i], int(iterations[i]),
+                                      op.sectors[i], method, wfs))
+    return out
+
+
 def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
                     tol: float = 1e-11, with_vectors: bool = False,
                     start: Wavefunction | None = None) -> SpectrumResult:
@@ -424,64 +515,37 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
 
     The sector dimension alone picks the route: dense diagonalization at or
     below ``DENSE_LIMIT`` states, and Lanczos above it; either runs under
-    ``krylov.solve_threads``.  A full-space spectrum is always the merge of the two
-    sector solves, which sidesteps cross-sector quasi-degeneracy entirely;
-    its vectors stay sector wavefunctions, in merged order (``embed`` places
-    one in the full space).  Only the dense route is guaranteed to return an
-    exactly degenerate level as often as its multiplicity; Lanczos may
-    return fewer copies.
+    ``krylov.solve_threads``.  A full-space spectrum is always the merge of
+    the two sector solves, which sidesteps cross-sector quasi-degeneracy
+    entirely; the two sectors go to ``sector_spectra`` as one stack, and
+    the vectors stay sector wavefunctions, in merged order (``embed``
+    places one in the full space).  Only the dense route is guaranteed to
+    return an exactly degenerate level as often as its multiplicity;
+    Lanczos may return fewer copies.
 
     ``start`` warm-starts a Lanczos solve from a sector vector of the same
     chain and sector at per-mode cutoffs no larger than ``spec``'s (the
     ground vector of a smaller solve), zero-padded to ``spec``'s cutoffs.
     The dense route ignores it.
     """
-    if m < 1:
-        raise ManyBodyError("m must be at least 1")
-    if tol <= 0:
-        raise ManyBodyError("tol must be positive")
-    if sector == "full":
-        if start is not None:
-            raise ManyBodyError("a start vector needs a parity sector")
-        if m > spec.dimension:
-            raise ManyBodyError("m exceeds the sector dimension")
-        even, odd = (lowest_spectrum(spec, s, min(m, spec.dimension // 2), tol,
-                                     with_vectors)
-                     for s in SECTORS)
-        vals = np.concatenate([even.eigenvalues, odd.eigenvalues])
-        order = np.argsort(vals, kind="stable")[:m]
-        res = np.concatenate([even.residual_norms, odd.residual_norms])
-        vecs = None
-        if with_vectors:
-            pool = even.vectors + odd.vectors
-            vecs = [pool[i] for i in order]
-        return SpectrumResult(vals[order], res[order],
-                              even.iterations + odd.iterations,
-                              "full", f"{even.method}-merged", vecs)
-
-    op = HamiltonianEngine(spec, sector)
-    indexer = op.indexer
-    if m > indexer.dimension:
-        raise ManyBodyError("m exceeds the sector dimension")
+    if sector != "full":
+        return sector_spectra([(spec, sector)], m, tol, with_vectors,
+                              None if start is None else [start])[0]
     if start is not None:
-        start = _padded_start(op, start)
-
-    if indexer.dimension <= DENSE_LIMIT:
-        with solve_threads(indexer.dimension):
-            h = op.dense()
-            vals, vecs = np.linalg.eigh(h)
-            vals, vecs = vals[:m], vecs[:, :m]
-            residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
-        iterations, method = 0, "dense"
-    else:
-        res = lowest_eigenpairs(op.matvec, indexer.dimension, m, tol=tol,
-                                scale=op.norm_bound(), start=start)
-        vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
-        iterations, method = res.matvec_count, "lanczos"
-    out_vecs = None
+        raise ManyBodyError("a start vector needs a parity sector")
+    if m > spec.dimension:
+        raise ManyBodyError("m exceeds the sector dimension")
+    even, odd = sector_spectra([(spec, s) for s in SECTORS],
+                               min(m, spec.dimension // 2), tol, with_vectors)
+    vals = np.concatenate([even.eigenvalues, odd.eigenvalues])
+    order = np.argsort(vals, kind="stable")[:m]
+    res = np.concatenate([even.residual_norms, odd.residual_norms])
+    vecs = None
     if with_vectors:
-        out_vecs = [Wavefunction(indexer, op.phase * vecs[:, i]) for i in range(m)]
-    return SpectrumResult(vals, residuals, iterations, sector, method, out_vecs)
+        pool = even.vectors + odd.vectors
+        vecs = [pool[i] for i in order]
+    return SpectrumResult(vals[order], res[order], even.iterations + odd.iterations,
+                          "full", f"{even.method}-merged", vecs)
 
 
 @dataclass
@@ -511,19 +575,21 @@ def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
     ``tol`` is the relative change of delta under one cutoff refinement that
     still counts as converged, and two splittings below the floor always do;
     refinement is skipped (and the record marked unconverged) when
-    ``refine`` is false.  The refined solves start from the base ground
+    ``refine`` is false.  Each pair of sector solves is one stack of
+    ``sector_spectra``; the refined solves start from the base ground
     vectors, zero-padded to the larger cutoffs.
     """
-    base = {s: lowest_spectrum(spec, s, 1, with_vectors=refine) for s in SECTORS}
-    e_even, e_odd = (float(base[s].eigenvalues[0]) for s in SECTORS)
+    base = sector_spectra([(spec, s) for s in SECTORS], 1, with_vectors=refine)
+    e_even, e_odd = (float(r.eigenvalues[0]) for r in base)
     delta = abs(e_even - e_odd)
     omega_ref = float(np.mean(np.abs(spec.omega_atoms))) or 1.0
 
     converged = False
     if refine:
         bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
-        e2_even, e2_odd = (float(lowest_spectrum(bumped, s, 1, start=base[s].vectors[0])
-                                 .eigenvalues[0]) for s in SECTORS)
+        refined = sector_spectra([(bumped, s) for s in SECTORS], 1,
+                                 starts=[r.vectors[0] for r in base])
+        e2_even, e2_odd = (float(r.eigenvalues[0]) for r in refined)
         d2 = abs(e2_even - e2_odd)
         larger = max(delta, d2)
         converged = (larger < NUMERICAL_FLOOR * omega_ref

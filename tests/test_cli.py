@@ -5,11 +5,13 @@ import shlex
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fluxchain.cli import (
     _COMMON,
     COMMANDS,
+    THREAD_ENV,
     ConfigError,
     _build_parser,
     config_hash,
@@ -20,7 +22,7 @@ from fluxchain.cli import (
     resolve_config,
     run,
 )
-from fluxchain import manybody
+from fluxchain import disorder, manybody
 from fluxchain.manybody import SplittingRecord
 
 
@@ -219,12 +221,20 @@ class TestRun:
                 "even_floor": 6, "seed": 17}
         base = manybody.ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6)
         assert base.dimension // 2 > manybody.DENSE_LIMIT
-        solves = []
-        solve = manybody.lowest_spectrum
-        monkeypatch.setattr(manybody, "lowest_spectrum",
-                            lambda *a, **kw: solves.append(a) or solve(*a, **kw))
+        # every sector column handed to the stacked solve, from disorder or
+        # from within manybody (where a refinement would come from)
+        columns = []
+        solve = manybody.sector_spectra
+
+        def counted(cols, *a, **kw):
+            cols = list(cols)
+            columns.extend(cols)
+            return solve(cols, *a, **kw)
+
+        monkeypatch.setattr(manybody, "sector_spectra", counted)
+        monkeypatch.setattr(disorder, "sector_spectra", counted)
         run("disorder", None, dict(args, jobs=1, out_dir=str(tmp_path / "1")))
-        assert len(solves) == 2 * args["count"]  # one per sector, no refinement
+        assert len(columns) == 2 * args["count"]  # one per sector, no refinement
         run("disorder", None, dict(args, jobs=2, out_dir=str(tmp_path / "2")))
         for name in ("disorder.csv", "disorder_summary.json"):
             assert ((tmp_path / "1" / "disorder" / name).read_bytes()
@@ -435,6 +445,17 @@ SMALL_RUNS = {
                  "engine": "analytic", "seed": 17},
     "fit-beta": {},
 }
+
+
+def test_manifest_records_numpy_and_thread_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    run("polariton", None, dict(SMALL_RUNS["polariton"], out_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "polariton" / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    assert set(manifest["thread_env"]) == set(THREAD_ENV)
+    assert manifest["thread_env"]["OMP_NUM_THREADS"] == "3"
+    assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] is None
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

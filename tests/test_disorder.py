@@ -11,7 +11,7 @@ from fluxchain.disorder import (
     protection_check,
     sample_frequencies,
 )
-from fluxchain.asymptotics import asymptotic_vacuum
+from fluxchain.asymptotics import analytic_splitting_general, asymptotic_vacuum
 from fluxchain.manybody import ManyBodySpec
 
 from oracles import SZ, parity_diagonal, spin_op
@@ -118,6 +118,33 @@ class TestEnsembleSplitting:
         slope_clean = np.polyfit(x, np.log(clean), 1)[0]
         slope_noisy = np.polyfit(x, np.log(noisy), 1)[0]
         assert slope_noisy == pytest.approx(slope_clean, rel=0.05)
+
+
+class TestStackedEnsemble:
+    """The exact engine solves every realization and sector as one stack."""
+
+    @pytest.mark.parametrize("n, nm, g, kw, dim", [
+        (2, 1, 1.2, {}, 66),
+        (2, 2, 1.2, {"even_floor": 6}, 462),
+        (3, 2, 1.0, {}, 740),
+        (3, 3, 0.7, {}, 11020),
+    ])
+    def test_column_does_not_depend_on_its_neighbours(self, n, nm, g, kw, dim):
+        # the 740-state columns split into stacks of 9 and 3, and the
+        # 11,020-state ones go one at a time; the 66-state ones are dense
+        base = base_spec(n, nm, g, **kw)
+        assert base.dimension // 2 == dim
+        few, many = (ensemble_splitting(DisorderEnsembleSpec(base, 0.3, count, 5),
+                                        engine="exact")
+                     for count in (3, 6))
+        assert few.tobytes() == many[:3].tobytes()
+
+    def test_analytic_engine_is_the_per_row_formula(self):
+        spec = make_ensemble(n=4, nm=2, amplitude=0.5, count=200, seed=3)
+        deltas = ensemble_splitting(spec, engine="analytic")
+        rows = [analytic_splitting_general(4, 2, spec.base.g, w, spec.base.omega_modes[0])
+                for w in sample_frequencies(spec)]
+        assert deltas.tobytes() == np.array(rows).tobytes()
 
 
 class TestPerturbation:

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fluxchain import krylov
+from fluxchain import krylov, manybody
 from fluxchain.fluxonium import FluxoniumSpec, solve_levels
 from fluxchain.krylov import EigenConvergenceError, lowest_eigenpairs
 from fluxchain.manybody import (
     DENSE_LIMIT,
+    SECTORS,
     BasisIndexer,
     HamiltonianEngine,
     ManyBodyError,
@@ -26,6 +27,7 @@ from fluxchain.manybody import (
     ground_splitting,
     lowest_spectrum,
     parallel_map,
+    sector_spectra,
     spatial_weights,
 )
 from fluxchain.asymptotics import analytic_splitting_n2, asymptotic_vacuum
@@ -53,7 +55,7 @@ def above_dense_limit_spec(g=1.0, **kw):
 def dense_block(spec, sector):
     """One parity block of H as a dense matrix in the documented complex basis."""
     op = HamiltonianEngine(spec, sector)
-    return op.phase[:, None] * op.dense() * op.phase.conj()
+    return op.phase[:, None] * op.dense()[0] * op.phase.conj()
 
 
 def apply_h(spec, wf):
@@ -221,7 +223,7 @@ class TestApplyHamiltonian:
             with pytest.raises(ManyBodyError):
                 op.matvec(bad)
         x = np.random.default_rng(3).standard_normal((dim, 3))
-        block = op.dense()
+        block = op.dense()[0]
         assert op.matvec(x[:, 0]).shape == (dim,)
         assert np.allclose(op.matvec(x[:, 0]), block @ x[:, 0])
         assert np.allclose(op.matvec(x), block @ x)
@@ -646,6 +648,103 @@ def test_sector_ground_solve_matvec_budget(sector):
     res = lowest_spectrum(spec, sector, 1)
     assert res.method == "lanczos"
     assert res.iterations <= 110
+
+
+class TestStackedSolves:
+    """Columns solved as one stack give the bytes of their lone solves."""
+
+    def test_stacked_rows_are_lone_products(self):
+        spec = small_spec(3, 2, 1.1, (5, 3))
+        columns = [(spec.with_omega_atoms(w), s)
+                   for w, s in (((0.8, 1.15, 0.95), "even"), ((1.0, 1.0, 1.0), "odd"),
+                                ((1.3, 0.7, 1.1), "odd"))]
+        stack = HamiltonianEngine([c for c, _ in columns], [s for _, s in columns])
+        x = np.random.default_rng(4).standard_normal((3, stack.dimension))
+        hx = stack.matvec(x)
+        dense = stack.dense()
+        for i, (c, s) in enumerate(columns):
+            lone = HamiltonianEngine(c, s)
+            assert hx[i].tobytes() == lone.matvec(x[i]).tobytes()
+            assert dense[i].tobytes() == lone.dense()[0].tobytes()
+            assert stack.norm_bound()[i] == lone.norm_bound()[0]
+        with pytest.raises(ManyBodyError):
+            stack.matvec(x[0])
+        with pytest.raises(ManyBodyError):
+            HamiltonianEngine([spec, spec.with_cutoffs((5, 4))], ["even", "even"])
+
+    def test_stacked_operators_match_lone_solves(self):
+        # a lockstep stack of two plain matrices; the first converges first
+        # and keeps the pairs it was certified with
+        rng = np.random.default_rng(12)
+        hs = [(a + a.T) / 2 for a in rng.standard_normal((2, 300, 300))]
+        hs[1][:3, :3] += np.diag([-30.0, -29.0, -28.0])
+        scales = [float(np.linalg.norm(h, 2)) for h in hs]
+        lone = [lowest_eigenpairs(lambda x, h=h: h @ x, 300, 3, tol=1e-12, scale=sc)
+                for h, sc in zip(hs, scales)]
+        stacked = lowest_eigenpairs(lambda x: np.stack([h @ r for h, r in zip(hs, x)]),
+                                    300, 3, tol=1e-12, scale=np.array(scales))
+        assert lone[0].matvec_count != lone[1].matvec_count
+        assert stacked.matvec_count >= max(r.matvec_count for r in lone)
+        for i, r in enumerate(lone):
+            assert stacked.eigenvalues[i].tobytes() == r.eigenvalues.tobytes()
+            assert stacked.residuals[i].tobytes() == r.residuals.tobytes()
+            assert np.array_equal(stacked.eigenvectors[i], r.eigenvectors)
+            assert stacked.column_matvecs[i] == r.matvec_count
+
+    def test_stacked_sectors_match_lone_solves(self, monkeypatch):
+        # three levels per sector at N = 5: the sectors converge at different
+        # steps, and a stack holds both only above the default byte budget
+        spec = ManyBodySpec.from_coupling(5, 3, 0.5, safety=2.5)
+        lone = [lowest_spectrum(spec, s, 3) for s in SECTORS]
+        assert lone[0].iterations != lone[1].iterations
+        monkeypatch.setattr(manybody, "STACK_BYTES", 2**40)
+        stacked = sector_spectra([(spec, s) for s in SECTORS], 3)
+        for a, b in zip(lone, stacked):
+            assert a.method == b.method == "lanczos"
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+            assert a.residual_norms.tobytes() == b.residual_norms.tobytes()
+            assert a.iterations == b.iterations
+
+    @pytest.mark.parametrize("spec, method", [
+        (ManyBodySpec.from_coupling(2, 1, 1.2), "dense"),
+        (ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6), "lanczos"),
+    ])
+    def test_byte_budget_leaves_the_bytes(self, monkeypatch, spec, method):
+        columns = [(spec.with_omega_atoms(w), s)
+                   for w in ((0.7, 1.3), (1.0, 1.0), (1.2, 0.9)) for s in SECTORS]
+        runs = []
+        for budget in (1, 2**40):  # stacks of one, and one stack of all
+            monkeypatch.setattr(manybody, "STACK_BYTES", budget)
+            runs.append(sector_spectra(columns, 2, with_vectors=True))
+        for a, b in zip(*runs):
+            assert a.method == b.method == method
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+            assert a.residual_norms.tobytes() == b.residual_norms.tobytes()
+            assert a.iterations == b.iterations
+            for u, v in zip(a.vectors, b.vectors):
+                assert u.data.tobytes() == v.data.tobytes()
+
+    def test_mixed_stack_with_starts_gives_refined_energies(self, monkeypatch):
+        spec = ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6)
+        bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
+        dim = bumped.dimension // 2
+        # the refined even and odd columns fit one stack
+        assert 2 * 8 * dim * (krylov.basis_size(dim, 1) + 1) <= manybody.STACK_BYTES
+        solved = []
+        solve = manybody.sector_spectra
+
+        def recorded(columns, *a, **kw):
+            solved.append(solve(columns, *a, **kw))
+            return solved[-1]
+
+        monkeypatch.setattr(manybody, "sector_spectra", recorded)
+        ground_splitting(spec)
+        base, refined = solved
+        for s, b, r in zip(SECTORS, base, refined):
+            lone = lowest_spectrum(bumped, s, 1, start=b.vectors[0])
+            assert r.sector == s and r.method == "lanczos"
+            assert lone.eigenvalues.tobytes() == r.eigenvalues.tobytes()
+            assert lone.iterations == r.iterations
 
 
 def test_parallel_map_keeps_order():
