@@ -17,8 +17,11 @@ in one parity sector.  There the matvec never materializes H: a sector is
 indexed by (occupations, spin bits 2..N), since parity fixes bit 1, and in
 the gauge |n> -> i^n |n> per mode the sector operator is real, a diagonal
 minus one small spin-space product and two occupation-shifted slice adds per
-mode (``HamiltonianEngine``).  Its size alone picks the eigensolver: dense
-at or below ``DENSE_LIMIT`` states, Lanczos above.  Both routes run under
+mode (``HamiltonianEngine``).  Everything but the diagonal is the same in
+both sectors and for any atomic frequencies, so one engine applies H to a
+stack of sectors of one chain shape, and ``sector_spectra`` solves such a
+stack at once.  Its size alone picks the eigensolver: dense at or below
+``DENSE_LIMIT`` states, Lanczos above.  Both routes run under
 ``krylov.solve_threads``: one OpenBLAS thread up to ``THREADED_LIMIT``
 states, so a sector's energies do not depend on the core count, and the
 usable cores above it.  A full-space spectrum is the merge of the two
@@ -48,11 +51,18 @@ NUMERICAL_FLOOR = 1e-13
 #: Dense numpy.linalg.eigh computes every pair; on one BLAS thread, as every
 #: solve this small runs, it takes as long as Lanczos near 200 states for
 #: one level and 300 for four, and at 400 states 19-24 ms against 9-13 ms
-#: (2 cores; CHANGES.md)
+#: (2 cores; CHANGES.md).  For an even+odd pair solved as one stack the
+#: crossover is 160-240 states at one level and 240-320 at four; at 400
+#: states the pair takes 47-55 ms dense against 10-22 ms by Lanczos
 DENSE_LIMIT = 400
 
 #: bytes of Krylov basis, or of dense sector matrices, that one stacked
-#: solve of ``sector_spectra`` may hold; columns beyond it go to the next stack
+#: solve of ``sector_spectra`` may hold; the next columns start a new stack.
+#: Per-column time of a ground solve against stack width (fresh process per
+#: size, 2 cores; CHANGES.md) falls 2-2.7x at 462-740 states and 1.9x at
+#: 1,500, and stops falling once a stack holds about 1.8 MB (4 columns at
+#: 1,500 states, 2 at 3,000); a pair gains 3-16% at 5,500-11,000 states,
+#: for 3.3-6.5 MB of basis, and is left unstacked
 STACK_BYTES = 2 * 2**20
 
 #: refuse to build spaces larger than this many basis states
@@ -609,8 +619,9 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     Workers times BLAS threads stay within the usable cores: with several
     workers each BLAS call gets the cores divided by ``jobs``, and a solve
     in a worker the smaller of that and its own cap (``krylov.blas_threads``).
-    Two workers that shared OpenBLAS's default pool on two cores contended
-    for it: a 4-realization ensemble took 84 ms instead of 55.
+    The CLI spreads the points of a sweep here; the sector solves of one
+    disorder ensemble are one stack (``sector_spectra``) instead, since the
+    Python-bound solves of small sectors gain nothing from threads.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
