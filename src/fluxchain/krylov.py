@@ -282,13 +282,12 @@ def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:
     m = lo = restarts = 0
     # a column's matvecs are the steps of the stack while it runs plus its
     # own certifications; ``lag`` is the most certifications of a running one
-    steps = lag = 0
-    calls = 0
+    steps = lag = cert_calls = 0
     certs = np.zeros(b, dtype=int)
     counts = np.zeros(b, dtype=int)
     done = np.zeros(b, dtype=bool)
     out_vals, out_res = np.empty((b, k)), np.empty((b, k))
-    out_vecs = np.empty((b, k, dim))
+    out_vecs = None
     best_vals = best_res = None
 
     while steps + lag < max_matvecs:
@@ -335,17 +334,22 @@ def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:
                     rq[:, j] = _dots(ritz[:, j], hx)
                     hx -= rq[:, j, None] * ritz[:, j]
                     explicit[:, j] = np.sqrt(_dots(hx, hx))
-                calls += k
+                cert_calls += k
                 certs[ready] += k
                 # estimates may be optimistic; a column they fooled iterates on
                 accept = ready & (m >= dim or np.all(explicit < 10.0 * gate[:, None], axis=1))
                 out_vals[accept], out_res[accept] = rq[accept], explicit[accept]
-                out_vecs[accept] = ritz[accept]
+                # the first certified Ritz vectors become the output, and
+                # later columns are copied in, so no extra k x dim block is held
+                if out_vecs is None:
+                    out_vecs = ritz
+                else:
+                    np.copyto(out_vecs, ritz, where=accept[:, None, None])
                 counts[accept] = steps + certs[accept]
                 done |= accept
                 if done.all():
                     return LanczosResult(out_vals, out_vecs.transpose(0, 2, 1), out_res,
-                                         steps + calls, restarts, counts)
+                                         steps + cert_calls, restarts, counts)
                 lag = int(certs[~done].max())
 
         broke = beta < 1e-13 * scale

@@ -387,13 +387,6 @@ class HamiltonianEngine:
                 np.broadcast_to(sq, (dim - 1,) + self._shape[spec.n_modes - m:]))
             self._terms.append((x_m, sq, tuple(lo), tuple(hi)))
 
-    @property
-    def indexer(self) -> BasisIndexer:
-        """The basis of a one-column engine."""
-        if len(self.indexers) != 1:
-            raise ManyBodyError("a stack has one indexer per column")
-        return self.indexers[0]
-
     def _apply(self, rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
         v = rows.reshape((-1,) + self._shape)
         out = v * diagonal.reshape((-1,) + self._shape)
@@ -487,34 +480,41 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     dim = columns[0][0].dimension // 2
     if m > dim:
         raise ManyBodyError("m exceeds the sector dimension")
-    dense = dim <= DENSE_LIMIT
-    width = max(1, STACK_BYTES // (8 * dim * (dim if dense else basis_size(dim, m) + 1)))
+    per_column = 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
+    width = max(1, STACK_BYTES // per_column)
     out = []
     for first in range(0, len(columns), width):
-        chunk = columns[first:first + width]
-        op = HamiltonianEngine([s for s, _ in chunk], [sec for _, sec in chunk])
-        start = None
-        if starts is not None:
-            start = np.stack([_padded_start(op, st, i)
-                              for i, st in enumerate(starts[first:first + width])])
-        if dense:
-            with solve_threads(dim):
-                h = op.dense()
-                vals, vecs = np.linalg.eigh(h)
-                vals, vecs = vals[:, :m], vecs[:, :, :m]
-                residuals = np.linalg.norm(h @ vecs - vecs * vals[:, None, :], axis=1)
-            iterations, method = [0] * len(chunk), "dense"
-        else:
-            res = lowest_eigenpairs(op.matvec, dim, m, tol=tol, scale=op.norm_bound(),
-                                    start=start)
-            vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
-            iterations, method = res.column_matvecs, "lanczos"
-        for i, idx in enumerate(op.indexers):
-            wfs = None
-            if with_vectors:
-                wfs = [Wavefunction(idx, op.phase * vecs[i, :, j]) for j in range(m)]
-            out.append(SpectrumResult(vals[i], residuals[i], int(iterations[i]),
-                                      op.sectors[i], method, wfs))
+        out += _stack_spectra(columns[first:first + width], m, tol, with_vectors,
+                              None if starts is None else starts[first:first + width])
+    return out
+
+
+def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult]:
+    """The results of one stack of ``sector_spectra``."""
+    op = HamiltonianEngine([s for s, _ in columns], [sec for _, sec in columns])
+    dim = op.dimension
+    start = None
+    if starts is not None:
+        start = np.stack([_padded_start(op, st, i) for i, st in enumerate(starts)])
+    if dim <= DENSE_LIMIT:
+        with solve_threads(dim):
+            h = op.dense()
+            vals, vecs = np.linalg.eigh(h)
+            vals, vecs = vals[:, :m], vecs[:, :, :m]
+            residuals = np.linalg.norm(h @ vecs - vecs * vals[:, None, :], axis=1)
+        iterations, method = [0] * len(columns), "dense"
+    else:
+        res = lowest_eigenpairs(op.matvec, dim, m, tol=tol, scale=op.norm_bound(),
+                                start=start)
+        vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
+        iterations, method = res.column_matvecs, "lanczos"
+    out = []
+    for i, idx in enumerate(op.indexers):
+        wfs = None
+        if with_vectors:
+            wfs = [Wavefunction(idx, op.phase * vecs[i, :, j]) for j in range(m)]
+        out.append(SpectrumResult(vals[i], residuals[i], int(iterations[i]),
+                                  op.sectors[i], method, wfs))
     return out
 
 

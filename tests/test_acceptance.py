@@ -135,7 +135,7 @@ def test_criterion_04_dense_oracle_equivalence():
 
         for sector in ("even", "odd"):
             op = HamiltonianEngine(spec, sector)
-            it = lowest_eigenpairs(op.matvec, op.indexer.dimension, 3, tol=1e-12,
+            it = lowest_eigenpairs(op.matvec, op.dimension, 3, tol=1e-12,
                                    scale=op.norm_bound())
             sel = np.flatnonzero(signs == (1 if sector == "even" else -1))
             ref = np.linalg.eigvalsh(href[np.ix_(sel, sel)])[:3]

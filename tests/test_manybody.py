@@ -42,7 +42,7 @@ def small_spec(n=2, nm=2, g=1.0, cutoffs=(3, 2), **kw):
 def sector_lanczos(spec, sector, k, **kw):
     """The Lanczos solve that ``lowest_spectrum`` runs above DENSE_LIMIT."""
     op = HamiltonianEngine(spec, sector)
-    return lowest_eigenpairs(op.matvec, op.indexer.dimension, k,
+    return lowest_eigenpairs(op.matvec, op.dimension, k,
                              scale=op.norm_bound(), **kw)
 
 
@@ -215,7 +215,7 @@ class TestApplyHamiltonian:
 
     def test_matvec_rejects_wrong_leading_length(self):
         op = HamiltonianEngine(small_spec(), "even")
-        dim = op.indexer.dimension
+        dim = op.dimension
         assert dim == 24
         # a multiple of the sector dimension must not pass as a column stack
         for bad in (np.ones(2 * dim), np.ones(dim - 1), np.ones((2 * dim, 3)),
@@ -459,8 +459,8 @@ def _padded_by_full_index(base: Wavefunction, bumped: ManyBodySpec) -> np.ndarra
     full = (np.ravel_multi_index(occ, tuple(reversed(spec.mode_dims))) * spec.spin_dim
             + (old.indices & (spec.spin_dim - 1)))
     op = HamiltonianEngine(spec, old.sector)
-    x = np.zeros(op.indexer.dimension, dtype=complex)
-    x[np.searchsorted(op.indexer.indices, full)] = base.data
+    x = np.zeros(op.dimension, dtype=complex)
+    x[np.searchsorted(op.indexers[0].indices, full)] = base.data
     return (x * op.phase.conj()).real
 
 
@@ -673,11 +673,13 @@ class TestStackedSolves:
             HamiltonianEngine([spec, spec.with_cutoffs((5, 4))], ["even", "even"])
 
     def test_stacked_operators_match_lone_solves(self):
-        # a lockstep stack of two plain matrices; the first converges first
-        # and keeps the pairs it was certified with
+        # a lockstep stack of two plain matrices of norms 40x apart, each
+        # tested against its own scale; one converges first and keeps the
+        # pairs it was certified with
         rng = np.random.default_rng(12)
         hs = [(a + a.T) / 2 for a in rng.standard_normal((2, 300, 300))]
         hs[1][:3, :3] += np.diag([-30.0, -29.0, -28.0])
+        hs[1] *= 40.0
         scales = [float(np.linalg.norm(h, 2)) for h in hs]
         lone = [lowest_eigenpairs(lambda x, h=h: h @ x, 300, 3, tol=1e-12, scale=sc)
                 for h, sc in zip(hs, scales)]
