@@ -161,7 +161,17 @@ def _positive_int(v) -> int:
 def _float(v) -> float:
     if isinstance(v, bool):
         raise ValueError("expected a number")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError("expected a finite number")
+    return x
+
+
+def _positive_float(v) -> float:
+    x = _float(v)
+    if x <= 0.0:
+        raise ValueError("expected a number above 0")
+    return x
 
 
 def _choice(*allowed):
@@ -292,7 +302,7 @@ def _cmd_fluxonium(cfg, chash):
         "phi01": levels.phi01,
         "anharmonicity": red.anharmonicity,
         "two_level_ok": red.two_level_ok,
-        "grid_shift": levels.grid_shift,
+        "basis_shift": levels.basis_shift,
     }}
     if cfg["wavefunction_csv"]:
         out["wavefunctions.csv"] = (
@@ -468,7 +478,7 @@ COMMANDS: dict[str, tuple] = {
         "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g": (_float, _REQUIRED),
         "omega_F": (_float, 1.0), "count": (_int, 10),
-        "sector": (_choice("full", "even", "odd"), "full"), "tol": (_float, 1e-10),
+        "sector": (_choice("full", "even", "odd"), "full"), "tol": (_positive_float, 1e-10),
         "safety": (_float, 4.0), "even_floor": (_int, 4),
         "cutoffs": (_list_of(_int), None),
     }),
@@ -477,13 +487,13 @@ COMMANDS: dict[str, tuple] = {
         "g_grid": (_list_of(_float), _REQUIRED),
         "omega_F": (_float, 1.0),
         "safety": (_float, 4.0), "even_floor": (_int, 4),
-        "tol": (_float, 1e-3), "refine": (_bool, True),
+        "tol": (_positive_float, 1e-3), "refine": (_bool, True),
     }),
     "overlap": (_cmd_overlap, {
         "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g_grid": (_list_of(_float), _REQUIRED),
         "safety": (_float, 3.5), "even_floor": (_int, 4),
-        "tol": (_float, 1e-10),
+        "tol": (_positive_float, 1e-10),
     }),
     "disorder": (_cmd_disorder, {
         "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),

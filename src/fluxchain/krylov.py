@@ -186,15 +186,14 @@ class LanczosResult:
     ``matvec_count`` is the number of operator calls the loop made, each on
     the whole stack; ``column_matvecs`` counts each column's matvecs up to
     its certification, the count a solve of that column alone would make.
-    A lone solve (scalar ``scale``) drops the column axis throughout.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
     matvec_count: int
-    restarts: int = 0
-    column_matvecs: np.ndarray | int = 0
+    restarts: int
+    column_matvecs: np.ndarray
 
 
 def basis_size(dim: int, k: int) -> int:
@@ -232,29 +231,12 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale,
     ``start``, a ``(b, dim)`` stack of finite nonzero rows, seeds the
     iteration in place of pure noise.
 
-    A scalar ``scale`` solves one operator whose ``matvec`` takes ``(dim,)``
-    vectors, as a stack of one; ``start`` is then one vector and the result
-    has no column axis.
-
     The solve runs under ``solve_threads(dim)``.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    lone = np.ndim(scale) == 0
-    if lone:
-        lone_matvec = matvec
-
-        def matvec(x):
-            return lone_matvec(x[0])[None]
-
-        start = None if start is None else np.asarray(start)[None]
-    scale = np.atleast_1d(np.asarray(scale, dtype=float))
     with solve_threads(dim):
-        res = _lanczos(matvec, dim, k, tol, scale, max_matvecs, start)
-    if lone:
-        return LanczosResult(res.eigenvalues[0], res.eigenvectors[0], res.residuals[0],
-                             res.matvec_count, res.restarts, int(res.column_matvecs[0]))
-    return res
+        return _lanczos(matvec, dim, k, tol, np.asarray(scale, dtype=float), max_matvecs, start)
 
 
 def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:

@@ -381,15 +381,25 @@ class TestStrictConfig:
 
     def test_non_finite_g_or_omega_f_rejected(self, tmp_path, capsys):
         # refused before any cutoff choice or solve, with explicit cutoffs
-        # and with the defaults sized from g
-        argv = ["spectrum", "--n", "2", "--n-m", "1", "--out-dir", str(tmp_path)]
-        for extra, key in ((["--g", "nan", "--cutoffs", "[10]"], "g"),
-                           (["--g", "inf", "--cutoffs", "[10]"], "g"),
-                           (["--g", "nan"], "g"),
-                           (["--g", "inf"], "g"),
-                           (["--g", "1.0", "--omega-f", "nan"], "omega_F"),
-                           (["--g", "1.0", "--omega-f", "inf"], "omega_F")):
-            assert main(argv + extra) == 1
+        # and with the defaults sized from g; a tolerance must be above 0
+        spectrum = ["spectrum", "--n", "2", "--n-m", "1"]
+        sweep = ["splitting-sweep", "--n", "2", "--n-m", "1", "--g-grid", "[1.0]"]
+        junction = ["fluxonium", "--e-j", "3", "--e-cj", "1"]
+        for argv, key in ((spectrum + ["--g", "nan", "--cutoffs", "[10]"], "g"),
+                          (spectrum + ["--g", "inf", "--cutoffs", "[10]"], "g"),
+                          (spectrum + ["--g", "nan"], "g"),
+                          (spectrum + ["--g", "inf"], "g"),
+                          (spectrum + ["--g", "1.0", "--omega-f", "nan"], "omega_F"),
+                          (spectrum + ["--g", "1.0", "--omega-f", "inf"], "omega_F"),
+                          (spectrum + ["--g", "1.0", "--tol", "NaN"], "tol"),
+                          (sweep + ["--tol", "-1"], "tol"),
+                          (sweep + ["--tol", "NaN"], "tol"),
+                          (["overlap", "--n", "2", "--n-m", "1", "--g-grid", "[1.0]",
+                            "--tol", "0"], "tol"),
+                          (junction + ["--e-lj", "inf"], "E_LJ"),
+                          (junction + ["--e-lj", "0.15", "--grid-half-width", "nan"],
+                           "grid_half_width")):
+            assert main(argv + ["--out-dir", str(tmp_path)]) == 1
             err = capsys.readouterr().err
             assert re.fullmatch(rf"error: .*\b{key}\b.*\n", err), err
         assert not any(tmp_path.iterdir())
