@@ -26,6 +26,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -349,15 +350,18 @@ def _cmd_spectrum(cfg, chash):
     )}
 
 
+def _sweep_point(cfg, g):
+    """One point of a sweep; module-level, so a pool worker can run it."""
+    return manybody.ground_splitting(
+        _spec_from_cfg(cfg, g), tol=cfg["tol"], refine=cfg["refine"]
+    )
+
+
 def _cmd_splitting_sweep(cfg, chash):
     grid = cfg["g_grid"]
     if not grid:
         warnings.warn("empty g grid; writing empty sweep", stacklevel=2)
-    def run_one(g):
-        return manybody.ground_splitting(
-            _spec_from_cfg(cfg, g), tol=cfg["tol"], refine=cfg["refine"]
-        )
-    records = manybody.parallel_map(run_one, sorted(grid), cfg["jobs"])
+    records = manybody.parallel_map(partial(_sweep_point, cfg), sorted(grid), cfg["jobs"])
     return {"splitting_sweep.csv": (
         ["N", "N_m", "g", *(f"n_max_{k}" for k in range(1, cfg["N_m"] + 1)),
          "E_even", "E_odd", "delta", "delta_over_omegaF", "converged"],

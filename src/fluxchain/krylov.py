@@ -61,10 +61,15 @@ Python-bound, with GEMVs of some thousand rows and a projected block of at
 most 36 x 36.  A second thread there saves no time: it doubled the CPU
 time, and a solve ran two to ten times slower while another process held
 the second core.  One thread also sums every long dot product in one order,
-so the result does not depend on the core count.  Above the limit a solve runs on the usable
-cores.  The caps of the solves and of ``manybody.parallel_map`` share one
-process-wide count (``blas_threads``), so a solve in a worker gets the
-smaller of its cap and the pool's.
+so the result does not depend on the core count.  Above the limit a solve
+runs on the usable cores.  A cap never raises the count it finds, so a
+solve in a worker of ``manybody.parallel_map``, whose OpenBLAS the pool
+caps for the worker's life, gets the smaller of its own cap and the pool's.
+
+fluxchain starts no threads of its own: ``parallel_map`` spreads work over
+processes.  The OpenBLAS thread count is one setting of the whole process,
+and ``solve_threads`` saves and restores it without a lock, so it is not
+meant for solves run concurrently by threads of one process.
 """
 
 from __future__ import annotations
@@ -72,7 +77,6 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -116,58 +120,30 @@ def _openblas():
     return None
 
 
-class _ThreadCaps:
-    """The caps on OpenBLAS's thread count that are open now, in any thread.
-
-    The count is one setting of the whole process, so a block that saved it
-    and restored it alone could undo the cap of a block open in another
-    thread.  Here the count is the smallest open cap, never above the count
-    found when the first cap opened, and that count comes back when the last
-    cap closes.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.open: list[int] = []
-        self.uncapped = 1
-
-    def apply(self, lib):
-        lib.scipy_openblas_set_num_threads64_(min(self.open + [self.uncapped]))
-
-
-_caps = _ThreadCaps()
+def cap_blas_threads(n: int) -> int | None:
+    """Lower numpy's OpenBLAS to ``n`` threads, or leave it at the count it
+    has if that is lower, and return that count; with another BLAS, change
+    nothing and return None.  A pool worker calls it once for its life."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    found = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(max(1, min(n, found)))
+    return found
 
 
 @contextmanager
-def blas_threads(n: int):
-    """Cap numpy's OpenBLAS at ``n`` threads inside the block.
-
-    Caps nest and overlap across threads: the count is the smallest cap
-    open in the process, and the count before the first cap comes back on
-    exit from the last.  With another BLAS the block runs uncapped.
-    """
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    n = max(1, n)
-    with _caps.lock:
-        if not _caps.open:
-            _caps.uncapped = lib.scipy_openblas_get_num_threads64_()
-        _caps.open.append(n)
-        _caps.apply(lib)
+def solve_threads(dim: int):
+    """Cap OpenBLAS for one eigensolve on ``dim`` states: one thread at or
+    below ``THREADED_LIMIT``, the usable cores above it, never more than the
+    count found on entry, which comes back on exit.  Not for solves that
+    overlap in threads of one process: each would restore its own count."""
+    found = cap_blas_threads(1 if dim <= THREADED_LIMIT else usable_cores())
     try:
         yield
     finally:
-        with _caps.lock:
-            _caps.open.remove(n)
-            _caps.apply(lib)
-
-
-def solve_threads(dim: int):
-    """The BLAS cap of one eigensolve on ``dim`` states: one thread at or
-    below ``THREADED_LIMIT``, the usable cores above it."""
-    return blas_threads(1 if dim <= THREADED_LIMIT else usable_cores())
+        if found is not None:
+            _openblas().scipy_openblas_set_num_threads64_(found)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -177,6 +153,10 @@ class EigenConvergenceError(RuntimeError):
         super().__init__(message)
         self.eigenvalues = eigenvalues
         self.residuals = residuals
+
+    def __reduce__(self):
+        # pickle all three arguments, so the error crosses from a pool worker
+        return type(self), (str(self), self.eigenvalues, self.residuals)
 
 
 @dataclass

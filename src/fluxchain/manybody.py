@@ -37,12 +37,12 @@ atomic frequency are flagged as floor-limited.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .krylov import basis_size, blas_threads, lowest_eigenpairs, solve_threads, usable_cores
+from .krylov import basis_size, cap_blas_threads, lowest_eigenpairs, solve_threads, usable_cores
 
 #: splittings below this (relative to omega_F) are numerically unresolvable
 NUMERICAL_FLOOR = 1e-13
@@ -614,17 +614,25 @@ def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
-    """[fn(x) for x in items] on up to ``jobs`` threads, in the order of items.
+    """[fn(x) for x in items], in the order of items, on up to ``jobs``
+    forked worker processes, no more than the items or the usable cores.
 
-    Workers times BLAS threads stay within the usable cores: with several
-    workers each BLAS call gets the cores divided by ``jobs``, and a solve
-    in a worker the smaller of that and its own cap (``krylov.blas_threads``).
-    The CLI spreads the points of a sweep here; the sector solves of one
-    disorder ensemble are one stack (``sector_spectra``) instead, since the
-    Python-bound solves of small sectors gain nothing from threads.
+    ``fn``, the items and the results are pickled, so ``fn`` is a
+    module-level function or a ``functools.partial`` of one; a worker's
+    exception is raised here.  Each worker caps its OpenBLAS at the usable
+    cores divided by the workers, and a solve in it gets the smaller of that
+    and its own cap (``krylov.solve_threads``).  One worker, or a platform
+    other than Linux, maps serially in this process: a spawned worker would
+    pay about 0.12 s to import numpy, and fork was measured on Linux only.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), usable_cores())
+    if workers <= 1 or sys.platform != "linux":
         return [fn(x) for x in items]
-    with blas_threads(usable_cores() // jobs), ThreadPoolExecutor(max_workers=jobs) as ex:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=cap_blas_threads,
+                             initargs=(usable_cores() // workers,)) as ex:
         return list(ex.map(fn, items))

@@ -23,7 +23,16 @@ from fluxchain.cli import (
     run,
 )
 from fluxchain import disorder, manybody
+from fluxchain.krylov import EigenConvergenceError
 from fluxchain.manybody import SplittingRecord
+
+
+def unconverged_at_one(spec, **kwargs):
+    """A stand-in for ground_splitting whose g = 1 point does not converge;
+    module-level, so a pool worker runs it too."""
+    if spec.g == 1.0:
+        raise EigenConvergenceError("no convergence at g=1.0", np.zeros(1), np.ones(1))
+    return synthetic_records(gs=(spec.g,))[0]
 
 
 def synthetic_records(beta=8.0, gs=(0.8, 1.0, 1.2, 1.5), n=2, floor_g=None):
@@ -191,10 +200,11 @@ class TestRun:
         assert lines[1].startswith("N,N_m,g,n_max_1,")
 
     def test_sweep_schema_and_determinism(self, tmp_path):
-        args = {"N": 2, "N_m": 1, "g_grid": [0.9, 1.1], "seed": 5,
+        # the same bytes from one process and from a pool of two
+        args = {"N": 2, "N_m": 1, "g_grid": [0.9, 1.1], "seed": 5, "jobs": 1,
                 "out_dir": str(tmp_path / "a")}
         run("splitting-sweep", None, args)
-        args2 = dict(args, out_dir=str(tmp_path / "b"))
+        args2 = dict(args, jobs=2, out_dir=str(tmp_path / "b"))
         run("splitting-sweep", None, args2)
         a = (tmp_path / "a" / "splitting-sweep" / "splitting_sweep.csv").read_bytes()
         b = (tmp_path / "b" / "splitting-sweep" / "splitting_sweep.csv").read_bytes()
@@ -202,6 +212,17 @@ class TestRun:
         header = a.decode().splitlines()[1].split(",")
         assert header == ["N", "N_m", "g", "n_max_1", "E_even", "E_odd",
                           "delta", "delta_over_omegaF", "converged"]
+
+    def test_sweep_worker_error_is_reported(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(manybody, "ground_splitting", unconverged_at_one)
+        lines = []
+        for jobs in ("1", "2"):
+            code = main(["splitting-sweep", "--n", "2", "--n-m", "1",
+                         "--g-grid", "[0.5, 1.0, 1.5]", "--jobs", jobs,
+                         "--out-dir", str(tmp_path)])
+            assert code == 1
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1] == "error: no convergence at g=1.0\n"
 
     def test_disorder_outputs_and_determinism(self, tmp_path):
         args = {"N": 2, "N_m": 1, "g": 1.0, "amplitude": 0.3, "count": 5,

@@ -1,7 +1,10 @@
+import ctypes
 import math
+import multiprocessing
+import pickle
 import sys
-import threading
 from dataclasses import fields
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -367,6 +370,11 @@ class TestLowestSpectrum:
         with pytest.raises(EigenConvergenceError) as err:
             sector_lanczos(spec, "even", 2, tol=1e-14, max_matvecs=8)
         assert err.value.residuals is not None
+        # the error crosses the process boundary of parallel_map whole
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is EigenConvergenceError and str(copy) == str(err.value)
+        np.testing.assert_array_equal(copy.eigenvalues, err.value.eigenvalues)
+        np.testing.assert_array_equal(copy.residuals, err.value.residuals)
 
     def test_softening_gap_beyond_critical_region(self):
         # the two lowest full-space levels approach degeneracy as g grows
@@ -753,8 +761,52 @@ class TestStackedSolves:
             assert lone.iterations == r.iterations
 
 
+def square(x):
+    return x * x
+
+
+def reciprocal(x):
+    return 1 / x
+
+
 def test_parallel_map_keeps_order():
-    assert parallel_map(lambda x: x * x, range(7), jobs=3) == [x * x for x in range(7)]
+    assert parallel_map(square, range(7), jobs=3) == [x * x for x in range(7)]
+
+
+def test_parallel_map_bounds_its_workers(monkeypatch):
+    # a stand-in for ProcessPoolExecutor records how it was built and maps
+    # in this process, so no test forks as many workers as it asks for
+    import concurrent.futures
+
+    built = []
+
+    class SerialPool:
+        def __init__(self, max_workers, **kwargs):
+            built.append((max_workers, kwargs["initargs"]))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(manybody, "usable_cores", lambda: 4)
+    assert parallel_map(square, range(3), jobs=100_000) == [0, 1, 4]
+    assert parallel_map(square, range(9), jobs=100_000) == [x * x for x in range(9)]
+    assert parallel_map(square, range(9), jobs=2) == [x * x for x in range(9)]
+    # (workers, BLAS threads per worker): items, then cores, then jobs bound
+    assert built == [(3, (1,)), (4, (1,)), (2, (2,))]
+    # one worker, or a platform other than Linux, maps in this process
+    monkeypatch.setattr(manybody, "usable_cores", lambda: 1)
+    assert parallel_map(square, range(3), jobs=2) == [0, 1, 4]
+    monkeypatch.setattr(manybody, "usable_cores", lambda: 4)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert parallel_map(square, range(3), jobs=2) == [0, 1, 4]
+    assert len(built) == 3
 
 
 @pytest.fixture
@@ -765,31 +817,34 @@ def openblas():
     return lib
 
 
-def recording_solve(lib, dim, seen, fail=False):
-    """A Lanczos solve on a diagonal operator whose every matvec records
-    OpenBLAS's thread count in ``seen``; with ``fail`` the first raises."""
+def recording_solve(dim, fail_dim=None):
+    """A Lanczos solve on a diagonal operator; returns OpenBLAS's thread
+    count at each matvec.  The first matvec of a ``fail_dim`` solve raises."""
+    lib = krylov._openblas()
     diag = np.linspace(0.0, 1.0, dim)
+    seen = []
 
     def matvec(x):
         seen.append(lib.scipy_openblas_get_num_threads64_())
-        if fail:
+        if dim == fail_dim:
             raise ZeroDivisionError("operator failed")
         return diag * x
 
-    return lowest_eigenpairs(matvec, dim, 2, tol=1e-10, scale=np.array([1.0]))
+    lowest_eigenpairs(matvec, dim, 2, tol=1e-10, scale=np.array([1.0]))
+    return seen
 
 
 def test_parallel_map_runs_each_solve_on_one_blas_thread(openblas):
     threads = openblas.scipy_openblas_get_num_threads64_
     before = threads()
-    seen = [[], []]
-    parallel_map(lambda i: recording_solve(openblas, 300 + i, seen[i]), range(2), jobs=2)
+    seen = parallel_map(recording_solve, (300, 301), jobs=2)
     assert all(seen) and set(seen[0] + seen[1]) == {1}
     assert threads() == before
+    assert not multiprocessing.active_children()
     with pytest.raises(ZeroDivisionError):
-        parallel_map(lambda i: recording_solve(openblas, 300, [], fail=i == 1),
-                     range(2), jobs=2)
+        parallel_map(partial(recording_solve, fail_dim=301), (300, 301), jobs=2)
     assert threads() == before
+    assert not multiprocessing.active_children()
 
 
 def test_parallel_map_caps_blas_threads_and_restores_them(openblas, monkeypatch):
@@ -799,42 +854,18 @@ def test_parallel_map_caps_blas_threads_and_restores_them(openblas, monkeypatch)
     threads = openblas.scipy_openblas_get_num_threads64_
     before = threads()
     cores = krylov.usable_cores()
-    lone = []
-    recording_solve(openblas, 300, lone)
-    assert set(lone) == {min(cores, before)}
-    pooled = [[], []]
-    parallel_map(lambda i: recording_solve(openblas, 300, pooled[i]), range(2), jobs=2)
+    assert set(recording_solve(300)) == {min(cores, before)}
+    pooled = parallel_map(recording_solve, (300, 300), jobs=2)
     assert set(pooled[0] + pooled[1]) == {max(1, min(cores // 2, before))}
     assert threads() == before
     with pytest.raises(ZeroDivisionError):
-        parallel_map(lambda x: 1 / x, [1, 0], jobs=2)
+        parallel_map(reciprocal, [1, 0], jobs=2)
     assert threads() == before
 
 
-def test_overlapping_solves_in_threads_keep_their_cap(openblas):
-    # each solve's cap is process-wide; a solve that saved and restored the
-    # count alone would hand its neighbour the count from before its own cap
-    threads = openblas.scipy_openblas_get_num_threads64_
-    before = threads()
-    seen = [[] for _ in range(4)]
-
-    def worker(i):
-        for _ in range(5):
-            recording_solve(openblas, 200 + 10 * i, seen[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in workers)
-    assert all(seen) and set(sum(seen, [])) == {1}
-    assert threads() == before
+def openblas_threads(path, _item):
+    """OpenBLAS's thread count, read from the library loaded from ``path``."""
+    return ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
 
 
 def test_solves_run_uncapped_with_another_blas(monkeypatch):
@@ -859,7 +890,7 @@ def test_solves_run_uncapped_with_another_blas(monkeypatch):
         uncapped = results()
         if lib is not None:
             before = lib.scipy_openblas_get_num_threads64_()
-            assert parallel_map(lambda _: lib.scipy_openblas_get_num_threads64_(),
+            assert parallel_map(partial(openblas_threads, lib._name),
                                 range(2), jobs=2) == [before] * 2
     finally:
         krylov._openblas.cache_clear()
