@@ -9,8 +9,8 @@ import os
 
 import numpy as np
 
-from fluxchain.asymptotics import asymptotic_vacuum, subspace_overlap
-from fluxchain.manybody import ManyBodySpec, embed, lowest_spectrum
+from fluxchain.asymptotics import doublet_overlap
+from fluxchain.manybody import SECTORS, ManyBodySpec, sector_spectra
 
 
 def main():
@@ -30,15 +30,12 @@ def main():
         for g in np.linspace(args.g_max / args.points, args.g_max, args.points):
             spec = ManyBodySpec.from_coupling(5, 3, float(g), safety=args.safety)
             per_sector = -(-args.levels // 2) + 1
-            se = lowest_spectrum(spec, "even", per_sector, with_vectors=True)
-            so = lowest_spectrum(spec, "odd", per_sector, with_vectors=True)
+            se, so = sector_spectra([(spec, s) for s in SECTORS], per_sector,
+                                    with_vectors=True)
             energies = np.sort(np.concatenate([se.eigenvalues, so.eigenvalues]))
             energies = energies[: args.levels]
 
-            fid = subspace_overlap(
-                (embed(se.vectors[0]), embed(so.vectors[0])),
-                (asymptotic_vacuum(spec, +1), asymptotic_vacuum(spec, -1)),
-            ).fidelity
+            fid = doublet_overlap((se.vectors[0], so.vectors[0])).fidelity
 
             for i, e in enumerate(energies):
                 w.writerow([float(g), i, float(e), float(e - energies[0]),

@@ -43,6 +43,7 @@ from .asymptotics import (
     asymptotic_vacuum,
     beta_exponent,
     coherent_amplitudes,
+    doublet_overlap,
     minimize_pseudospin_config,
     subspace_overlap,
 )

@@ -4,9 +4,9 @@ Deep in the coupled regime the chain Hamiltonian minus the atomic term is
 diagonal in pseudospin configurations (each atom pinned along sx), and every
 configuration drags its modes into coherent states.  The two ferromagnetic
 configurations minimize the displacement energy; their product states are the
-asymptotic vacua.  This module holds those states, the configuration-energy
-minimizer, the analytic splitting formulas and the quadratic-in-N exponent of
-the splitting decay.
+asymptotic vacua.  This module holds those states, the fidelity of the exact
+ground doublet with them, the configuration-energy minimizer, the analytic
+splitting formulas and the quadratic-in-N exponent of the splitting decay.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from .manybody import (
+    SECTORS,
     BasisIndexer,
     ManyBodyError,
     ManyBodySpec,
@@ -167,6 +168,29 @@ def subspace_overlap(pair_a, pair_b) -> OverlapResult:
     sv = np.clip(sv, 0.0, 1.0)
     return OverlapResult(cosines=(float(sv[0]), float(sv[1])),
                          fidelity=float(sv[0] * sv[1]))
+
+
+def doublet_overlap(pair) -> OverlapResult:
+    """``subspace_overlap`` of an (even, odd) pair of sector states of one
+    spec with the two asymptotic vacua, from one overlap per sector.
+
+    Parity maps V+ to V-, so span{V+, V-} = span{V+_even, V+_odd}, the
+    sector parts of V+.  Sectors are orthogonal, so the principal cosines
+    are |<psi_s|V+_s>| / (||psi_s|| ||V+_s||), one per sector, and no state
+    leaves its sector.
+    """
+    indexers = [wf.indexer for wf in pair]
+    if (tuple(idx.sector for idx in indexers) != SECTORS
+            or indexers[0].spec != indexers[1].spec):
+        raise ManyBodyError("need the even and the odd state of one spec")
+    plus = asymptotic_vacuum(indexers[0].spec, +1).data
+    cos = []
+    for wf, idx in zip(pair, indexers):
+        part = plus[idx.indices]
+        cos.append(abs(np.vdot(wf.data, part))
+                   / (np.linalg.norm(wf.data) * np.linalg.norm(part)))
+    hi, lo = np.clip(sorted(cos, reverse=True), 0.0, 1.0)
+    return OverlapResult(cosines=(float(hi), float(lo)), fidelity=float(hi * lo))
 
 
 def configuration_energies(n_atoms: int, n_modes: int, g: float = 1.0):

@@ -374,15 +374,9 @@ def _cmd_overlap(cfg, chash):
     rows = []
     for g in sorted(cfg["g_grid"]):
         spec = _spec_from_cfg(cfg, g)
-        se = manybody.lowest_spectrum(spec, "even", 1, tol=cfg["tol"],
-                                      with_vectors=True)
-        so = manybody.lowest_spectrum(spec, "odd", 1, tol=cfg["tol"],
-                                      with_vectors=True)
-        ov = asymptotics.subspace_overlap(
-            (manybody.embed(se.vectors[0]), manybody.embed(so.vectors[0])),
-            (asymptotics.asymptotic_vacuum(spec, +1),
-             asymptotics.asymptotic_vacuum(spec, -1)),
-        )
+        se, so = manybody.sector_spectra([(spec, s) for s in manybody.SECTORS], 1,
+                                         tol=cfg["tol"], with_vectors=True)
+        ov = asymptotics.doublet_overlap((se.vectors[0], so.vectors[0]))
         amps = asymptotics.coherent_amplitudes(cfg["N"], cfg["N_m"], g)
         rows.append({
             "g": g,

@@ -83,27 +83,25 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact") -> np.
     return np.abs(energies[:, 0] - energies[:, 1])
 
 
-def perturbation_diagonal(spec: ManyBodySpec, deltas) -> np.ndarray:
-    """Diagonal of H_pert = sum_j (Delta_j / 2) sz_j over the full basis."""
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (spec.n_atoms,):
-        raise DisorderError("need one Delta per atom")
-    return np.tile(spin_diagonal(deltas), spec.dimension // spec.spin_dim)
-
-
 def protection_check(n_atoms: int, n_modes: int, g: float, m: int,
                      deltas) -> dict[tuple[str, str], complex]:
-    """The four matrix elements <G_s| H_pert^m |G_s'> on the asymptotic vacua.
+    """The four matrix elements <G_s| H_pert^m |G_s'> on the asymptotic vacua,
+    H_pert = sum_j (Delta_j / 2) sz_j.
 
-    H_pert is diagonal in the basis, so its m-th power is the elementwise
-    power of ``perturbation_diagonal``; no eigensolves.  The vacua come from
+    H_pert is diagonal in the basis and acts on the spins alone, so its m-th
+    power is ``spin_diagonal(deltas) ** m``, broadcast over each vacuum
+    viewed as (occupations, 2^N); no eigensolves.  The vacua come from
     ``ManyBodySpec.from_coupling`` at its default cutoffs.  Keys are
     ('+','+'), ('+','-'), ('-','+'), ('-','-').
     """
     if m < 1:
         raise DisorderError("m must be at least 1")
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.shape != (n_atoms,):
+        raise DisorderError("need one Delta per atom")
     spec = ManyBodySpec.from_coupling(n_atoms, n_modes, g)
-    power = perturbation_diagonal(spec, deltas) ** m
-    states = {"+": asymptotic_vacuum(spec, +1), "-": asymptotic_vacuum(spec, -1)}
-    return {(bra, ket): complex(np.vdot(states[bra].data, power * states[ket].data))
+    power = spin_diagonal(deltas) ** m
+    states = {s: asymptotic_vacuum(spec, sign).data.reshape(-1, spec.spin_dim)
+              for s, sign in (("+", +1), ("-", -1))}
+    return {(bra, ket): complex(np.vdot(states[bra], power * states[ket]))
             for bra in states for ket in states}

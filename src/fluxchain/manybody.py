@@ -25,8 +25,8 @@ stack at once.  Its size alone picks the eigensolver: dense at or below
 ``krylov.solve_threads``: one OpenBLAS thread up to ``THREADED_LIMIT``
 states, so a sector's energies do not depend on the core count, and the
 usable cores above it.  A full-space spectrum is the merge of the two
-sector spectra.  Public vectors stay in the documented complex basis;
-``embed`` places a sector vector in the full space.
+sector spectra.  Public vectors stay in the documented complex basis and on
+their sector's indexer; ``BasisIndexer.indices`` places one in the full space.
 
 Ground-state splittings are always computed sector by sector; subtracting
 two nearly equal full-space eigenvalues cannot reach the 1e-12 level that
@@ -309,17 +309,6 @@ class Wavefunction:
             raise ManyBodyError("non-finite amplitudes")
 
 
-def embed(wf: Wavefunction) -> Wavefunction:
-    """A sector wavefunction as a full-space one, zero outside its sector."""
-    idx = wf.indexer
-    if idx.indices is None:
-        return wf
-    full = BasisIndexer(idx.spec, "full")
-    data = np.zeros(full.dimension, dtype=complex)
-    data[idx.indices] = wf.data
-    return Wavefunction(full, data)
-
-
 class HamiltonianEngine:
     """The real operators of a stack of parity sectors, applied matrix-free.
 
@@ -400,16 +389,11 @@ class HamiltonianEngine:
         return out.reshape(rows.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H x for a stack (b, D), row i by column i.  A one-column engine
-        also takes a sector vector (D,) or a column stack (D, c)."""
-        dim, b = self.dimension, len(self.specs)
-        if x.shape == (b, dim):
-            return self._apply(np.ascontiguousarray(x), self.diagonal)
-        if b != 1 or x.ndim not in (1, 2) or x.shape[0] != dim:
-            raise ManyBodyError(f"input shape {x.shape} is neither a ({b}, {dim}) stack "
-                                f"nor leads with the sector dimension of one column")
-        out = self._apply(np.ascontiguousarray(np.atleast_2d(x.T)), self.diagonal)
-        return out[0] if x.ndim == 1 else out.T
+        """H x for a stack (b, D), row i by column i."""
+        want = (len(self.specs), self.dimension)
+        if x.shape != want:
+            raise ManyBodyError(f"input shape {x.shape} is not the {want} stack")
+        return self._apply(np.ascontiguousarray(x), self.diagonal)
 
     def dense(self) -> np.ndarray:
         """The real sector matrices of the stack, (b, D, D): the coupling
@@ -469,8 +453,10 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     columns are solved together, as one stack of at most ``STACK_BYTES`` of
     Krylov basis or dense matrices, and a column's result is the same, bit
     for bit, whatever is stacked beside it.  ``starts``, one sector vector
-    per column, warm-starts Lanczos columns as ``lowest_spectrum``'s
-    ``start`` does.
+    per column, warm-starts Lanczos columns from a vector of the same chain
+    and sector at per-mode cutoffs no larger than the column's (the ground
+    vector of a smaller solve), zero-padded to the column's cutoffs; the
+    dense route ignores them.
     """
     columns = list(columns)
     if m < 1:
@@ -479,7 +465,7 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
         raise ManyBodyError("tol must be positive")
     dim = columns[0][0].dimension // 2
     if m > dim:
-        raise ManyBodyError("m exceeds the sector dimension")
+        raise ManyBodyError(f"m = {m} exceeds the sector dimension {dim}")
     per_column = 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
     width = max(1, STACK_BYTES // per_column)
     out = []
@@ -519,8 +505,7 @@ def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult
 
 
 def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
-                    tol: float = 1e-11, with_vectors: bool = False,
-                    start: Wavefunction | None = None) -> SpectrumResult:
+                    tol: float = 1e-11, with_vectors: bool = False) -> SpectrumResult:
     """m lowest eigenpairs of H restricted to a parity sector.
 
     The sector dimension alone picks the route: dense diagonalization at or
@@ -528,23 +513,14 @@ def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
     ``krylov.solve_threads``.  A full-space spectrum is always the merge of
     the two sector solves, which sidesteps cross-sector quasi-degeneracy
     entirely; the two sectors go to ``sector_spectra`` as one stack, and
-    the vectors stay sector wavefunctions, in merged order (``embed``
-    places one in the full space).  Only the dense route is guaranteed to
-    return an exactly degenerate level as often as its multiplicity;
-    Lanczos may return fewer copies.
-
-    ``start`` warm-starts a Lanczos solve from a sector vector of the same
-    chain and sector at per-mode cutoffs no larger than ``spec``'s (the
-    ground vector of a smaller solve), zero-padded to ``spec``'s cutoffs.
-    The dense route ignores it.
+    the vectors stay sector wavefunctions, in merged order.  Only the dense
+    route is guaranteed to return an exactly degenerate level as often as
+    its multiplicity; Lanczos may return fewer copies.
     """
     if sector != "full":
-        return sector_spectra([(spec, sector)], m, tol, with_vectors,
-                              None if start is None else [start])[0]
-    if start is not None:
-        raise ManyBodyError("a start vector needs a parity sector")
+        return sector_spectra([(spec, sector)], m, tol, with_vectors)[0]
     if m > spec.dimension:
-        raise ManyBodyError("m exceeds the sector dimension")
+        raise ManyBodyError(f"m = {m} exceeds the full-space dimension {spec.dimension}")
     even, odd = sector_spectra([(spec, s) for s in SECTORS],
                                min(m, spec.dimension // 2), tol, with_vectors)
     vals = np.concatenate([even.eigenvalues, odd.eigenvalues])

@@ -71,3 +71,11 @@ def parity_diagonal(spec) -> np.ndarray:
     for _ in range(spec.n_atoms):
         out = np.kron(out, np.diag(SZ).real)
     return out
+
+
+def embedded(wf) -> np.ndarray:
+    """A sector wavefunction's amplitudes over the full space, zero outside
+    its sector."""
+    out = np.zeros(wf.indexer.spec.dimension, dtype=complex)
+    out[wf.indexer.indices] = wf.data
+    return out

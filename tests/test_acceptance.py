@@ -20,11 +20,11 @@ import pytest
 import fluxchain as fx
 from fluxchain.krylov import lowest_eigenpairs
 from fluxchain.manybody import (
+    SECTORS,
     HamiltonianEngine,
     ManyBodySpec,
-    embed,
     ground_splitting,
-    lowest_spectrum,
+    sector_spectra,
 )
 from fluxchain.cli import fit_beta, run as cli_run
 from fluxchain.disorder import DisorderEnsembleSpec, ensemble_splitting, protection_check
@@ -189,17 +189,9 @@ def test_criterion_06_beta_scaling():
             f"in (14.4, 18.9), {elapsed:.0f}s)")
 
 
-def _embedded_ground_pair(spec, tol=1e-10):
-    return tuple(
-        embed(lowest_spectrum(spec, sector, m=1, tol=tol, with_vectors=True).vectors[0])
-        for sector in ("even", "odd")
-    )
-
-
 def _doublet_fidelity(spec):
-    pair = _embedded_ground_pair(spec)
-    vacua = (fx.asymptotic_vacuum(spec, +1), fx.asymptotic_vacuum(spec, -1))
-    return fx.subspace_overlap(pair, vacua).fidelity
+    pair = sector_spectra([(spec, s) for s in SECTORS], 1, tol=1e-10, with_vectors=True)
+    return fx.doublet_overlap([r.vectors[0] for r in pair]).fidelity
 
 
 def test_criterion_07_vacuum_overlap():

@@ -16,17 +16,21 @@ from fluxchain.asymptotics import (
     coherent_vector,
     configuration_energies,
     displaced_amplitudes,
+    doublet_overlap,
     minimize_pseudospin_config,
     subspace_overlap,
 )
 from fluxchain.manybody import (
+    DENSE_LIMIT,
+    SECTORS,
     BasisIndexer,
     ManyBodyError,
     ManyBodySpec,
     Wavefunction,
+    sector_spectra,
 )
 
-from oracles import dense_hamiltonian
+from oracles import dense_hamiltonian, embedded
 
 
 class TestCoherentAmplitudes:
@@ -164,6 +168,41 @@ class TestSubspaceOverlap:
         dup = (a[0], Wavefunction(a[0].indexer, a[0].data.copy()))
         with pytest.raises(ManyBodyError):
             subspace_overlap(dup, a)
+
+
+class TestDoubletOverlap:
+    """Two sector overlaps against the principal angles in the full space."""
+
+    @staticmethod
+    def _ground_pair(spec):
+        solved = sector_spectra([(spec, s) for s in SECTORS], 1, with_vectors=True)
+        return [r.vectors[0] for r in solved], {r.method for r in solved}
+
+    @pytest.mark.parametrize("spec, method", [
+        # g = 0: the odd ground level is degenerate
+        (ManyBodySpec.from_coupling(2, 1, 0.0), "dense"),
+        (ManyBodySpec.from_coupling(2, 1, 0.5), "dense"),
+        # one sector of 416 states, just above DENSE_LIMIT
+        (ManyBodySpec.from_coupling(3, 2, 1.0, cutoffs=(DENSE_LIMIT // 16, 3)), "lanczos"),
+    ])
+    def test_matches_subspace_overlap(self, spec, method):
+        pair, methods = self._ground_pair(spec)
+        assert methods == {method}
+        full = BasisIndexer(spec, "full")
+        want = subspace_overlap(tuple(Wavefunction(full, embedded(wf)) for wf in pair),
+                                (asymptotic_vacuum(spec, +1), asymptotic_vacuum(spec, -1)))
+        got = doublet_overlap(pair)
+        assert got.fidelity == pytest.approx(want.fidelity, abs=1e-12)
+        assert got.cosines == pytest.approx(want.cosines, abs=1e-12)
+        assert got.cosines[0] >= got.cosines[1]
+
+    def test_pair_of_one_spec_and_both_sectors(self):
+        spec = ManyBodySpec.from_coupling(2, 1, 0.5)
+        (even, odd), _ = self._ground_pair(spec)
+        (other, _), _ = self._ground_pair(spec.with_omega_atoms((1.1, 0.9)))
+        for pair in ((even, even), (odd, even), (other, odd)):
+            with pytest.raises(ManyBodyError):
+                doublet_overlap(pair)
 
 
 class TestPseudospinMinimizer:

@@ -7,18 +7,22 @@ from fluxchain.disorder import (
     DisorderEnsembleSpec,
     DisorderError,
     ensemble_splitting,
-    perturbation_diagonal,
     protection_check,
     sample_frequencies,
 )
 from fluxchain.asymptotics import analytic_splitting_general, asymptotic_vacuum
-from fluxchain.manybody import ManyBodySpec
+from fluxchain.manybody import ManyBodySpec, spin_diagonal
 
 from oracles import SZ, parity_diagonal, spin_op
 
 
 def base_spec(n=2, nm=1, g=1.0, **kw):
     return ManyBodySpec.from_coupling(n, nm, g, **kw)
+
+
+def perturbation_diagonal(spec, deltas):
+    """sum_j (Delta_j / 2) sz_j over the full basis, the identity on the modes."""
+    return np.tile(spin_diagonal(deltas), spec.dimension // spec.spin_dim)
 
 
 def make_ensemble(n=2, nm=1, g=1.0, amplitude=0.5, count=10, seed=7, **kw):

@@ -249,6 +249,7 @@ for argv in (
     ["fluxonium", "--e-j", "3", "--e-cj", "1", "--e-lj", "0.15",
      "--wavefunction-csv", "true"],
     ["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5", "--count", "3"],
+    ["overlap", "--n", "2", "--n-m", "1", "--g-grid", "[0, 0.5]"],
 ):
     assert fluxchain.cli.main(argv + ["--out-dir", sys.argv[1]]) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
@@ -263,4 +264,4 @@ def test_package_and_cli_load_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["derive", "fluxonium", "spectrum"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["derive", "fluxonium", "overlap", "spectrum"]
