@@ -29,8 +29,8 @@ def main():
         w.writerow(["g", "level", "energy", "energy_minus_ground", "fidelity"])
         for g in np.linspace(args.g_max / args.points, args.g_max, args.points):
             spec = ManyBodySpec.from_coupling(5, 3, float(g), safety=args.safety)
-            per_sector = -(-args.levels // 2) + 1
-            se, so = sector_spectra([(spec, s) for s in SECTORS], per_sector,
+            # either sector may hold all of the lowest levels
+            se, so = sector_spectra([(spec, s) for s in SECTORS], args.levels,
                                     with_vectors=True)
             energies = np.sort(np.concatenate([se.eigenvalues, so.eigenvalues]))
             energies = energies[: args.levels]

@@ -8,7 +8,7 @@ import os
 
 from fluxchain.asymptotics import beta_exponent
 from fluxchain.cli import fit_beta, write_json
-from fluxchain.manybody import ManyBodySpec, ground_splitting
+from fluxchain.manybody import ManyBodySpec, ground_splittings
 
 
 GRIDS = {
@@ -31,7 +31,7 @@ def main():
         records = []
         for g in grid:
             spec = ManyBodySpec.from_coupling(n, n, g, **kw)
-            rec = ground_splitting(spec, tol=1e-2)
+            rec = ground_splittings([spec], tol=1e-2)[0]
             records.append(rec)
             print(f"N={n} g={g}: delta/omega_F = {rec.delta_over_omega_atom:.4e} "
                   f"(converged={rec.converged}, dim={spec.dimension})")

@@ -34,7 +34,7 @@ from .manybody import (
     SplittingRecord,
     Wavefunction,
     choose_cutoffs,
-    ground_splitting,
+    ground_splittings,
     lowest_spectrum,
 )
 from .asymptotics import (

@@ -352,9 +352,9 @@ def _cmd_spectrum(cfg, chash):
 
 def _sweep_point(cfg, g):
     """One point of a sweep; module-level, so a pool worker can run it."""
-    return manybody.ground_splitting(
-        _spec_from_cfg(cfg, g), tol=cfg["tol"], refine=cfg["refine"]
-    )
+    return manybody.ground_splittings(
+        [_spec_from_cfg(cfg, g)], tol=cfg["tol"], refine=cfg["refine"]
+    )[0]
 
 
 def _cmd_splitting_sweep(cfg, chash):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import analytic_splitting_general, asymptotic_vacuum
-from .manybody import SECTORS, ManyBodySpec, sector_spectra, spin_diagonal
+from .manybody import ManyBodySpec, ground_splittings, spin_diagonal
 
 #: exact-engine ensembles refuse specs above this many basis states
 EXACT_ENGINE_BUDGET = 2_000_000
@@ -58,13 +58,12 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact") -> np.
     """Splitting of each realization, in realization order.
 
     Realization r has the atomic frequencies of row r of
-    ``sample_frequencies(spec)``.  engine='exact' solves both parity sectors
-    of every realization at the base cutoffs (bounded by
-    ``EXACT_ENGINE_BUDGET``), all as columns of ``sector_spectra``, whose
-    stacks leave each column's bits as a lone solve gives them; each delta
-    equals ``ground_splitting(..., refine=False).delta``.  engine='analytic'
-    evaluates the dominant-order closed form on every row at once; its
-    per-realization value is signed.
+    ``sample_frequencies(spec)``.  engine='exact' returns the deltas of
+    ``ground_splittings`` over every realization at the base cutoffs
+    (bounded by ``EXACT_ENGINE_BUDGET``) without refinement; its stacked
+    sector solves leave each realization's bits as a lone solve gives them.
+    engine='analytic' evaluates the dominant-order closed form on every row
+    at once; its per-realization value is signed.
     """
     if engine not in ("exact", "analytic"):
         raise DisorderError("engine must be 'exact' or 'analytic'")
@@ -78,9 +77,8 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact") -> np.
     if engine == "analytic":
         return analytic_splitting_general(base.n_atoms, base.n_modes, base.g, freqs,
                                           base.omega_modes[0])
-    solved = sector_spectra([(base.with_omega_atoms(w), s) for w in freqs for s in SECTORS])
-    energies = np.array([r.eigenvalues[0] for r in solved]).reshape(-1, len(SECTORS))
-    return np.abs(energies[:, 0] - energies[:, 1])
+    records = ground_splittings([base.with_omega_atoms(w) for w in freqs], refine=False)
+    return np.array([r.delta for r in records])
 
 
 def protection_check(n_atoms: int, n_modes: int, g: float, m: int,

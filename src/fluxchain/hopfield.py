@@ -88,14 +88,6 @@ def critical_coupling(omega_k: float, omega_F: float) -> float:
     return math.sqrt(omega_k * omega_F) / 2.0
 
 
-def _branch_squares(b: HopfieldBlock) -> tuple[float, float]:
-    # lambda^4 - (w^2 + wf^2) lambda^2 + w wf (w wf - 4 c^2) = 0
-    s = b.omega_k**2 + b.omega_F**2
-    p = b.omega_k * b.omega_F * (b.omega_k * b.omega_F - 4.0 * b.rabi**2)
-    disc = math.sqrt(max(s * s - 4.0 * p, 0.0))
-    return (s - disc) / 2.0, (s + disc) / 2.0
-
-
 def polariton_frequencies(b: HopfieldBlock) -> PolaritonResult:
     """Both branch frequencies from the biquadratic characteristic polynomial.
 
@@ -104,8 +96,11 @@ def polariton_frequencies(b: HopfieldBlock) -> PolaritonResult:
     negative, the block is flagged unstable and the imaginary magnitude is
     reported instead.
     """
-    lo2, hi2 = _branch_squares(b)
+    # lambda^4 - (w^2 + wf^2) lambda^2 + det = 0
     det = determinant(b)
+    s = b.omega_k**2 + b.omega_F**2
+    disc = math.sqrt(max(s * s - 4.0 * det, 0.0))
+    lo2, hi2 = (s - disc) / 2.0, (s + disc) / 2.0
     if lo2 >= 0.0:
         return PolaritonResult(
             lower=math.sqrt(lo2), upper=math.sqrt(hi2), stable=True,

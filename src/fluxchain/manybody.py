@@ -28,10 +28,10 @@ usable cores above it.  A full-space spectrum is the merge of the two
 sector spectra.  Public vectors stay in the documented complex basis and on
 their sector's indexer; ``BasisIndexer.indices`` places one in the full space.
 
-Ground-state splittings are always computed sector by sector; subtracting
-two nearly equal full-space eigenvalues cannot reach the 1e-12 level that
-the sector route resolves.  Splittings below ``NUMERICAL_FLOOR`` times the
-atomic frequency are flagged as floor-limited.
+Ground-state splittings (``ground_splittings``) are computed sector by
+sector; subtracting two nearly equal full-space eigenvalues cannot reach
+the 1e-12 level that the sector route resolves.  Splittings below
+``NUMERICAL_FLOOR`` times the atomic frequency are flagged as floor-limited.
 """
 
 from __future__ import annotations
@@ -309,12 +309,26 @@ class Wavefunction:
             raise ManyBodyError("non-finite amplitudes")
 
 
+def _stack_columns(columns) -> list:
+    """``columns`` as a list of (spec, sector) pairs of one chain shape."""
+    columns = list(columns)
+    if not columns:
+        raise ManyBodyError("need at least one (spec, sector) column")
+    if any(sec not in SECTORS for _, sec in columns):
+        raise ManyBodyError("sector must be 'even' or 'odd'")
+    spec = columns[0][0]
+    if any(s.with_omega_atoms(spec.omega_atoms) != spec for s, _ in columns):
+        raise ManyBodyError("the columns of a stack differ in atomic frequencies "
+                            "and sector only")
+    return columns
+
+
 class HamiltonianEngine:
     """The real operators of a stack of parity sectors, applied matrix-free.
 
-    A column of the stack is a spec and a sector; the columns of one engine
-    share N, N_m, g and the cutoffs, and may differ in sector and atomic
-    frequencies.  Sector states are indexed as (occupations, spin bits
+    A column of the stack is a (spec, sector) pair; the columns of one
+    engine share N, N_m, g and the cutoffs, and may differ in sector and
+    atomic frequencies.  Sector states are indexed as (occupations, spin bits
     2..N) in the order of ``BasisIndexer(spec, sector).indices``.  In the
     gauge |n> -> i^n |n> per mode, H restricted to a sector is
 
@@ -327,20 +341,11 @@ class HamiltonianEngine:
     basis; only ``diagonal`` has one row per column.
     """
 
-    def __init__(self, spec, sector):
-        """One column, or equal-length sequences of specs and sectors."""
-        if isinstance(sector, str):
-            spec, sector = [spec], [sector]
-        self.specs, self.sectors = list(spec), list(sector)
-        if not self.specs or len(self.specs) != len(self.sectors):
-            raise ManyBodyError("need one sector per spec")
-        if any(s not in SECTORS for s in self.sectors):
-            raise ManyBodyError("sector must be 'even' or 'odd'")
-        spec = self.spec = self.specs[0]
-        if any(s.with_omega_atoms(spec.omega_atoms) != spec for s in self.specs):
-            raise ManyBodyError("the columns of a stack differ in atomic frequencies "
-                                "and sector only")
-        self.indexers = [BasisIndexer(s, sec) for s, sec in zip(self.specs, self.sectors)]
+    def __init__(self, columns):
+        """The stack of (spec, sector) ``columns``, in order."""
+        self.columns = _stack_columns(columns)
+        spec = self.spec = self.columns[0][0]
+        self.indexers = [BasisIndexer(s, sec) for s, sec in self.columns]
         self.dimension = self.indexers[0].dimension
         n, half = spec.n_atoms, spec.spin_dim // 2
         self._shape = tuple(reversed(spec.mode_dims)) + (half,)
@@ -352,7 +357,7 @@ class HamiltonianEngine:
         occ = np.arange(self.dimension) // half
         self.diagonal = np.stack([
             spin_diagonal(s.omega_atoms)[idx.indices & (spec.spin_dim - 1)] + mode_e[occ]
-            for s, idx in zip(self.specs, self.indexers)])
+            for (s, _), idx in zip(self.columns, self.indexers)])
         self.phase = np.array([1, 1j, -1, -1j])[_photon_totals(spec)[occ] % 4]
 
         self.couplings = spec.couplings
@@ -390,7 +395,7 @@ class HamiltonianEngine:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H x for a stack (b, D), row i by column i."""
-        want = (len(self.specs), self.dimension)
+        want = (len(self.columns), self.dimension)
         if x.shape != want:
             raise ManyBodyError(f"input shape {x.shape} is not the {want} stack")
         return self._apply(np.ascontiguousarray(x), self.diagonal)
@@ -399,7 +404,7 @@ class HamiltonianEngine:
         """The real sector matrices of the stack, (b, D, D): the coupling
         block, the same for every column, plus each column's diagonal."""
         dim = self.dimension
-        h = np.repeat(self._apply(np.eye(dim), np.zeros(dim))[None], len(self.specs), axis=0)
+        h = np.repeat(self._apply(np.eye(dim), np.zeros(dim))[None], len(self.columns), axis=0)
         h[:, range(dim), range(dim)] = self.diagonal
         return h
 
@@ -427,8 +432,8 @@ def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int = 0) -
     """``start``, a vector of the chain and sector of ``op``'s column
     ``column`` at cutoffs no larger than ``op``'s, zero-padded onto that
     sector in its real gauge."""
-    idx, spec = start.indexer, op.specs[column]
-    if (idx.sector != op.sectors[column]
+    idx, (spec, sector) = start.indexer, op.columns[column]
+    if (idx.sector != sector
             or idx.spec.with_cutoffs(spec.cutoffs) != spec
             or any(a > b for a, b in zip(idx.spec.cutoffs, spec.cutoffs))):
         raise ManyBodyError("start must be a vector of the same chain and sector "
@@ -458,7 +463,7 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     vector of a smaller solve), zero-padded to the column's cutoffs; the
     dense route ignores them.
     """
-    columns = list(columns)
+    columns = _stack_columns(columns)
     if m < 1:
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
@@ -477,7 +482,7 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
 
 def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult]:
     """The results of one stack of ``sector_spectra``."""
-    op = HamiltonianEngine([s for s, _ in columns], [sec for _, sec in columns])
+    op = HamiltonianEngine(columns)
     dim = op.dimension
     start = None
     if starts is not None:
@@ -500,7 +505,7 @@ def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult
         if with_vectors:
             wfs = [Wavefunction(idx, op.phase * vecs[i, :, j]) for j in range(m)]
         out.append(SpectrumResult(vals[i], residuals[i], int(iterations[i]),
-                                  op.sectors[i], method, wfs))
+                                  op.columns[i][1], method, wfs))
     return out
 
 
@@ -554,39 +559,39 @@ def _refined_cutoffs(cutoffs) -> tuple[int, ...]:
     return tuple(c + max(2, math.ceil(0.25 * c)) for c in cutoffs)
 
 
-def ground_splitting(spec: ManyBodySpec, tol: float = 1e-3,
-                     refine: bool = True) -> SplittingRecord:
-    """|E0(even) - E0(odd)| with a cutoff-refinement convergence flag.
+def ground_splittings(specs, tol: float = 1e-3,
+                      refine: bool = True) -> list[SplittingRecord]:
+    """|E0(even) - E0(odd)| of each spec, in order, with a convergence flag.
 
-    ``tol`` is the relative change of delta under one cutoff refinement that
-    still counts as converged, and two splittings below the floor always do;
-    refinement is skipped (and the record marked unconverged) when
-    ``refine`` is false.  Each pair of sector solves is one stack of
-    ``sector_spectra``; the refined solves start from the base ground
-    vectors, zero-padded to the larger cutoffs.
+    The specs differ in atomic frequencies only.  Their sectors, spec by
+    spec and even before odd, are one ``sector_spectra`` call; ``refine``
+    solves them again at larger cutoffs, from the padded ground vectors.
+    A record is converged when refinement changes delta by at most ``tol``
+    relative, or leaves both splittings below the floor; never unrefined.
     """
-    base = sector_spectra([(spec, s) for s in SECTORS], 1, with_vectors=refine)
-    e_even, e_odd = (float(r.eigenvalues[0]) for r in base)
-    delta = abs(e_even - e_odd)
-    omega_ref = float(np.mean(np.abs(spec.omega_atoms))) or 1.0
-
-    converged = False
+    columns = [(s, sec) for s in specs for sec in SECTORS]
+    base = sector_spectra(columns, 1, with_vectors=refine)
+    e = [float(r.eigenvalues[0]) for r in base]
+    d2s = [None] * len(e)
     if refine:
-        bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
-        refined = sector_spectra([(bumped, s) for s in SECTORS], 1,
-                                 starts=[r.vectors[0] for r in base])
-        e2_even, e2_odd = (float(r.eigenvalues[0]) for r in refined)
-        d2 = abs(e2_even - e2_odd)
-        larger = max(delta, d2)
-        converged = (larger < NUMERICAL_FLOOR * omega_ref
-                     or abs(delta - d2) <= tol * larger)
-
-    return SplittingRecord(
-        n_atoms=spec.n_atoms, n_modes=spec.n_modes, g=spec.g,
-        cutoffs=spec.cutoffs, e_even=e_even, e_odd=e_odd, delta=delta,
-        delta_over_omega_atom=delta / omega_ref,
-        converged=converged, below_floor=delta < NUMERICAL_FLOOR * omega_ref,
-    )
+        bumped = [(s.with_cutoffs(_refined_cutoffs(s.cutoffs)), sec) for s, sec in columns]
+        e2 = [float(r.eigenvalues[0])
+              for r in sector_spectra(bumped, 1, starts=[r.vectors[0] for r in base])]
+        d2s = [abs(a - b) for a, b in zip(e2[::2], e2[1::2])]
+    records = []
+    for (spec, _), e_even, e_odd, d2 in zip(columns[::2], e[::2], e[1::2], d2s):
+        delta = abs(e_even - e_odd)
+        omega_ref = float(np.mean(np.abs(spec.omega_atoms))) or 1.0
+        floor = NUMERICAL_FLOOR * omega_ref
+        converged = False
+        if refine:
+            larger = max(delta, d2)
+            converged = larger < floor or abs(delta - d2) <= tol * larger
+        records.append(SplittingRecord(
+            n_atoms=spec.n_atoms, n_modes=spec.n_modes, g=spec.g, cutoffs=spec.cutoffs,
+            e_even=e_even, e_odd=e_odd, delta=delta, delta_over_omega_atom=delta / omega_ref,
+            converged=converged, below_floor=delta < floor))
+    return records
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:

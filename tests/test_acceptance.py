@@ -23,7 +23,7 @@ from fluxchain.manybody import (
     SECTORS,
     HamiltonianEngine,
     ManyBodySpec,
-    ground_splitting,
+    ground_splittings,
     sector_spectra,
 )
 from fluxchain.cli import fit_beta, run as cli_run
@@ -134,7 +134,7 @@ def test_criterion_04_dense_oracle_equivalence():
         assert np.max(np.abs(union - full_vals)) < 1e-9
 
         for sector in ("even", "odd"):
-            op = HamiltonianEngine(spec, sector)
+            op = HamiltonianEngine([(spec, sector)])
             it = lowest_eigenpairs(op.matvec, op.dimension, 3, tol=1e-12,
                                    scale=op.norm_bound())
             sel = np.flatnonzero(signs == (1 if sector == "even" else -1))
@@ -151,7 +151,7 @@ def test_criterion_05_two_atom_splitting_vs_closed_form():
     t0 = time.time()
     ratios = {}
     for g in (0.8, 1.0, 1.2, 1.5):
-        rec = ground_splitting(ManyBodySpec.from_coupling(2, 1, g), tol=1e-3)
+        rec = ground_splittings([ManyBodySpec.from_coupling(2, 1, g)], tol=1e-3)[0]
         assert rec.converged
         ratios[g] = rec.delta / fx.analytic_splitting_n2(1.0, 1.0, g)
     elapsed = time.time() - t0
@@ -170,14 +170,14 @@ def test_criterion_06_beta_scaling():
     t0 = time.time()
     assert fx.beta_exponent(2, 2) == pytest.approx(8.0, abs=1e-12)
 
-    recs2 = [ground_splitting(ManyBodySpec.from_coupling(2, 2, g, even_floor=8),
-                              tol=1e-2)
+    recs2 = [ground_splittings([ManyBodySpec.from_coupling(2, 2, g, even_floor=8)],
+                               tol=1e-2)[0]
              for g in (1.0, 1.2, 1.4, 1.6, 1.8)]
     fit2 = fit_beta(recs2)
     assert 1.6 * 4 < fit2.beta < 2.1 * 4
 
-    recs3 = [ground_splitting(ManyBodySpec.from_coupling(3, 3, g, even_floor=12),
-                              tol=1e-2)
+    recs3 = [ground_splittings([ManyBodySpec.from_coupling(3, 3, g, even_floor=12)],
+                               tol=1e-2)[0]
              for g in (0.9, 1.0, 1.1, 1.2, 1.3)]
     fit3 = fit_beta(recs3)
     assert 1.6 * 9 < fit3.beta < 2.1 * 9
@@ -269,7 +269,7 @@ def test_criterion_10_disorder_statistics():
     clean, noisy = [], []
     for g in gs:
         spec = ManyBodySpec.from_coupling(2, 1, g)
-        clean.append(ground_splitting(spec, refine=False).delta)
+        clean.append(ground_splittings([spec], refine=False)[0].delta)
         noisy.append(np.mean(ensemble_splitting(
             DisorderEnsembleSpec(base=spec, amplitude=0.5, count=100, seed=77),
             engine="exact",

@@ -22,17 +22,18 @@ from fluxchain.cli import (
     resolve_config,
     run,
 )
-from fluxchain import disorder, manybody
+from fluxchain import manybody
 from fluxchain.krylov import EigenConvergenceError
 from fluxchain.manybody import SplittingRecord
 
 
-def unconverged_at_one(spec, **kwargs):
-    """A stand-in for ground_splitting whose g = 1 point does not converge;
+def unconverged_at_one(specs, **kwargs):
+    """A stand-in for ground_splittings whose g = 1 point does not converge;
     module-level, so a pool worker runs it too."""
-    if spec.g == 1.0:
+    gs = [spec.g for spec in specs]
+    if 1.0 in gs:
         raise EigenConvergenceError("no convergence at g=1.0", np.zeros(1), np.ones(1))
-    return synthetic_records(gs=(spec.g,))[0]
+    return synthetic_records(gs=gs)
 
 
 def synthetic_records(beta=8.0, gs=(0.8, 1.0, 1.2, 1.5), n=2, floor_g=None):
@@ -214,7 +215,7 @@ class TestRun:
                           "delta", "delta_over_omegaF", "converged"]
 
     def test_sweep_worker_error_is_reported(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(manybody, "ground_splitting", unconverged_at_one)
+        monkeypatch.setattr(manybody, "ground_splittings", unconverged_at_one)
         lines = []
         for jobs in ("1", "2"):
             code = main(["splitting-sweep", "--n", "2", "--n-m", "1",
@@ -242,30 +243,28 @@ class TestRun:
                 "even_floor": 6, "seed": 17}
         base = manybody.ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6)
         assert base.dimension // 2 > manybody.DENSE_LIMIT
-        # every sector column handed to the stacked solve, from disorder or
-        # from within manybody (where a refinement would come from)
-        columns = []
+        # every sector column handed to the stacked solve; disorder reaches
+        # it only through manybody.ground_splittings
+        calls = []
         solve = manybody.sector_spectra
 
         def counted(cols, *a, **kw):
-            cols = list(cols)
-            columns.extend(cols)
+            calls.append(len(cols))
             return solve(cols, *a, **kw)
 
         monkeypatch.setattr(manybody, "sector_spectra", counted)
-        monkeypatch.setattr(disorder, "sector_spectra", counted)
-        run("disorder", None, dict(args, jobs=1, out_dir=str(tmp_path / "1")))
-        assert len(columns) == 2 * args["count"]  # one per sector, no refinement
-        run("disorder", None, dict(args, jobs=2, out_dir=str(tmp_path / "2")))
-        for name in ("disorder.csv", "disorder_summary.json"):
-            assert ((tmp_path / "1" / "disorder" / name).read_bytes()
-                    == (tmp_path / "2" / "disorder" / name).read_bytes())
-        rows = read_csv_rows(str(tmp_path / "1" / "disorder" / "disorder.csv"))
+        run("disorder", None, dict(args, out_dir=str(tmp_path)))
+        # all realizations in one call, one column per sector, no refinement
+        assert calls == [2 * args["count"]]
+        monkeypatch.undo()
+        rows = read_csv_rows(str(tmp_path / "disorder" / "disorder.csv"))
         assert len(rows) == args["count"]
+        # each delta is the bytes of its two sectors solved alone
         for row in rows:
-            omega = (float(row["omega_F_1"]), float(row["omega_F_2"]))
-            want = manybody.ground_splitting(base.with_omega_atoms(omega), refine=False)
-            assert row["delta"] == repr(want.delta)
+            spec = base.with_omega_atoms((float(row["omega_F_1"]), float(row["omega_F_2"])))
+            even, odd = (manybody.lowest_spectrum(spec, s).eigenvalues[0]
+                         for s in manybody.SECTORS)
+            assert row["delta"] == repr(abs(float(even) - float(odd)))
 
     def test_fit_beta_end_to_end(self, tmp_path):
         run("splitting-sweep", None,

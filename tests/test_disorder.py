@@ -59,11 +59,11 @@ class TestSampling:
 
 class TestEnsembleSplitting:
     def test_zero_amplitude_reproduces_clean_case(self):
-        from fluxchain.manybody import ground_splitting
+        from fluxchain.manybody import ground_splittings
 
         deltas = ensemble_splitting(make_ensemble(amplitude=0.0, count=4),
                                     engine="exact")
-        clean = ground_splitting(base_spec(), refine=False)
+        clean = ground_splittings([base_spec()], refine=False)[0]
         assert np.std(deltas) == pytest.approx(0.0, abs=1e-14)
         assert np.mean(deltas) == pytest.approx(clean.delta, rel=1e-10)
 

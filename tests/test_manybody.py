@@ -26,7 +26,7 @@ from fluxchain.manybody import (
     _refined_cutoffs,
     choose_cutoffs,
     collective_rabi_ratios,
-    ground_splitting,
+    ground_splittings,
     lowest_spectrum,
     parallel_map,
     sector_spectra,
@@ -43,7 +43,7 @@ def small_spec(n=2, nm=2, g=1.0, cutoffs=(3, 2), **kw):
 
 def sector_lanczos(spec, sector, k, **kw):
     """The Lanczos solve that ``lowest_spectrum`` runs above DENSE_LIMIT."""
-    op = HamiltonianEngine(spec, sector)
+    op = HamiltonianEngine([(spec, sector)])
     return lowest_eigenpairs(op.matvec, op.dimension, k,
                              scale=op.norm_bound(), **kw)
 
@@ -56,13 +56,13 @@ def above_dense_limit_spec(g=1.0, **kw):
 
 def dense_block(spec, sector):
     """One parity block of H as a dense matrix in the documented complex basis."""
-    op = HamiltonianEngine(spec, sector)
+    op = HamiltonianEngine([(spec, sector)])
     return op.phase[:, None] * op.dense()[0] * op.phase.conj()
 
 
 def apply_h(spec, wf):
     """H on a sector wavefunction in the documented complex basis."""
-    op = HamiltonianEngine(spec, wf.indexer.sector)
+    op = HamiltonianEngine([(spec, wf.indexer.sector)])
     return op.phase * op.matvec((op.phase.conj() * wf.data)[None])[0]
 
 
@@ -213,10 +213,10 @@ class TestApplyHamiltonian:
                          rand_wf(BasisIndexer(other, "even"), 0).data)
         # the operator acts on parity sectors only, never the whole space
         with pytest.raises(ManyBodyError):
-            HamiltonianEngine(spec, "full")
+            HamiltonianEngine([(spec, "full")])
 
     def test_matvec_rejects_wrong_leading_length(self):
-        op = HamiltonianEngine(small_spec(), "even")
+        op = HamiltonianEngine([(small_spec(), "even")])
         dim = op.dimension
         assert dim == 24
         # a multiple of the sector dimension must not pass as a stack, nor
@@ -386,7 +386,7 @@ class TestLowestSpectrum:
         gaps = []
         for g in (0.4, 0.6, 0.8):
             spec = ManyBodySpec.from_coupling(5, 3, g, safety=2.5)
-            rec = ground_splitting(spec, refine=False)
+            rec = ground_splittings([spec], refine=False)[0]
             gaps.append(rec.delta)
         assert gaps[0] > gaps[1] > gaps[2]
         # bounded below and finite through the crossover
@@ -398,14 +398,14 @@ class TestLowestSpectrum:
 class TestGroundSplitting:
     def test_decoupled_limit_equals_atomic_frequency(self):
         spec = small_spec(2, 2, 0.0, (2, 2), omega_atoms=(0.8, 0.8))
-        rec = ground_splitting(spec, refine=False)
+        rec = ground_splittings([spec], refine=False)[0]
         assert rec.delta == pytest.approx(0.8, abs=1e-12)
 
     def test_two_atom_splitting_single_mode(self):
         # converged value sits above the asymptotic closed form at g = 1;
         # the exact ratio is a frozen regression value from the dense oracle
         spec = ManyBodySpec.from_coupling(2, 1, 1.0)
-        rec = ground_splitting(spec, tol=1e-3)
+        rec = ground_splittings([spec], tol=1e-3)[0]
         assert rec.converged is True  # a plain bool, as the JSON writers need
         assert rec.delta == pytest.approx(2.820630e-04, rel=1e-5)
         ratio = rec.delta / analytic_splitting_n2(1.0, 1.0, 1.0)
@@ -415,12 +415,12 @@ class TestGroundSplitting:
         # with the zone-boundary mode included the splitting grows by ~2.1x;
         # value frozen from converged dense runs at even cutoffs 8 and 12
         spec = ManyBodySpec.from_coupling(2, 2, 1.0, even_floor=8)
-        rec = ground_splitting(spec, tol=1e-2)
+        rec = ground_splittings([spec], tol=1e-2)[0]
         assert rec.converged
         assert rec.delta == pytest.approx(5.8861e-04, rel=1e-3)
 
     def test_log_linear_decay_in_g_squared(self):
-        recs = [ground_splitting(ManyBodySpec.from_coupling(2, 1, g), refine=False)
+        recs = [ground_splittings([ManyBodySpec.from_coupling(2, 1, g)], refine=False)[0]
                 for g in (0.9, 1.1, 1.3)]
         x = np.array([r.g**2 for r in recs])
         y = np.log([r.delta for r in recs])
@@ -428,9 +428,30 @@ class TestGroundSplitting:
         assert np.all(slopes < -7.0)
         assert abs(slopes[1] - slopes[0]) < 0.6
 
+    def test_stacked_specs_give_their_lone_records(self, monkeypatch):
+        # three realizations of the bench ensemble, refined: one call of six
+        # 462-state Lanczos columns and one of their six refined sectors,
+        # each record the bytes of its spec's lone splitting
+        base = ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6)
+        specs = [base.with_omega_atoms(w) for w in ((0.8, 1.1), (1.0, 1.0), (1.3, 0.9))]
+        widths = []
+        solve = manybody.sector_spectra
+
+        def counted(columns, *a, **kw):
+            widths.append(len(columns))
+            return solve(columns, *a, **kw)
+
+        monkeypatch.setattr(manybody, "sector_spectra", counted)
+        stacked = ground_splittings(specs)
+        assert widths == [6, 6]
+        monkeypatch.undo()
+        for spec, rec in zip(specs, stacked):
+            assert rec == ground_splittings([spec])[0]
+            assert rec.converged
+
     def test_record_fields(self):
         spec = ManyBodySpec.from_coupling(2, 1, 0.9)
-        rec = ground_splitting(spec, refine=False)
+        rec = ground_splittings([spec], refine=False)[0]
         assert rec.n_atoms == 2 and rec.n_modes == 1
         assert rec.delta == abs(rec.e_even - rec.e_odd)
         assert rec.delta_over_omega_atom == pytest.approx(rec.delta)
@@ -442,13 +463,13 @@ class TestGroundSplitting:
         # two differ by far more than tol relative to each other
         spec = ManyBodySpec.from_coupling(2, 1, 2.6)
         assert spec.cutoffs == (64,)
-        rec = ground_splitting(spec)
+        rec = ground_splittings([spec])[0]
         assert rec.below_floor and rec.converged
         # from (52,) to its refinement (65,) delta falls from 4.9e-11 to below
         # the floor: only one of the two is at the floor, so not converged
         coarse = spec.with_cutoffs(choose_cutoffs(2, 1, 2.6, safety=3.0))
         assert coarse.cutoffs == (52,)
-        rec = ground_splitting(coarse)
+        rec = ground_splittings([coarse])[0]
         assert not rec.below_floor and not rec.converged
 
     def test_seed_scatter_of_delta(self, monkeypatch):
@@ -459,7 +480,7 @@ class TestGroundSplitting:
         deltas = []
         for seed in (1, 2, 3):
             monkeypatch.setattr(krylov, "SEED", seed)
-            deltas.append(ground_splitting(spec, refine=False).delta)
+            deltas.append(ground_splittings([spec], refine=False)[0].delta)
         assert np.ptp(deltas) < 2e-3 * np.mean(deltas)
 
 
@@ -471,7 +492,7 @@ def _padded_by_full_index(base: Wavefunction, bumped: ManyBodySpec) -> np.ndarra
                            tuple(reversed(old.spec.mode_dims)))
     full = (np.ravel_multi_index(occ, tuple(reversed(spec.mode_dims))) * spec.spin_dim
             + (old.indices & (spec.spin_dim - 1)))
-    op = HamiltonianEngine(spec, old.sector)
+    op = HamiltonianEngine([(spec, old.sector)])
     x = np.zeros(op.dimension, dtype=complex)
     x[np.searchsorted(op.indexers[0].indices, full)] = base.data
     return (x * op.phase.conj()).real
@@ -487,7 +508,7 @@ class TestWarmStart:
         bumped = self.SPEC.with_cutoffs(_refined_cutoffs(self.SPEC.cutoffs))
         base = lowest_spectrum(self.SPEC, sector, 1, with_vectors=True)
         e0, vec = base.eigenvalues[0], base.vectors[0]
-        op = HamiltonianEngine(bumped, sector)
+        op = HamiltonianEngine([(bumped, sector)])
         x = _padded_by_full_index(vec, bumped)
         np.testing.assert_array_equal(_padded_start(op, vec), x)
         # couplings of the padded vector stay inside its own support, so its
@@ -519,8 +540,8 @@ class TestConvergenceScan:
     def test_default_style_schedule_converges(self):
         # the last two steps of the safety 2, 3, 4 schedule agree to 1e-3
         spec = ManyBodySpec.from_coupling(2, 1, 1.0)
-        a, b = (ground_splitting(spec.with_cutoffs(choose_cutoffs(2, 1, 1.0, safety=s)),
-                                 refine=False).delta for s in (3.0, 4.0))
+        a, b = (ground_splittings([spec.with_cutoffs(choose_cutoffs(2, 1, 1.0, safety=s))],
+                                  refine=False)[0].delta for s in (3.0, 4.0))
         assert abs(a - b) <= 1e-3 * max(a, b)
 
     def test_sector_energies_variational_in_cutoffs(self):
@@ -673,19 +694,33 @@ class TestStackedSolves:
         columns = [(spec.with_omega_atoms(w), s)
                    for w, s in (((0.8, 1.15, 0.95), "even"), ((1.0, 1.0, 1.0), "odd"),
                                 ((1.3, 0.7, 1.1), "odd"))]
-        stack = HamiltonianEngine([c for c, _ in columns], [s for _, s in columns])
+        stack = HamiltonianEngine(columns)
         x = np.random.default_rng(4).standard_normal((3, stack.dimension))
         hx = stack.matvec(x)
         dense = stack.dense()
         for i, (c, s) in enumerate(columns):
-            lone = HamiltonianEngine(c, s)
+            lone = HamiltonianEngine([(c, s)])
             assert hx[i].tobytes() == lone.matvec(x[i][None])[0].tobytes()
             assert dense[i].tobytes() == lone.dense()[0].tobytes()
             assert stack.norm_bound()[i] == lone.norm_bound()[0]
         with pytest.raises(ManyBodyError):
             stack.matvec(x[0])
         with pytest.raises(ManyBodyError):
-            HamiltonianEngine([spec, spec.with_cutoffs((5, 4))], ["even", "even"])
+            HamiltonianEngine([(spec, "even"), (spec.with_cutoffs((5, 4)), "even")])
+
+    def test_empty_column_list_rejected(self):
+        for call in (HamiltonianEngine, sector_spectra, ground_splittings):
+            with pytest.raises(ManyBodyError, match="at least one"):
+                call([])
+
+    def test_two_shapes_rejected_across_stacks(self, monkeypatch):
+        # one column per stack: each stack alone is of one shape, the call is not
+        monkeypatch.setattr(manybody, "STACK_BYTES", 1)
+        spec = small_spec()
+        with pytest.raises(ManyBodyError):
+            sector_spectra([(spec, "even"), (small_spec(g=1.1), "even")])
+        with pytest.raises(ManyBodyError):
+            ground_splittings([spec, spec.with_cutoffs((4, 2))])
 
     def test_stacked_operators_match_lone_solves(self):
         # a lockstep stack of two plain matrices of norms 40x apart, each
@@ -756,7 +791,7 @@ class TestStackedSolves:
             return solved[-1]
 
         monkeypatch.setattr(manybody, "sector_spectra", recorded)
-        ground_splitting(spec)
+        ground_splittings([spec])
         base, refined = solved
         for s, b, r in zip(SECTORS, base, refined):
             lone = sector_spectra([(bumped, s)], 1, starts=[b.vectors[0]])[0]
@@ -878,13 +913,13 @@ def test_solves_run_uncapped_with_another_blas(monkeypatch):
     lib = krylov._openblas()
     dense, lanczos = small_spec(), above_dense_limit_spec()
     flux = FluxoniumSpec(E_J=3.0, E_CJ=1.0, E_LJ=0.15)
-    points = [small_spec(g=g) for g in (0.8, 1.2)]
+    points = [[small_spec(g=g)] for g in (0.8, 1.2)]
 
     def results():
         return (lowest_spectrum(dense, "even", 3).eigenvalues,
                 lowest_spectrum(lanczos, "even", 2).eigenvalues,
                 solve_levels(flux).energies,
-                [r.delta for r in parallel_map(ground_splitting, points, jobs=2)])
+                [recs[0].delta for recs in parallel_map(ground_splittings, points, jobs=2)])
 
     capped = results()
     monkeypatch.setattr(krylov, "glob", SimpleNamespace(glob=lambda pattern: []))
