@@ -374,7 +374,7 @@ def _cmd_overlap(cfg, chash):
     rows = []
     for g in sorted(cfg["g_grid"]):
         spec = _spec_from_cfg(cfg, g)
-        se, so = manybody.sector_spectra([(spec, s) for s in manybody.SECTORS], 1,
+        se, so = manybody.sector_spectra(manybody.ground_columns(spec), 1,
                                          tol=cfg["tol"], with_vectors=True)
         ov = asymptotics.doublet_overlap((se.vectors[0], so.vectors[0]))
         amps = asymptotics.coherent_amplitudes(cfg["N"], cfg["N_m"], g)

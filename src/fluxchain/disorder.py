@@ -9,6 +9,7 @@ the analytic estimator applies its product formula verbatim (signed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,9 @@ class DisorderEnsembleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise DisorderError("amplitude must be non-negative")
+        if not 0 <= self.amplitude < math.inf:
+            raise DisorderError(f"amplitude must be finite and non-negative, "
+                                f"got {self.amplitude}")
         if self.count < 1:
             raise DisorderError("count must be at least 1")
 

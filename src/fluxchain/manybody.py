@@ -32,6 +32,21 @@ Ground-state splittings (``ground_splittings``) are computed sector by
 sector; subtracting two nearly equal full-space eigenvalues cannot reach
 the 1e-12 level that the sector route resolves.  Splittings below
 ``NUMERICAL_FLOOR`` times the atomic frequency are flagged as floor-limited.
+
+A clean chain (all atomic frequencies equal) also commutes with the mirror
+R: atom j -> N+1-j, times (-1)^n_k on each mode odd under it (even k < N,
+and k = N at even N).  Both sector ground states are R-even, so a clean
+chain's ground pair (``ground_columns``: ``ground_splittings``, the CLI's
+``overlap`` and the doublet fidelity) is solved in the R = +1 half of each
+sector, the column labels ('even', +1) and ('odd', +1).  That premise is
+tested against the Kronecker oracle for N = 2..4, every N_m and
+g = 0..1, and the folded ground energies against the whole sectors to
+1e-12.  A half holds 50-56% of its sector when a mode is odd under R, and
+62-76% when none is (N_m = 1).  At odd N the two halves have one dimension;
+at even N they differ (N=2 at cutoff 32: 50 and 49 of 66 states; N=4,
+N_m=2 at g=0.7: 740 and 730 of 1,400), and each is then its own stack.
+Excited levels are not folded: disorder ensembles, ``lowest_spectrum`` and
+every spectrum keep whole parity sectors, which hold the R = -1 levels too.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -309,13 +325,27 @@ class Wavefunction:
             raise ManyBodyError("non-finite amplitudes")
 
 
+def _parity(sector) -> str:
+    """The parity sector of a column label, 'even' or 'odd'."""
+    return sector if isinstance(sector, str) else sector[0]
+
+
 def _stack_columns(columns) -> list:
-    """``columns`` as a list of (spec, sector) pairs of one chain shape."""
+    """``columns`` as a list of (spec, sector) pairs of one chain shape; a
+    sector is 'even', 'odd', or the mirror-even half ('even', +1) or
+    ('odd', +1) of a parity sector, for equal atomic frequencies only."""
     columns = list(columns)
     if not columns:
         raise ManyBodyError("need at least one (spec, sector) column")
-    if any(sec not in SECTORS for _, sec in columns):
-        raise ManyBodyError("sector must be 'even' or 'odd'")
+    for s, sec in columns:
+        if sec in SECTORS:
+            continue
+        if not (isinstance(sec, tuple) and len(sec) == 2 and sec[0] in SECTORS
+                and sec[1] == 1):
+            raise ManyBodyError("sector must be 'even', 'odd', ('even', +1) or ('odd', +1)")
+        if len(set(s.omega_atoms)) > 1:
+            raise ManyBodyError(f"the mirror-even column {sec} needs equal atomic "
+                                f"frequencies, got {s.omega_atoms}")
     spec = columns[0][0]
     if any(s.with_omega_atoms(spec.omega_atoms) != spec for s, _ in columns):
         raise ManyBodyError("the columns of a stack differ in atomic frequencies "
@@ -323,14 +353,53 @@ def _stack_columns(columns) -> list:
     return columns
 
 
+def _mirror_fold(spec: ManyBodySpec, sector):
+    """The index map of a column onto its sector's coordinates (keep, back,
+    spread, gain); the identity for a parity sector.
+
+    For a mirror-even label, R maps atom j to atom N+1-j and multiplies by
+    (-1)^n_k on each mode whose weights are odd under that map (even k < N,
+    and k = N at even N).  It keeps every occupation and the parity, so in
+    sector coordinates (R v)[i] = sign[i] v[perm[i]], with ``perm`` the bit
+    reversal of the spin pattern.  The R = +1 half keeps one representative
+    per pair i < perm[i], u = (e_i + sign[i] e_perm[i]) / sqrt(2), and each
+    fixed point of sign +1.  A folded x unfolds to ``x[back] * spread``, and
+    an R-even sector vector y folds to its coordinates ``y[keep] * gain``.
+    """
+    dim = spec.dimension // 2
+    if isinstance(sector, str):
+        every = np.arange(dim)
+        return every, every, np.ones(dim), np.ones(dim)
+    n = spec.n_atoms
+    idx = _sector_indices(spec, sector[0])
+    spins = idx & (spec.spin_dim - 1)
+    mirrored = np.zeros_like(spins)
+    for j in range(n):
+        mirrored |= ((spins >> j) & 1) << (n - 1 - j)
+    perm = (idx >> n) * (spec.spin_dim // 2) + (mirrored >> 1)
+    odd = [k < n and k % 2 == 0 or k == n and n % 2 == 0 for k in range(1, spec.n_modes + 1)]
+    flips = _mode_table([o * np.arange(d) for o, d in zip(odd, spec.mode_dims)])
+    sign = 1.0 - 2.0 * (flips[idx >> n] % 2)
+    every = np.arange(dim)
+    keep = np.flatnonzero((perm > every) | ((perm == every) & (sign > 0)))
+    pairs = perm[keep] != keep
+    back = np.zeros(dim, dtype=np.intp)
+    back[keep] = back[perm[keep]] = np.arange(keep.size)
+    spread = np.zeros(dim)
+    spread[keep] = np.where(pairs, math.sqrt(0.5), 1.0)
+    spread[perm[keep][pairs]] = sign[keep][pairs] * math.sqrt(0.5)
+    return keep, back, spread, np.where(pairs, math.sqrt(2.0), 1.0)
+
+
 class HamiltonianEngine:
     """The real operators of a stack of parity sectors, applied matrix-free.
 
     A column of the stack is a (spec, sector) pair; the columns of one
-    engine share N, N_m, g and the cutoffs, and may differ in sector and
-    atomic frequencies.  Sector states are indexed as (occupations, spin bits
-    2..N) in the order of ``BasisIndexer(spec, sector).indices``.  In the
-    gauge |n> -> i^n |n> per mode, H restricted to a sector is
+    engine share N, N_m, g, the cutoffs and their dimension, and may differ
+    in sector and atomic frequencies.  Sector states are indexed as
+    (occupations, spin bits 2..N) in the order of
+    ``BasisIndexer(spec, sector).indices``.  In the gauge |n> -> i^n |n> per
+    mode, H restricted to a sector is
 
         diag - sum_m (a_m + a_m^dag) (x) X_m,    X_m = sum_j c_mj sx_j,
 
@@ -339,22 +408,42 @@ class HamiltonianEngine:
     sectors.  So are the sqrt(n) factors and ``phase`` (i^photons per state),
     which maps sector vectors of this operator to the documented complex
     basis; only ``diagonal`` has one row per column.
+
+    A mirror-even column, ('even', +1) or ('odd', +1), solves the R = +1
+    half of its sector (``_mirror_fold``): its vectors hold the coordinates
+    of that half, ``dimension`` counts them, and ``matvec`` is
+    ``fold(H unfold(x))``, one flat gather on each side of the sector
+    product, since H keeps R-even vectors R-even.
     """
 
     def __init__(self, columns):
         """The stack of (spec, sector) ``columns``, in order."""
         self.columns = _stack_columns(columns)
         spec = self.spec = self.columns[0][0]
-        self.indexers = [BasisIndexer(s, sec) for s, sec in self.columns]
-        self.dimension = self.indexers[0].dimension
+        self.indexers = [BasisIndexer(s, _parity(sec)) for s, sec in self.columns]
+        maps = {sec: _mirror_fold(spec, sec) for _, sec in self.columns}
+        sizes = {keep.size for keep, *_ in maps.values()}
+        if len(sizes) > 1:
+            raise ManyBodyError("the columns of a stack differ in dimension")
+        self.dimension = sizes.pop()
+        sector_dim = spec.dimension // 2
         n, half = spec.n_atoms, spec.spin_dim // 2
         self._shape = tuple(reversed(spec.mode_dims)) + (half,)
+        # fold and unfold of the whole stack, each one flat gather over its
+        # rows and a scaling; None when no column folds
+        self._fold = self._unfold = None
+        if any(not isinstance(sec, str) for _, sec in self.columns):
+            keep, back, spread, gain = (np.stack(a) for a in
+                                        zip(*(maps[sec] for _, sec in self.columns)))
+            rows = np.arange(len(self.columns))[:, None]
+            self._fold = (keep + rows * sector_dim, gain)
+            self._unfold = (back + rows * self.dimension, spread)
 
         # each column's diagonal straight from its spin and mode tables; the
         # occupations of sector state s are s // half in either sector
         mode_e = _mode_table([w * np.arange(dim, dtype=float)
                               for w, dim in zip(spec.omega_modes, spec.mode_dims)])
-        occ = np.arange(self.dimension) // half
+        occ = np.arange(sector_dim) // half
         self.diagonal = np.stack([
             spin_diagonal(s.omega_atoms)[idx.indices & (spec.spin_dim - 1)] + mode_e[occ]
             for (s, _), idx in zip(self.columns, self.indexers)])
@@ -393,19 +482,47 @@ class HamiltonianEngine:
             out[hi] -= sq * t[lo]
         return out.reshape(rows.shape)
 
+    def fold(self, y: np.ndarray) -> np.ndarray:
+        """The column coordinates of a (b, sector dimension) stack of sector
+        vectors, R-even in the rows of mirror-even columns; a parity-sector
+        column's row is its own coordinates."""
+        if self._fold is None:
+            return y
+        keep, gain = self._fold
+        x = np.ascontiguousarray(y).reshape(-1).take(keep)
+        x *= gain
+        return x
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """The sector vectors of a (b, dim) stack of column coordinates, the
+        inverse of ``fold``."""
+        if self._unfold is None:
+            return x
+        back, spread = self._unfold
+        y = np.ascontiguousarray(x).reshape(-1).take(back)
+        y *= spread
+        return y
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H x for a stack (b, D), row i by column i."""
+        """H x for a stack (b, dim), row i by column i."""
         want = (len(self.columns), self.dimension)
         if x.shape != want:
             raise ManyBodyError(f"input shape {x.shape} is not the {want} stack")
-        return self._apply(np.ascontiguousarray(x), self.diagonal)
+        return self.fold(self._apply(self.unfold(np.ascontiguousarray(x)), self.diagonal))
 
     def dense(self) -> np.ndarray:
-        """The real sector matrices of the stack, (b, D, D): the coupling
-        block, the same for every column, plus each column's diagonal."""
-        dim = self.dimension
-        h = np.repeat(self._apply(np.eye(dim), np.zeros(dim))[None], len(self.columns), axis=0)
-        h[:, range(dim), range(dim)] = self.diagonal
+        """The real matrices of the stack, (b, dim, dim): the coupling block
+        of each column's sector or mirror-even half, the same for every
+        column of one sector label, plus each column's diagonal."""
+        eye, zero = np.eye(self.dimension), np.zeros(self.diagonal.shape[1])
+        blocks = {}
+        for _, sec in self.columns:
+            if sec not in blocks:
+                keep, back, spread, gain = _mirror_fold(self.spec, sec)
+                blocks[sec] = self._apply(eye[:, back] * spread, zero)[:, keep] * gain, keep
+        h = np.stack([blocks[sec][0] for _, sec in self.columns])
+        h[:, range(self.dimension), range(self.dimension)] = [
+            d[blocks[sec][1]] for d, (_, sec) in zip(self.diagonal, self.columns)]
         return h
 
     def norm_bound(self) -> np.ndarray:
@@ -429,11 +546,11 @@ class SpectrumResult:
 
 
 def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int = 0) -> np.ndarray:
-    """``start``, a vector of the chain and sector of ``op``'s column
+    """``start``, a vector of the chain and parity sector of ``op``'s column
     ``column`` at cutoffs no larger than ``op``'s, zero-padded onto that
     sector in its real gauge."""
     idx, (spec, sector) = start.indexer, op.columns[column]
-    if (idx.sector != sector
+    if (idx.sector != _parity(sector)
             or idx.spec.with_cutoffs(spec.cutoffs) != spec
             or any(a > b for a, b in zip(idx.spec.cutoffs, spec.cutoffs))):
         raise ManyBodyError("start must be a vector of the same chain and sector "
@@ -453,30 +570,42 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
                    starts=None) -> list[SpectrumResult]:
     """``lowest_spectrum`` of each (spec, sector) column, in column order.
 
-    The columns share N, N_m, g and the cutoffs, and so one sector dimension
-    and one route; sector and atomic frequencies may differ.  Consecutive
-    columns are solved together, as one stack of at most ``STACK_BYTES`` of
-    Krylov basis or dense matrices, and a column's result is the same, bit
-    for bit, whatever is stacked beside it.  ``starts``, one sector vector
-    per column, warm-starts Lanczos columns from a vector of the same chain
-    and sector at per-mode cutoffs no larger than the column's (the ground
-    vector of a smaller solve), zero-padded to the column's cutoffs; the
-    dense route ignores them.
+    The columns share N, N_m, g and the cutoffs; sector and atomic
+    frequencies may differ.  A sector is a parity sector, 'even' or 'odd',
+    or the mirror-even half of one, ('even', +1) or ('odd', +1), which needs
+    equal atomic frequencies and holds both sectors' ground states (see
+    ``HamiltonianEngine``).  Runs of consecutive columns of one dimension
+    are solved together, as stacks of at most ``STACK_BYTES`` of Krylov
+    basis or dense matrices, and a column's result is the same, bit for bit,
+    whatever is stacked beside it; its dimension alone picks its route.
+    Vectors come back on the parity sector's indexer either way.
+    ``starts``, one parity-sector vector per column, warm-starts Lanczos
+    columns from a vector of the same chain and sector at per-mode cutoffs
+    no larger than the column's (the ground vector of a smaller solve),
+    zero-padded to the column's cutoffs; the dense route ignores them.
     """
     columns = _stack_columns(columns)
     if m < 1:
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
         raise ManyBodyError("tol must be positive")
-    dim = columns[0][0].dimension // 2
-    if m > dim:
-        raise ManyBodyError(f"m = {m} exceeds the sector dimension {dim}")
-    per_column = 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
-    width = max(1, STACK_BYTES // per_column)
+    if starts is not None and len(starts) != len(columns):
+        raise ManyBodyError(f"{len(starts)} starts for {len(columns)} columns")
+    sizes = {sec: _mirror_fold(columns[0][0], sec)[0].size for _, sec in columns}
+    dims = [sizes[sec] for _, sec in columns]
+    if m > min(dims):
+        raise ManyBodyError(f"m = {m} exceeds the sector dimension {min(dims)}")
     out = []
-    for first in range(0, len(columns), width):
-        out += _stack_spectra(columns[first:first + width], m, tol, with_vectors,
-                              None if starts is None else starts[first:first + width])
+    first = 0
+    for dim, run in groupby(dims):
+        end = first + len(list(run))
+        per_column = 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
+        width = max(1, STACK_BYTES // per_column)
+        for lo in range(first, end, width):
+            hi = min(lo + width, end)
+            out += _stack_spectra(columns[lo:hi], m, tol, with_vectors,
+                                  None if starts is None else starts[lo:hi])
+        first = end
     return out
 
 
@@ -486,7 +615,7 @@ def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult
     dim = op.dimension
     start = None
     if starts is not None:
-        start = np.stack([_padded_start(op, st, i) for i, st in enumerate(starts)])
+        start = op.fold(np.stack([_padded_start(op, st, i) for i, st in enumerate(starts)]))
     if dim <= DENSE_LIMIT:
         with solve_threads(dim):
             h = op.dense()
@@ -499,11 +628,13 @@ def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult
                                 start=start)
         vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
         iterations, method = res.column_matvecs, "lanczos"
+    if with_vectors:
+        vecs = [op.unfold(vecs[:, :, j]) for j in range(m)]
     out = []
     for i, idx in enumerate(op.indexers):
         wfs = None
         if with_vectors:
-            wfs = [Wavefunction(idx, op.phase * vecs[i, :, j]) for j in range(m)]
+            wfs = [Wavefunction(idx, op.phase * v[i]) for v in vecs]
         out.append(SpectrumResult(vals[i], residuals[i], int(iterations[i]),
                                   op.columns[i][1], method, wfs))
     return out
@@ -559,17 +690,26 @@ def _refined_cutoffs(cutoffs) -> tuple[int, ...]:
     return tuple(c + max(2, math.ceil(0.25 * c)) for c in cutoffs)
 
 
+def ground_columns(spec: ManyBodySpec) -> list:
+    """The (even, odd) columns whose ground states are ``spec``'s: the
+    mirror-even halves of both parity sectors when the atomic frequencies
+    are all equal, and the whole sectors otherwise."""
+    clean = len(set(spec.omega_atoms)) == 1
+    return [(spec, (sec, 1) if clean else sec) for sec in SECTORS]
+
+
 def ground_splittings(specs, tol: float = 1e-3,
                       refine: bool = True) -> list[SplittingRecord]:
     """|E0(even) - E0(odd)| of each spec, in order, with a convergence flag.
 
-    The specs differ in atomic frequencies only.  Their sectors, spec by
-    spec and even before odd, are one ``sector_spectra`` call; ``refine``
-    solves them again at larger cutoffs, from the padded ground vectors.
-    A record is converged when refinement changes delta by at most ``tol``
-    relative, or leaves both splittings below the floor; never unrefined.
+    The specs differ in atomic frequencies only.  Their ``ground_columns``,
+    spec by spec and even before odd, are one ``sector_spectra`` call;
+    ``refine`` solves them again at larger cutoffs, from the padded ground
+    vectors.  A record is converged when refinement changes delta by at most
+    ``tol`` relative, or leaves both splittings below the floor; never
+    unrefined.
     """
-    columns = [(s, sec) for s in specs for sec in SECTORS]
+    columns = [c for s in specs for c in ground_columns(s)]
     base = sector_spectra(columns, 1, with_vectors=refine)
     e = [float(r.eigenvalues[0]) for r in base]
     d2s = [None] * len(e)

@@ -11,6 +11,7 @@ import numpy as np
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # component index b in {0,1} carries sz eigenvalue 2b - 1
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+SY = 1j * SX @ SZ
 
 
 def kron_chain(ops):
@@ -79,3 +80,27 @@ def embedded(wf) -> np.ndarray:
     out = np.zeros(wf.indexer.spec.dimension, dtype=complex)
     out[wf.indexer.indices] = wf.data
     return out
+
+
+def mirror_operator(spec) -> np.ndarray:
+    """Reference mirror R of a chain: atom j <-> atom N+1-j as a product of
+    two-spin swaps (I + XX + YY + ZZ) / 2, times (-1)^n on each mode whose
+    weights change sign under the reflection, as a dense kron product."""
+    n = spec.n_atoms
+    spins = np.eye(2**n, dtype=complex)
+    for j in range(1, n // 2 + 1):
+        k = n + 1 - j
+        swap = np.eye(2**n, dtype=complex)
+        for p in (SX, SY, SZ):
+            swap = swap + spin_op(n, j, p) @ spin_op(n, k, p)
+        spins = spins @ (swap / 2)
+    modes = np.eye(1)
+    for m in reversed(range(spec.n_modes)):
+        w = np.array(spec.weights[m])
+        if np.allclose(w[::-1], w):
+            factor = np.ones(spec.mode_dims[m])
+        else:
+            assert np.allclose(w[::-1], -w)
+            factor = (-1.0) ** np.arange(spec.mode_dims[m])
+        modes = np.kron(modes, np.diag(factor))
+    return np.kron(modes, spins)

@@ -37,6 +37,13 @@ class TestSampling:
         freqs = sample_frequencies(make_ensemble(amplitude=0.0, count=5))
         assert np.allclose(freqs, 1.0)
 
+    @pytest.mark.parametrize("amplitude", [-0.1, math.nan, math.inf, -math.inf])
+    def test_amplitude_outside_zero_to_infinity_rejected(self, amplitude):
+        # nan < 0 is false: a nan amplitude once gave the analytic engine
+        # [nan nan] without an error
+        with pytest.raises(DisorderError, match="amplitude"):
+            make_ensemble(amplitude=amplitude, count=2)
+
     def test_seed_determinism(self):
         a = sample_frequencies(make_ensemble(count=8, seed=3))
         b = sample_frequencies(make_ensemble(count=8, seed=3))

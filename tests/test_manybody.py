@@ -26,6 +26,7 @@ from fluxchain.manybody import (
     _refined_cutoffs,
     choose_cutoffs,
     collective_rabi_ratios,
+    ground_columns,
     ground_splittings,
     lowest_spectrum,
     parallel_map,
@@ -34,7 +35,7 @@ from fluxchain.manybody import (
 )
 from fluxchain.asymptotics import analytic_splitting_n2, asymptotic_vacuum
 
-from oracles import dense_hamiltonian, embedded, parity_diagonal
+from oracles import dense_hamiltonian, embedded, mirror_operator, parity_diagonal
 
 
 def small_spec(n=2, nm=2, g=1.0, cutoffs=(3, 2), **kw):
@@ -429,21 +430,25 @@ class TestGroundSplitting:
         assert abs(slopes[1] - slopes[0]) < 0.6
 
     def test_stacked_specs_give_their_lone_records(self, monkeypatch):
-        # three realizations of the bench ensemble, refined: one call of six
-        # 462-state Lanczos columns and one of their six refined sectors,
-        # each record the bytes of its spec's lone splitting
-        base = ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6)
-        specs = [base.with_omega_atoms(w) for w in ((0.8, 1.1), (1.0, 1.0), (1.3, 0.9))]
-        widths = []
+        # three clean chains of one shape and a disordered one, refined: the
+        # clean ones solve 608-state mirror-even halves and the disordered
+        # one its 1,152-state sectors, one call of eight Lanczos columns and
+        # one of their eight refined columns, each record the bytes of its
+        # spec's lone splitting
+        base = ManyBodySpec.from_coupling(3, 2, 0.8, even_floor=8)
+        specs = [base.with_omega_atoms(w)
+                 for w in ((0.8,) * 3, (1.0,) * 3, (0.9, 1.1, 1.0), (1.3,) * 3)]
+        calls = []
         solve = manybody.sector_spectra
 
         def counted(columns, *a, **kw):
-            widths.append(len(columns))
+            calls.append([sec for _, sec in columns])
             return solve(columns, *a, **kw)
 
         monkeypatch.setattr(manybody, "sector_spectra", counted)
         stacked = ground_splittings(specs)
-        assert widths == [6, 6]
+        folded = [("even", 1), ("odd", 1)]
+        assert calls == [folded * 2 + list(SECTORS) + folded] * 2
         monkeypatch.undo()
         for spec, rec in zip(specs, stacked):
             assert rec == ground_splittings([spec])[0]
@@ -532,6 +537,16 @@ class TestWarmStart:
                                       (spec, "even", larger)):
             with pytest.raises(ManyBodyError):
                 sector_spectra([(target, sector)], 1, starts=[start])
+
+
+    def test_starts_of_the_wrong_length_rejected(self):
+        # three starts for two columns once raised a bare IndexError, and
+        # one start krylov's ValueError
+        columns = [(self.SPEC, s) for s in SECTORS]
+        vec = lowest_spectrum(self.SPEC, "even", 1, with_vectors=True).vectors[0]
+        for starts in ([vec], [vec, vec, vec]):
+            with pytest.raises(ManyBodyError, match=f"{len(starts)} starts for 2 columns"):
+                sector_spectra(columns, 1, starts=starts)
 
 
 class TestConvergenceScan:
@@ -758,15 +773,27 @@ class TestStackedSolves:
             assert a.residual_norms.tobytes() == b.residual_norms.tobytes()
             assert a.iterations == b.iterations
 
-    @pytest.mark.parametrize("spec, method", [
-        (ManyBodySpec.from_coupling(2, 1, 1.2), "dense"),
-        (ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6), "lanczos"),
-    ])
-    def test_byte_budget_leaves_the_bytes(self, monkeypatch, spec, method):
-        columns = [(spec.with_omega_atoms(w), s)
-                   for w in ((0.7, 1.3), (1.0, 1.0), (1.2, 0.9)) for s in SECTORS]
+    @pytest.mark.parametrize("spec, method, folded", [
+        (ManyBodySpec.from_coupling(2, 1, 1.2), "dense", False),
+        (ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6), "lanczos", False),
+        # N = 2: the mirror-even halves hold 50 and 49 states, so no two
+        # neighbouring columns share a stack
+        (ManyBodySpec.from_coupling(2, 1, 1.2), "dense", True),
+        (ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=12), "lanczos", True),
+        # N = 3: both halves hold 407 states, and all six share one stack
+        (ManyBodySpec.from_coupling(3, 2, 1.0), "lanczos", True),
+    ], ids=["spec0-dense", "spec1-lanczos", "spec2-dense-mirror", "spec3-lanczos-mirror",
+            "spec4-lanczos-mirror"])
+    def test_byte_budget_leaves_the_bytes(self, monkeypatch, spec, method, folded):
+        n = spec.n_atoms
+        if folded:
+            columns = [(spec.with_omega_atoms((w,) * n), (s, 1))
+                       for w in (0.7, 1.0, 1.2) for s in SECTORS]
+        else:
+            columns = [(spec.with_omega_atoms(w), s)
+                       for w in ((0.7, 1.3), (1.0, 1.0), (1.2, 0.9)) for s in SECTORS]
         runs = []
-        for budget in (1, 2**40):  # stacks of one, and one stack of all
+        for budget in (1, 2**40):  # stacks of one, and stacks as wide as allowed
             monkeypatch.setattr(manybody, "STACK_BYTES", budget)
             runs.append(sector_spectra(columns, 2, with_vectors=True))
         for a, b in zip(*runs):
@@ -778,9 +805,12 @@ class TestStackedSolves:
                 assert u.data.tobytes() == v.data.tobytes()
 
     def test_mixed_stack_with_starts_gives_refined_energies(self, monkeypatch):
-        spec = ManyBodySpec.from_coupling(2, 2, 1.2, even_floor=6)
+        # N = 3, where the mirror-even halves of both sectors hold 407
+        # states at the base cutoffs and 690 at the refined ones
+        spec = ManyBodySpec.from_coupling(3, 2, 1.0)
         bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
-        dim = bumped.dimension // 2
+        columns = ground_columns(bumped)
+        dim = HamiltonianEngine(columns).dimension
         # the refined even and odd columns fit one stack
         assert 2 * 8 * dim * (krylov.basis_size(dim, 1) + 1) <= manybody.STACK_BYTES
         solved = []
@@ -793,11 +823,110 @@ class TestStackedSolves:
         monkeypatch.setattr(manybody, "sector_spectra", recorded)
         ground_splittings([spec])
         base, refined = solved
-        for s, b, r in zip(SECTORS, base, refined):
-            lone = sector_spectra([(bumped, s)], 1, starts=[b.vectors[0]])[0]
-            assert r.sector == s and r.method == "lanczos"
+        for column, b, r in zip(columns, base, refined):
+            lone = sector_spectra([column], 1, starts=[b.vectors[0]])[0]
+            assert r.sector == column[1] and r.method == "lanczos"
             assert lone.eigenvalues.tobytes() == r.eigenvalues.tobytes()
             assert lone.iterations == r.iterations
+
+
+# ------------------------------------------------------------ mirror fold
+
+#: small cutoffs per N for the oracle's mirror checks, 96 to 512 states
+MIRROR_CUTOFFS = {2: (5, 3), 3: (4, 2, 2), 4: (3, 1, 1, 1)}
+
+
+def mirror_even_block(spec, href, sector):
+    """The oracle H on one parity sector, and on the R = +1 half of that
+    sector in an orthonormal basis of the half."""
+    sel = np.flatnonzero(parity_diagonal(spec) == (1 if sector == "even" else -1))
+    whole = href[np.ix_(sel, sel)]
+    w, v = np.linalg.eigh(mirror_operator(spec)[np.ix_(sel, sel)].real)
+    v = v[:, w > 0]
+    return whole, v.T @ whole @ v
+
+
+class TestMirrorFold:
+    """Clean-chain ground pairs solved in the mirror-even half of each
+    parity sector, checked against the Kronecker mirror of the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mirror_commutes_with_the_oracle_hamiltonian(self, n):
+        spec = ManyBodySpec.from_coupling(n, n, 0.8, cutoffs=MIRROR_CUTOFFS[n])
+        href, r = dense_hamiltonian(spec), mirror_operator(spec)
+        assert np.max(np.abs(r @ href - href @ r)) < 1e-13
+        assert np.max(np.abs(r @ r - np.eye(len(r)))) < 1e-15
+        # R keeps the parity, so it acts within each sector
+        signs = parity_diagonal(spec)
+        assert np.max(np.abs(signs[:, None] * r - r * signs[None, :])) == 0.0
+
+    def test_sector_ground_states_are_mirror_even(self):
+        # the premise of the fold, down to weak coupling, where no
+        # asymptotic argument applies; at g = 0 the lowest level of one
+        # sector also holds R-odd states, and the R = +1 half still reaches it
+        for n, cutoffs in MIRROR_CUTOFFS.items():
+            for nm in range(1, n + 1):
+                for g in (0.0, 0.1, 0.3, 0.6, 1.0):
+                    spec = ManyBodySpec.from_coupling(n, nm, g, cutoffs=cutoffs[:nm])
+                    href = dense_hamiltonian(spec)
+                    for sector in SECTORS:
+                        whole, half = mirror_even_block(spec, href, sector)
+                        lowest = np.linalg.eigvalsh(whole)[0]
+                        assert np.linalg.eigvalsh(half)[0] == pytest.approx(
+                            lowest, rel=1e-12, abs=1e-12), (n, nm, g, sector)
+
+    def test_folded_dense_is_the_oracle_mirror_even_block(self):
+        # every level of the folded dense route, and its vectors unfolded
+        # onto the parity sector are R-even eigenvectors of the oracle
+        for n, nm in ((2, 2), (3, 3), (4, 2)):
+            spec = ManyBodySpec.from_coupling(n, nm, 0.7, cutoffs=MIRROR_CUTOFFS[n][:nm])
+            href, r = dense_hamiltonian(spec), mirror_operator(spec)
+            for sector in SECTORS:
+                want = np.linalg.eigvalsh(mirror_even_block(spec, href, sector)[1])
+                res = sector_spectra([(spec, (sector, 1))], len(want), with_vectors=True)[0]
+                assert res.method == "dense" and res.sector == (sector, 1)
+                np.testing.assert_allclose(res.eigenvalues, want, rtol=0, atol=1e-12)
+                assert all(wf.indexer.sector == sector for wf in res.vectors)
+                vecs = np.column_stack([embedded(wf) for wf in res.vectors])
+                np.testing.assert_allclose(r @ vecs, vecs, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(href @ vecs, vecs * res.eigenvalues,
+                                           rtol=0, atol=1e-11)
+
+    def test_folded_ground_energies_match_the_parity_sectors(self):
+        # criterion 5's grid and the splitting_n3 benchmark grid, at their
+        # base and refined cutoffs
+        specs = [ManyBodySpec.from_coupling(2, 1, g) for g in (0.8, 1.0, 1.2, 1.5)]
+        specs += [ManyBodySpec.from_coupling(3, 3, g, even_floor=8, safety=2.5)
+                  for g in (0.7, 1.0)]
+        for base in specs:
+            for spec in (base, base.with_cutoffs(_refined_cutoffs(base.cutoffs))):
+                whole = sector_spectra([(spec, s) for s in SECTORS], 1)
+                half = sector_spectra(ground_columns(spec), 1)
+                for a, b in zip(whole, half):
+                    assert b.sector == (a.sector, 1)
+                    assert b.eigenvalues[0] == pytest.approx(a.eigenvalues[0], rel=1e-12)
+
+    def test_mirror_columns_need_equal_frequencies(self):
+        spec = small_spec(3, 2, 0.9, (4, 2))
+        # mirror-symmetric but unequal frequencies still break the clean chain
+        tilted = spec.with_omega_atoms((0.9, 1.0, 0.9))
+        for call in (HamiltonianEngine, sector_spectra):
+            with pytest.raises(ManyBodyError, match="equal atomic frequencies"):
+                call([(tilted, ("even", 1))])
+        for label in (("even", -1), ("full", 1), ("even",), "mirror"):
+            with pytest.raises(ManyBodyError, match="sector must be"):
+                sector_spectra([(spec, label)])
+        assert ground_columns(spec) == [(spec, ("even", 1)), (spec, ("odd", 1))]
+        assert ground_columns(tilted) == [(tilted, "even"), (tilted, "odd")]
+
+    def test_even_n_halves_differ_in_dimension(self):
+        # N = 2 at cutoff 32: the mirror-even halves of the 66-state sectors
+        # hold 50 and 49 states, so one engine cannot stack them
+        spec = ManyBodySpec.from_coupling(2, 1, 1.2)
+        assert spec.cutoffs == (32,)
+        assert [HamiltonianEngine([c]).dimension for c in ground_columns(spec)] == [50, 49]
+        with pytest.raises(ManyBodyError, match="dimension"):
+            HamiltonianEngine(ground_columns(spec))
 
 
 def square(x):
