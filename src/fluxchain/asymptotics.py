@@ -4,7 +4,8 @@ Deep in the coupled regime the chain Hamiltonian minus the atomic term is
 diagonal in pseudospin configurations (each atom pinned along sx), and every
 configuration drags its modes into coherent states.  The two ferromagnetic
 configurations minimize the displacement energy; their product states are the
-asymptotic vacua.  This module holds those states, the fidelity of the exact
+asymptotic vacua.  This module holds those states as their two factors (a
+coherent state per mode and x-polarized spins), the fidelity of the exact
 ground doublet with them, the configuration-energy minimizer, the analytic
 splitting formulas and the quadratic-in-N exponent of the splitting decay.
 """
@@ -52,8 +53,7 @@ def coherent_amplitudes(n_atoms: int, n_modes: int, g: float) -> np.ndarray:
     The closed form keeps the continuum normalization at the zone boundary:
     at odd N with N_m = N its entry k = N is sqrt(2) above the vacuum's own
     amplitude, ``displaced_amplitudes`` (0.5443 against 0.3849 at N = 3,
-    g = 1).  ``choose_cutoffs`` sizes that mode from this larger value, and
-    the ``overlap`` command reports it as ``amplitudes_abs``.
+    g = 1).  ``choose_cutoffs`` sizes that mode from this larger value.
     """
     if n_atoms < 2:
         raise ManyBodyError("need at least two atoms")
@@ -110,37 +110,44 @@ def _required_cutoff(alpha: complex) -> int:
     return c
 
 
-def asymptotic_vacuum(spec: ManyBodySpec, sign: int = +1) -> Wavefunction:
-    """Product-state vacuum: sx-polarized atoms times coherent modes.
+def x_polarized(n_atoms: int, sign: int) -> np.ndarray:
+    """Spin amplitudes <bits|prod_j (|1> + sign |0>) / sqrt(2) over the 2^N
+    bit patterns: every atom along ``sign`` on the x axis."""
+    out = np.ones(1)
+    for _ in range(n_atoms):  # atoms alike, so their order does not matter
+        out = np.kron([float(sign), 1.0], out)
+    return out / math.sqrt(out.size)
 
-    The atoms all point along ``sign`` on the x axis; each mode carries the
-    configuration's coherent amplitude, truncated at that mode's cutoff and
-    renormalized.  Raises ``CutoffError`` (with the needed cutoff) if any
-    truncated mode keeps less than ``MIN_MASS`` of its weight.
+
+def vacuum_factors(spec: ManyBodySpec, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of the asymptotic vacuum on the spec's basis.
+
+    Returns the mode factor over occupation patterns (mode 1 fastest), a
+    product of one coherent state per mode truncated at that mode's cutoff
+    and renormalized, and the 2^N spin factor ``x_polarized``.  The vacuum's
+    amplitude at full index f 2^N + s is modes[f] spin[s].  Raises
+    ``CutoffError`` (with the needed cutoff) if any truncated mode keeps
+    less than ``MIN_MASS`` of its weight.
     """
     if sign not in (+1, -1):
         raise ManyBodyError("sign must be +1 or -1")
+    modes = np.ones(1, dtype=complex)
     amps = displaced_amplitudes(spec, [sign] * spec.n_atoms)
-
-    mode_vecs = []
     for m, alpha in enumerate(amps):
         vec = coherent_vector(alpha, spec.cutoffs[m])
         mass = float(np.sum(np.abs(vec) ** 2))
         if mass < MIN_MASS:
             raise CutoffError(m + 1, spec.cutoffs[m], _required_cutoff(alpha))
-        mode_vecs.append(vec / math.sqrt(mass))
+        modes = np.multiply.outer(vec / math.sqrt(mass), modes).reshape(-1)
+    return modes, x_polarized(spec.n_atoms, sign)
 
-    # spin amplitudes over bit patterns: <bits|prod_j (|1> + sign|0>)/sqrt(2)
-    s = np.arange(spec.spin_dim)
-    down = np.zeros(spec.spin_dim, dtype=np.int64)
-    for j in range(spec.n_atoms):
-        down += 1 - ((s >> j) & 1)
-    spin = (float(sign) ** down) / math.sqrt(spec.spin_dim)
 
-    full = spin.astype(complex)
-    for vec in mode_vecs:  # mode 1 first: it varies fastest above the spins
-        full = np.multiply.outer(vec, full).reshape(-1)
-    return Wavefunction(BasisIndexer(spec, "full"), full)
+def asymptotic_vacuum(spec: ManyBodySpec, sign: int = +1) -> Wavefunction:
+    """Product-state vacuum on the full space: the outer product of
+    ``vacuum_factors``.  The package takes every overlap from the factors;
+    this full-space vector serves the benchmark and tests."""
+    modes, spin = vacuum_factors(spec, sign)
+    return Wavefunction(BasisIndexer(spec, "full"), np.multiply.outer(modes, spin).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -176,17 +183,19 @@ def doublet_overlap(pair) -> OverlapResult:
 
     Parity maps V+ to V-, so span{V+, V-} = span{V+_even, V+_odd}, the
     sector parts of V+.  Sectors are orthogonal, so the principal cosines
-    are |<psi_s|V+_s>| / (||psi_s|| ||V+_s||), one per sector, and no state
+    are |<psi_s|V+_s>| / (||psi_s|| ||V+_s||), one per sector.  V+_s is
+    read from ``vacuum_factors`` at the sector's indices, so no vector
     leaves its sector.
     """
     indexers = [wf.indexer for wf in pair]
     if (tuple(idx.sector for idx in indexers) != SECTORS
             or indexers[0].spec != indexers[1].spec):
         raise ManyBodyError("need the even and the odd state of one spec")
-    plus = asymptotic_vacuum(indexers[0].spec, +1).data
+    spec = indexers[0].spec
+    modes, spin = vacuum_factors(spec, +1)
     cos = []
     for wf, idx in zip(pair, indexers):
-        part = plus[idx.indices]
+        part = modes[idx.indices // spec.spin_dim] * spin[idx.indices % spec.spin_dim]
         cos.append(abs(np.vdot(wf.data, part))
                    / (np.linalg.norm(wf.data) * np.linalg.norm(part)))
     hi, lo = np.clip(sorted(cos, reverse=True), 0.0, 1.0)

@@ -204,7 +204,8 @@ def resolve_config(command: str, file_cfg: dict | None, overrides: dict) -> dict
     file_cfg = dict(file_cfg or {})
     lines = file_cfg.pop("__lines__", {})
 
-    for key in file_cfg:
+    # the line table holds every file key, a file's own '__lines__' included
+    for key in {**file_cfg, **lines}:
         if key not in schema:
             where = f" (line {lines[key]})" if key in lines else ""
             raise ConfigError(f"unknown key '{key}'{where} for command {command}")
@@ -377,7 +378,7 @@ def _cmd_overlap(cfg, chash):
         se, so = manybody.sector_spectra(manybody.ground_columns(spec), 1,
                                          tol=cfg["tol"], with_vectors=True)
         ov = asymptotics.doublet_overlap((se.vectors[0], so.vectors[0]))
-        amps = asymptotics.coherent_amplitudes(cfg["N"], cfg["N_m"], g)
+        amps = asymptotics.displaced_amplitudes(spec, [+1] * cfg["N"])
         rows.append({
             "g": g,
             "fidelity": ov.fidelity,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import analytic_splitting_general, asymptotic_vacuum
+from .asymptotics import analytic_splitting_general, displaced_amplitudes, x_polarized
 from .manybody import ManyBodySpec, ground_splittings, spin_diagonal
 
 #: exact-engine ensembles refuse specs above this many basis states
@@ -88,20 +88,25 @@ def protection_check(n_atoms: int, n_modes: int, g: float, m: int,
     """The four matrix elements <G_s| H_pert^m |G_s'> on the asymptotic vacua,
     H_pert = sum_j (Delta_j / 2) sz_j.
 
-    H_pert is diagonal in the basis and acts on the spins alone, so its m-th
-    power is ``spin_diagonal(deltas) ** m``, broadcast over each vacuum
-    viewed as (occupations, 2^N); no eigensolves.  The vacua come from
-    ``ManyBodySpec.from_coupling`` at its default cutoffs.  Keys are
-    ('+','+'), ('+','-'), ('-','+'), ('-','-').
+    Each vacuum is a coherent state per mode times x-polarized spins, and
+    H_pert acts on the spins alone, so an element is the untruncated
+    coherent overlap prod_k exp(-|a_k|^2/2 - |b_k|^2/2 + conj(a_k) b_k)
+    times the spin moment <x_s| ``spin_diagonal(deltas)`` ^m |x_s'> over
+    the 2^N patterns.  Exact at every coupling: no Fock space is built, so
+    no cutoff truncates the order-N cross elements.  Keys are ('+','+'),
+    ('+','-'), ('-','+'), ('-','-').
     """
     if m < 1:
         raise DisorderError("m must be at least 1")
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (n_atoms,):
         raise DisorderError("need one Delta per atom")
-    spec = ManyBodySpec.from_coupling(n_atoms, n_modes, g)
+    # amplitudes do not depend on the cutoffs, so the least ones will do
+    spec = ManyBodySpec.from_coupling(n_atoms, n_modes, g, cutoffs=(1,) * n_modes)
     power = spin_diagonal(deltas) ** m
-    states = {s: asymptotic_vacuum(spec, sign).data.reshape(-1, spec.spin_dim)
-              for s, sign in (("+", +1), ("-", -1))}
-    return {(bra, ket): complex(np.vdot(states[bra], power * states[ket]))
-            for bra in states for ket in states}
+    vacua = {s: (displaced_amplitudes(spec, [sign] * n_atoms), x_polarized(n_atoms, sign))
+             for s, sign in (("+", +1), ("-", -1))}
+    return {(bra, ket): complex(
+                np.exp(np.sum(-np.abs(a) ** 2 / 2 - np.abs(b) ** 2 / 2 + a.conj() * b))
+                * np.vdot(x_a, power * x_b))
+            for bra, (a, x_a) in vacua.items() for ket, (b, x_b) in vacua.items()}

@@ -188,9 +188,3 @@ def two_level_reduction(levels: FluxoniumLevels) -> TwoLevelReduction:
         two_level_ok=anh >= 2.0,
     )
 
-
-def harmonic_reference(e_cj: float, e_lj: float) -> tuple[float, float]:
-    """(omega, phi01) of the E_J = 0 oscillator limit, handy for checks."""
-    omega = np.sqrt(8.0 * e_cj * e_lj)
-    phi01 = 2.0**0.25 * (e_cj / e_lj) ** 0.25
-    return float(omega), float(phi01)

@@ -6,7 +6,9 @@ the quadratic Hamiltonian splits into independent 4x4 blocks over
 (eta = diag[1, 1, -1, -1], h the Hermitian coefficient matrix); its
 eigenvalues come in +- pairs and are the two excitation branches.  The lower
 branch softens to zero at rabi = sqrt(omega_k * omega_F) / 2 and the normal
-vacuum is unstable beyond it.
+vacuum is unstable beyond it.  Edge, determinant and branches are closed
+forms; the tests hold them against a bisection on the dense eigenvalues of
+``build_matrix`` (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-ETA = np.diag([1.0, 1.0, -1.0, -1.0])
 
 
 class HopfieldError(ValueError):
@@ -110,36 +110,6 @@ def polariton_frequencies(b: HopfieldBlock) -> PolaritonResult:
         lower=math.nan, upper=math.sqrt(hi2), stable=False,
         determinant=det, imag_magnitude=math.sqrt(-lo2),
     )
-
-
-def eigenvalue_stability(b: HopfieldBlock) -> bool:
-    """Stability judged only from the dense 4x4 eigenvalue solver.
-
-    Independent of the closed-form route; used as the bisection oracle for
-    locating the critical coupling.  The imaginary-part threshold sits well
-    above eigensolver noise for near-defective spectra and well below the
-    imaginary parts that open up past the transition: 2e-7 of the block's
-    largest frequency scale.
-    """
-    lam = np.linalg.eigvals(build_matrix(b))
-    scale = max(b.omega_k, b.omega_F, b.rabi, 1.0)
-    return bool(np.max(np.abs(lam.imag)) < 2e-7 * scale)
-
-
-def bisect_critical_coupling(omega_k: float, omega_F: float,
-                             tol: float = 1e-10) -> float:
-    """Locate the stability edge by bisection on the eigenvalue detector."""
-    lo = 0.0
-    hi = math.sqrt(omega_k * omega_F)  # safely unstable
-    if eigenvalue_stability(HopfieldBlock(omega_k, omega_F, hi)):
-        raise HopfieldError("upper bisection bracket unexpectedly stable")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if eigenvalue_stability(HopfieldBlock(omega_k, omega_F, mid)):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def branch_sweep(omega_k: float, omega_F: float, rabi_grid) -> list[dict]:

@@ -6,12 +6,18 @@ lowest spin bit, bit value = occupation of the upper level).  It shares no
 code with the production matvec.
 """
 
+import math
+
 import numpy as np
+
+from fluxchain.hopfield import HopfieldBlock, HopfieldError, build_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # component index b in {0,1} carries sz eigenvalue 2b - 1
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 SY = 1j * SX @ SZ
+#: the metric of the Bogoliubov generator ``hopfield.build_matrix``
+ETA = np.diag([1.0, 1.0, -1.0, -1.0])
 
 
 def kron_chain(ops):
@@ -104,3 +110,39 @@ def mirror_operator(spec) -> np.ndarray:
             factor = (-1.0) ** np.arange(spec.mode_dims[m])
         modes = np.kron(modes, np.diag(factor))
     return np.kron(modes, spins)
+
+
+def eigenvalue_stability(b: HopfieldBlock) -> bool:
+    """Stability of a Hopfield block judged only from the dense 4x4
+    eigenvalue solver, independent of the closed-form route.
+
+    The imaginary-part threshold sits well above eigensolver noise for
+    near-defective spectra and well below the imaginary parts that open up
+    past the transition: 2e-7 of the block's largest frequency scale.
+    """
+    lam = np.linalg.eigvals(build_matrix(b))
+    scale = max(b.omega_k, b.omega_F, b.rabi, 1.0)
+    return bool(np.max(np.abs(lam.imag)) < 2e-7 * scale)
+
+
+def bisect_critical_coupling(omega_k: float, omega_F: float,
+                             tol: float = 1e-10) -> float:
+    """Locate the stability edge by bisection on the eigenvalue detector."""
+    lo = 0.0
+    hi = math.sqrt(omega_k * omega_F)  # safely unstable
+    if eigenvalue_stability(HopfieldBlock(omega_k, omega_F, hi)):
+        raise HopfieldError("upper bisection bracket unexpectedly stable")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if eigenvalue_stability(HopfieldBlock(omega_k, omega_F, mid)):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def harmonic_reference(e_cj: float, e_lj: float) -> tuple[float, float]:
+    """(omega, phi01) of the fluxonium's E_J = 0 oscillator limit."""
+    omega = np.sqrt(8.0 * e_cj * e_lj)
+    phi01 = 2.0**0.25 * (e_cj / e_lj) ** 0.25
+    return float(omega), float(phi01)

@@ -30,13 +30,12 @@ from fluxchain.cli import fit_beta, run as cli_run
 from fluxchain.disorder import DisorderEnsembleSpec, ensemble_splitting, protection_check
 from fluxchain.hopfield import (
     HopfieldBlock,
-    bisect_critical_coupling,
     build_matrix,
     critical_coupling,
     determinant,
 )
 
-from oracles import dense_hamiltonian, parity_diagonal
+from oracles import bisect_critical_coupling, dense_hamiltonian, parity_diagonal
 
 
 def _report(num, name, detail=""):

@@ -29,6 +29,8 @@ from fluxchain.manybody import (
     Wavefunction,
     sector_spectra,
 )
+from fluxchain.cli import main
+from fluxchain.disorder import protection_check
 
 from oracles import dense_hamiltonian, embedded
 
@@ -203,6 +205,25 @@ class TestDoubletOverlap:
         for pair in ((even, even), (odd, even), (other, odd)):
             with pytest.raises(ManyBodyError):
                 doublet_overlap(pair)
+
+
+def test_overlaps_build_no_full_space(monkeypatch, tmp_path):
+    # the fidelity and the protection check read the vacua's product factors
+    build = BasisIndexer.__init__
+
+    def sector_only(self, spec, sector):
+        assert sector != "full", "a full-space basis was built"
+        build(self, spec, sector)
+
+    monkeypatch.setattr(BasisIndexer, "__init__", sector_only)
+    with pytest.raises(AssertionError):
+        BasisIndexer(ManyBodySpec.from_coupling(2, 1, 0.5), "full")
+    spec = ManyBodySpec.from_coupling(3, 2, 1.0)
+    pair, _ = TestDoubletOverlap._ground_pair(spec)
+    assert doublet_overlap(pair).fidelity > 0.9
+    assert abs(protection_check(3, 2, 1.5, 3, [0.4, -0.1, 0.2])[("+", "-")]) > 0.0
+    assert main(["overlap", "--n", "3", "--n-m", "2", "--g-grid", "[0.8, 1.2]",
+                 "--out-dir", str(tmp_path)]) == 0
 
 
 class TestPseudospinMinimizer:

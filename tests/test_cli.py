@@ -147,6 +147,18 @@ class TestConfigHandling:
         assert "bogus" in str(err.value)
         assert "line 2" in str(err.value)
 
+    def test_reserved_line_table_key_is_unknown(self, tmp_path):
+        # parse_config_file keeps line numbers under '__lines__'; a file key
+        # of that name fails like any other unknown key
+        p = tmp_path / "run.cfg"
+        p.write_text("omega_k = 1.0\nomega_F = 1.0\n__lines__ = 7\n")
+        with pytest.raises(ConfigError) as err:
+            resolve_config("polariton", parse_config_file(str(p)), {})
+        assert "unknown key '__lines__' (line 3)" in str(err.value)
+        assert main(["polariton", "--config", str(p),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("omega_k 1.0\n")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,11 @@ from fluxchain.disorder import (
     protection_check,
     sample_frequencies,
 )
-from fluxchain.asymptotics import analytic_splitting_general, asymptotic_vacuum
+from fluxchain.asymptotics import (
+    analytic_splitting_general,
+    asymptotic_vacuum,
+    displaced_amplitudes,
+)
 from fluxchain.manybody import ManyBodySpec, spin_diagonal
 
 from oracles import SZ, parity_diagonal, spin_op
@@ -225,6 +230,35 @@ class TestPerturbation:
         alpha2 = 2 * 1.0**2 / math.sin(math.pi / 4) ** 2
         expected = 2 * abs(deltas[0] * deltas[1]) / 4 * math.exp(-2 * alpha2)
         assert cross == pytest.approx(expected, rel=0.05)
+
+    def test_order_n_cross_element_is_the_untruncated_overlap(self):
+        # criterion 9's draws.  Each mode overlap <a|-a> is summed over Fock
+        # states in 50 digits, far past any cutoff.  Each sz_j maps the
+        # x-polarized atom + to -, with <+|sz|-> = 1 in the vacua's phase
+        # convention, so the spin moment at order N is N! prod_j Delta_j / 2
+        rng = np.random.default_rng(909)
+        with mpmath.workdps(50):
+            for n in (2, 3, 4):
+                deltas = 0.5 * rng.standard_normal(n)
+                amps = displaced_amplitudes(base_spec(n, 2, 1.5), [+1] * n)
+                want = math.factorial(n) * mpmath.fprod(mpmath.mpf(d) / 2 for d in deltas)
+                for a in amps:
+                    a2 = abs(mpmath.mpc(a.real, a.imag)) ** 2
+                    want *= mpmath.exp(-a2) * mpmath.fsum(
+                        (-a2) ** k / mpmath.factorial(k) for k in range(400))
+                got = protection_check(n, 2, 1.5, n, deltas)[("+", "-")]
+                assert abs(got - complex(want)) <= 1e-10 * abs(complex(want))
+
+    def test_runs_beyond_the_dimension_budget(self):
+        # from_coupling(5, 5, 1.0) holds 19,060,800 states, past
+        # DIMENSION_BUDGET; the product form builds no Fock space
+        deltas = [0.3, -0.2, 0.4, 0.1, -0.5]
+        el = protection_check(5, 5, 1.0, 5, deltas)
+        assert el[("+", "+")] == el[("-", "-")]
+        amps = displaced_amplitudes(base_spec(5, 5, 1.0, cutoffs=(1,) * 5), [+1] * 5)
+        expected = (math.factorial(5) * np.prod(np.array(deltas) / 2)
+                    * math.exp(-2 * np.sum(np.abs(amps) ** 2)))
+        assert el[("+", "-")] == pytest.approx(expected, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DisorderError):

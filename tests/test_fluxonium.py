@@ -8,10 +8,11 @@ from fluxchain.fluxonium import (
     BasisConvergenceError,
     FluxoniumError,
     FluxoniumSpec,
-    harmonic_reference,
     solve_levels,
     two_level_reduction,
 )
+
+from oracles import harmonic_reference
 
 # double-well point used throughout: E_J/E_CJ = 3, E_J/E_LJ = 20
 WELL = dict(E_J=3.0, E_CJ=1.0, E_LJ=0.15)

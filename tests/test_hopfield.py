@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fluxchain.hopfield import (
-    ETA,
     HopfieldBlock,
     HopfieldError,
-    bisect_critical_coupling,
     branch_sweep,
     build_matrix,
     critical_coupling,
     determinant,
-    eigenvalue_stability,
     polariton_frequencies,
 )
+
+from oracles import ETA, bisect_critical_coupling, eigenvalue_stability
 
 freqs = st.floats(min_value=0.2, max_value=5.0)
 couplings = st.floats(min_value=0.0, max_value=5.0)
@@ -38,7 +37,9 @@ def test_decoupled_matrix_is_diagonal():
 @given(w=freqs, wf=freqs, c=couplings)
 def test_generator_is_eta_pseudo_hermitian(w, wf, c):
     m = build_matrix(HopfieldBlock(w, wf, c))
-    assert np.allclose(m.conj().T, ETA @ m @ ETA, atol=1e-13)
+    # denormal draws underflow inside allclose's tolerance product
+    with np.errstate(under="ignore"):
+        assert np.allclose(m.conj().T, ETA @ m @ ETA, atol=1e-13)
 
 
 @given(w=freqs, wf=freqs, c=couplings)

@@ -9,7 +9,9 @@ Definitions: every module-level function, class and constant under ``src/``,
 and every method of those classes (dunders exempt), must be referenced by
 name, attribute or import in some file under ``src/``, ``scripts/``,
 ``tests/`` or ``bench/``, so that removing a caller does not leave dead code
-behind.
+behind.  One that ``fluxchain/__init__.py`` does not re-export (itself or
+its class) must be read under ``src/``, ``scripts/`` or ``bench/``: a
+definition only tests read is a test oracle and belongs in ``tests/``.
 
 Parameters: every parameter with a default, of a function or method under
 ``src/``, must be passed somewhere in those files: as a keyword in any call
@@ -155,6 +157,19 @@ def test_no_dead_definitions():
             for path in sorted((ROOT / "src").rglob("*.py"))
             for name in dead_definitions(path.read_text(), read)]
     assert dead == []
+
+
+def test_no_test_only_definitions():
+    init = ast.parse((ROOT / "src" / "fluxchain" / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    read = set().union(*(references(path.read_text()) for path in REFERENCING
+                         if path.relative_to(ROOT).parts[0] != "tests"))
+    test_only = [f"{path.relative_to(ROOT)}: {name}"
+                 for path in sorted((ROOT / "src").rglob("*.py"))
+                 for name in dead_definitions(path.read_text(), read)
+                 if name.split(".")[0] not in exported]
+    assert test_only == []
 
 
 def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
