@@ -55,6 +55,26 @@ final vector and is off the eigenvalue by the squared residual over the gap.
 Two sector energies near -14 can then be subtracted down to splittings of
 1e-11 without the start seed showing in the difference.
 
+A pair is certified by one of two routes.  The residual gate, which every
+solve has, accepts it once its explicit residual is below ``10 * tol``
+times its column's scale; this is the rule for every caller that uses the
+vectors: spectra, the ``overlap`` command and the doublet fidelity.  A
+caller that needs the eigenvalues only passes ``energy_tol`` and may also
+accept a pair by its Kato-Temple bound r^2 / (theta_2 - r_2 - theta_1)
+(Kato, J. Phys. Soc. Jpn. 4, 334 (1949); Parlett, *The Symmetric
+Eigenvalue Problem*, SIAM 1998, ch. 10-11): r and theta are the explicit
+residual and Rayleigh quotient, and theta_2 - r_2, the next Ritz value of
+the same projected block less its residual estimate, stands in for a lower
+bound on the next level.  ``manybody.ground_splittings`` is that caller:
+its vectors only warm-start the refinement, and each ground energy is
+bounded by a tenth of the splitting floor.  The stand-in holds only for a
+level the Krylov space has resolved.  A level just above the lowest that
+the space has not yet separated from it leaves theta_2 too high; with
+levels -1 and -1 + 1e-6 below a band in [0, 1], a target of 1e-12 stopped
+a 300-state solve with its energy 3e-9 high.  A sector's ground state is
+separated from its next level by the sector's gap, and the splitting tests
+check the certified energies against tight residual-gated ones.
+
 Every solve owns its BLAS thread budget (``solve_threads``).  At or below
 ``THREADED_LIMIT`` states it runs on one OpenBLAS thread: a step there is
 Python-bound, with GEMVs of some thousand rows and a projected block of at
@@ -196,7 +216,7 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> float:
 
 
 def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale,
-                      max_matvecs: int = 60000, start=None) -> LanczosResult:
+                      max_matvecs: int = 60000, start=None, energy_tol=None) -> LanczosResult:
     """k lowest eigenpairs of each of b real symmetric operators on ``dim``
     states, given only their stacked matvec.
 
@@ -211,15 +231,36 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale,
     ``start``, a ``(b, dim)`` stack of finite nonzero rows, seeds the
     iteration in place of pure noise.
 
+    ``energy_tol``, one absolute bound per column, is for a caller that
+    needs the eigenvalues only: a column is also accepted once each pair j
+    has a Kato-Temple bound ``r_j^2 / (theta_{j+1} - r_{j+1} - theta_j)``
+    at or below it, with r_j the explicit residual and theta_j the
+    Rayleigh quotient of pair j, and theta_{j+1}, r_{j+1} the next Ritz
+    value of the projected block and its residual estimate.  Where that
+    gap estimate is not positive the pair has only the residual gate.
+
     The solve runs under ``solve_threads(dim)``.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    scale = np.asarray(scale, dtype=float)
+    if energy_tol is not None:
+        energy_tol = np.broadcast_to(np.asarray(energy_tol, dtype=float), scale.shape)
     with solve_threads(dim):
-        return _lanczos(matvec, dim, k, tol, np.asarray(scale, dtype=float), max_matvecs, start)
+        return _lanczos(matvec, dim, k, tol, scale, max_matvecs, start, energy_tol)
 
 
-def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:
+def _kato_temple(res, theta, vals, est, energy_tol) -> np.ndarray:
+    """Columns whose k pairs (residuals ``res``, values ``theta``) all have
+    a Kato-Temple bound at or below ``energy_tol``, the gap to each taken
+    from the next Ritz value ``vals`` less its residual estimate ``est``;
+    a gap estimate below zero never passes."""
+    k = theta.shape[1]
+    gap = vals[:, 1 : k + 1] - est[:, 1 : k + 1] - theta
+    return np.all(res * res <= energy_tol[:, None] * gap, axis=1)
+
+
+def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start, energy_tol) -> LanczosResult:
     b = scale.size
     size = basis_size(dim, k)
     keep = min(max(k + 6, 2 * k), size - 2)
@@ -284,9 +325,14 @@ def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:
         # a restart or once the Krylov space is exhausted
         if restart or m >= dim or m % 4 == 0:
             vals, svecs = np.linalg.eigh(proj[:, :m, :m])
-            best_vals = vals[:, : min(k, m)]
-            best_res = np.abs(beta[:, None] * svecs[:, m - 1, : min(k, m)])
-            ready = ~done & (m >= dim or (m >= k and np.all(best_res < gate[:, None], axis=1)))
+            est = np.abs(beta[:, None] * svecs[:, m - 1])
+            best_vals, best_res = vals[:, : min(k, m)], est[:, : min(k, m)]
+            converged = np.all(best_res < gate[:, None], axis=1) & (m >= k)
+            # a bound on the energies needs the next Ritz pair, so m > k
+            bounded = np.zeros(b, dtype=bool)
+            if energy_tol is not None and m > k:
+                bounded = _kato_temple(best_res, best_vals, vals, est, energy_tol)
+            ready = ~done & (m >= dim or converged | bounded)
             if ready.any():
                 ritz = svecs[:, :, :k].transpose(0, 2, 1) @ Q[:, :m]
                 ritz /= np.sqrt(_dots(ritz, ritz))[:, :, None]
@@ -299,7 +345,10 @@ def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start) -> LanczosResult:
                 cert_calls += k
                 certs[ready] += k
                 # estimates may be optimistic; a column they fooled iterates on
-                accept = ready & (m >= dim or np.all(explicit < 10.0 * gate[:, None], axis=1))
+                certified = np.all(explicit < 10.0 * gate[:, None], axis=1)
+                if bounded.any():
+                    certified |= bounded & _kato_temple(explicit, rq, vals, est, energy_tol)
+                accept = ready & (m >= dim or certified)
                 out_vals[accept], out_res[accept] = rq[accept], explicit[accept]
                 # the first certified Ritz vectors become the output, and
                 # later columns are copied in, so no extra k x dim block is held

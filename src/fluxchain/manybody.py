@@ -16,22 +16,24 @@ Z2 parity (product of sz times photon-number parity), and every solve works
 in one parity sector.  There the matvec never materializes H: a sector is
 indexed by (occupations, spin bits 2..N), since parity fixes bit 1, and in
 the gauge |n> -> i^n |n> per mode the sector operator is real, a diagonal
-minus one small spin-space product and two occupation-shifted slice adds per
-mode (``HamiltonianEngine``).  Everything but the diagonal is the same in
-both sectors and for any atomic frequencies, so one engine applies H to a
-stack of sectors of one chain shape, and ``sector_spectra`` solves such a
-stack at once.  Its size alone picks the eigensolver: dense at or below
-``DENSE_LIMIT`` states, Lanczos above.  Both routes run under
-``krylov.solve_threads``: one OpenBLAS thread up to ``THREADED_LIMIT``
-states, so a sector's energies do not depend on the core count, and the
-usable cores above it.  A full-space spectrum is the merge of the two
+minus, per mode, one small spin-space product and two contiguous shifts of
+each row by that mode's stride (``HamiltonianEngine``).  Everything but the
+diagonal is the same in both sectors and for any atomic frequencies, so one
+engine applies H to a stack of sectors of one chain shape, and
+``sector_spectra`` solves such a stack at once.  Its size alone picks the
+eigensolver: dense at or below ``DENSE_LIMIT`` states, Lanczos above.  Both
+routes run under ``krylov.solve_threads``: one OpenBLAS thread up to
+``THREADED_LIMIT`` states, so a sector's energies do not depend on the core
+count, and the usable cores above it.  A full-space spectrum is the merge of the two
 sector spectra.  Public vectors stay in the documented complex basis and on
 their sector's indexer; ``BasisIndexer.indices`` places one in the full space.
 
 Ground-state splittings (``ground_splittings``) are computed sector by
 sector; subtracting two nearly equal full-space eigenvalues cannot reach
 the 1e-12 level that the sector route resolves.  Splittings below
-``NUMERICAL_FLOOR`` times the atomic frequency are flagged as floor-limited.
+``NUMERICAL_FLOOR`` times the atomic frequency are flagged as floor-limited,
+and each Lanczos ground energy is certified to a tenth of that floor by its
+Kato-Temple bound, or by the residual gate (``krylov``).
 
 A clean chain (all atomic frequencies equal) also commutes with the mirror
 R: atom j -> N+1-j, times (-1)^n_k on each mode odd under it (even k < N,
@@ -54,6 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -330,6 +333,20 @@ def _parity(sector) -> str:
     return sector if isinstance(sector, str) else sector[0]
 
 
+def _fold_maps(columns) -> dict:
+    """The ``_mirror_fold`` of each mirror-even label among the columns; a
+    parity sector folds by the identity and has no entry."""
+    spec = columns[0][0]
+    labels = dict.fromkeys(sec for _, sec in columns if not isinstance(sec, str))
+    return {sec: _mirror_fold(spec, sec) for sec in labels}
+
+
+def _column_dimension(spec: ManyBodySpec, maps: dict, sector) -> int:
+    """The states of a column of ``spec``, its mirror-even half's where
+    ``maps`` (``_fold_maps``) folds its label."""
+    return maps[sector][0].size if sector in maps else spec.dimension // 2
+
+
 def _stack_columns(columns) -> list:
     """``columns`` as a list of (spec, sector) pairs of one chain shape; a
     sector is 'even', 'odd', or the mirror-even half ('even', +1) or
@@ -407,7 +424,11 @@ class HamiltonianEngine:
     them, so each X_m is one real 2^(N-1) square matrix, the same in both
     sectors.  So are the sqrt(n) factors and ``phase`` (i^photons per state),
     which maps sector vectors of this operator to the documented complex
-    basis; only ``diagonal`` has one row per column.
+    basis; only ``diagonal`` has one row per column.  States one stride of
+    mode m apart in a row differ by one quantum of that mode, so its ladder
+    is two contiguous shifts of each row by the stride, weighted by
+    sqrt(n_m + 1), which is zero where n_m sits at its cutoff, so no shift
+    reaches the next block of the higher modes.
 
     A mirror-even column, ('even', +1) or ('odd', +1), solves the R = +1
     half of its sector (``_mirror_fold``): its vectors hold the coordinates
@@ -416,13 +437,15 @@ class HamiltonianEngine:
     product, since H keeps R-even vectors R-even.
     """
 
-    def __init__(self, columns):
-        """The stack of (spec, sector) ``columns``, in order."""
+    def __init__(self, columns, maps=None):
+        """The stack of (spec, sector) ``columns``, in order; ``maps`` is
+        ``_fold_maps`` of these columns or of a list that holds them, built
+        here when None."""
         self.columns = _stack_columns(columns)
         spec = self.spec = self.columns[0][0]
-        self.indexers = [BasisIndexer(s, _parity(sec)) for s, sec in self.columns]
-        maps = {sec: _mirror_fold(spec, sec) for _, sec in self.columns}
-        sizes = {keep.size for keep, *_ in maps.values()}
+        if maps is None:
+            maps = _fold_maps(self.columns)
+        sizes = {_column_dimension(spec, maps, sec) for _, sec in self.columns}
         if len(sizes) > 1:
             raise ManyBodyError("the columns of a stack differ in dimension")
         self.dimension = sizes.pop()
@@ -432,9 +455,10 @@ class HamiltonianEngine:
         # fold and unfold of the whole stack, each one flat gather over its
         # rows and a scaling; None when no column folds
         self._fold = self._unfold = None
-        if any(not isinstance(sec, str) for _, sec in self.columns):
-            keep, back, spread, gain = (np.stack(a) for a in
-                                        zip(*(maps[sec] for _, sec in self.columns)))
+        if any(sec in maps for _, sec in self.columns):
+            keep, back, spread, gain = (np.stack(a) for a in zip(*(
+                maps[sec] if sec in maps else _mirror_fold(spec, sec)
+                for _, sec in self.columns)))
             rows = np.arange(len(self.columns))[:, None]
             self._fold = (keep + rows * sector_dim, gain)
             self._unfold = (back + rows * self.dimension, spread)
@@ -444,42 +468,55 @@ class HamiltonianEngine:
         mode_e = _mode_table([w * np.arange(dim, dtype=float)
                               for w, dim in zip(spec.omega_modes, spec.mode_dims)])
         occ = np.arange(sector_dim) // half
+        spins = {p: _sector_indices(spec, p) & (spec.spin_dim - 1)
+                 for p in dict.fromkeys(_parity(sec) for _, sec in self.columns)}
         self.diagonal = np.stack([
-            spin_diagonal(s.omega_atoms)[idx.indices & (spec.spin_dim - 1)] + mode_e[occ]
-            for (s, _), idx in zip(self.columns, self.indexers)])
-        self.phase = np.array([1, 1j, -1, -1j])[_photon_totals(spec)[occ] % 4]
+            spin_diagonal(s.omega_atoms)[spins[_parity(sec)]] + mode_e[occ]
+            for s, sec in self.columns])
 
         self.couplings = spec.couplings
         rest = np.arange(half)
         self._terms = []
+        # states one stride apart in a row differ by one quantum of mode m
+        stride = half
         for m, dim in enumerate(spec.mode_dims):
             x_m = self.couplings[m, 0] * np.eye(half)
             for j in range(1, n):
                 x_m[rest, rest ^ (1 << (j - 1))] += self.couplings[m, j]
-            if not np.any(x_m):
-                continue
-            # axis of mode m in the (batch, mode_Nm, ..., mode_1, spin) view
-            lo = [slice(None)] * (spec.n_modes + 2)
-            hi = list(lo)
-            lo[spec.n_modes - m] = slice(None, -1)
-            hi[spec.n_modes - m] = slice(1, None)
-            # sqrt(n+1) spread over the contiguous axes behind mode m, so
-            # the slice updates run as plain elementwise products
-            sq = np.sqrt(np.arange(1, dim, dtype=float)).reshape((-1,) + (1,) * (m + 1))
-            sq = np.ascontiguousarray(
-                np.broadcast_to(sq, (dim - 1,) + self._shape[spec.n_modes - m:]))
-            self._terms.append((x_m, sq, tuple(lo), tuple(hi)))
+            if np.any(x_m):
+                # sqrt(n_m + 1) at each state that has a state one stride
+                # on, and 0 where n_m sits at its cutoff, so a shift never
+                # reaches the next block of the higher modes; tiled from one
+                # period, so building it allocates no row-sized temporaries
+                period = np.repeat(np.append(np.sqrt(np.arange(1.0, dim)), 0.0), stride)
+                sq = np.tile(period, sector_dim // period.size)[:-stride]
+                self._terms.append((x_m, stride, sq))
+            stride *= dim
+
+    # indexers and phase serve returned vectors and warm starts only, so
+    # they are built on first use and a solve without vectors never holds them
+    @cached_property
+    def indexers(self) -> list:
+        """Each column's ``BasisIndexer``, that of its parity sector."""
+        return [BasisIndexer(s, _parity(sec)) for s, sec in self.columns]
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """i^photons per sector state."""
+        occ = np.arange(self.diagonal.shape[1]) // self._shape[-1]
+        return np.array([1, 1j, -1, -1j])[_photon_totals(self.spec)[occ] % 4]
 
     def _apply(self, rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        v = rows.reshape((-1,) + self._shape)
-        out = v * diagonal.reshape((-1,) + self._shape)
-        for x_m, sq, lo, hi in self._terms:
+        v = rows.reshape(-1, diagonal.shape[-1])
+        out = v * diagonal
+        for x_m, stride, sq in self._terms:
             # one spin-space product per row, so a row's bits never depend
             # on the rows stacked beside it
             t = (v.reshape(len(v), -1, self._shape[-1]) @ x_m).reshape(v.shape)
-            # <n| a |n+1> = <n+1| a^dag |n> = sqrt(n+1)
-            out[lo] -= sq * t[hi]
-            out[hi] -= sq * t[lo]
+            # <n| a |n+1> = <n+1| a^dag |n> = sqrt(n+1), as two contiguous
+            # shifts of each row by the stride of mode m
+            out[:, :-stride] -= sq * t[:, stride:]
+            out[:, stride:] -= sq * t[:, :-stride]
         return out.reshape(rows.shape)
 
     def fold(self, y: np.ndarray) -> np.ndarray:
@@ -514,15 +551,21 @@ class HamiltonianEngine:
         """The real matrices of the stack, (b, dim, dim): the coupling block
         of each column's sector or mirror-even half, the same for every
         column of one sector label, plus each column's diagonal."""
-        eye, zero = np.eye(self.dimension), np.zeros(self.diagonal.shape[1])
+        dim, sector_dim = self.dimension, self.diagonal.shape[1]
+        eye, zero = np.eye(dim), np.zeros(sector_dim)
+        if self._fold is None:
+            h = np.repeat(self._apply(eye, zero)[None], len(self.columns), axis=0)
+            h[:, range(dim), range(dim)] = self.diagonal
+            return h
+        # row i of the stacked maps is column i's map, offset by i rows
+        (keep, gain), (back, spread) = self._fold, self._unfold
         blocks = {}
-        for _, sec in self.columns:
+        for i, (_, sec) in enumerate(self.columns):
             if sec not in blocks:
-                keep, back, spread, gain = _mirror_fold(self.spec, sec)
-                blocks[sec] = self._apply(eye[:, back] * spread, zero)[:, keep] * gain, keep
-        h = np.stack([blocks[sec][0] for _, sec in self.columns])
-        h[:, range(self.dimension), range(self.dimension)] = [
-            d[blocks[sec][1]] for d, (_, sec) in zip(self.diagonal, self.columns)]
+                blocks[sec] = (self._apply(eye[:, back[i] - i * dim] * spread[i], zero)
+                               [:, keep[i] - i * sector_dim] * gain[i])
+        h = np.stack([blocks[sec] for _, sec in self.columns])
+        h[:, range(dim), range(dim)] = self.diagonal.reshape(-1).take(keep)
         return h
 
     def norm_bound(self) -> np.ndarray:
@@ -567,7 +610,7 @@ def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int = 0) -
 
 
 def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool = False,
-                   starts=None) -> list[SpectrumResult]:
+                   starts=None, energy_tol=None) -> list[SpectrumResult]:
     """``lowest_spectrum`` of each (spec, sector) column, in column order.
 
     The columns share N, N_m, g and the cutoffs; sector and atomic
@@ -583,6 +626,9 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     columns from a vector of the same chain and sector at per-mode cutoffs
     no larger than the column's (the ground vector of a smaller solve),
     zero-padded to the column's cutoffs; the dense route ignores them.
+    ``energy_tol``, one absolute bound per column, lets a Lanczos column
+    whose vectors serve only as warm starts be certified by the
+    Kato-Temple bound on its energies (``krylov.lowest_eigenpairs``).
     """
     columns = _stack_columns(columns)
     if m < 1:
@@ -591,27 +637,33 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
         raise ManyBodyError("tol must be positive")
     if starts is not None and len(starts) != len(columns):
         raise ManyBodyError(f"{len(starts)} starts for {len(columns)} columns")
-    sizes = {sec: _mirror_fold(columns[0][0], sec)[0].size for _, sec in columns}
-    dims = [sizes[sec] for _, sec in columns]
+    maps = _fold_maps(columns)
+    dims = [_column_dimension(columns[0][0], maps, sec) for _, sec in columns]
     if m > min(dims):
         raise ManyBodyError(f"m = {m} exceeds the sector dimension {min(dims)}")
-    out = []
+    stacks = []
     first = 0
     for dim, run in groupby(dims):
         end = first + len(list(run))
         per_column = 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
         width = max(1, STACK_BYTES // per_column)
-        for lo in range(first, end, width):
-            hi = min(lo + width, end)
-            out += _stack_spectra(columns[lo:hi], m, tol, with_vectors,
-                                  None if starts is None else starts[lo:hi])
+        stacks += [(lo, min(lo + width, end)) for lo in range(first, end, width)]
         first = end
+    out = []
+    for i, (lo, hi) in enumerate(stacks):
+        op = HamiltonianEngine(columns[lo:hi], maps=maps)
+        if i == len(stacks) - 1:
+            # the engine keeps its stacked copy of the maps; the solve does
+            # not need the originals too
+            del maps
+        out += _stack_spectra(op, m, tol, with_vectors,
+                              None if starts is None else starts[lo:hi],
+                              None if energy_tol is None else energy_tol[lo:hi])
     return out
 
 
-def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult]:
-    """The results of one stack of ``sector_spectra``."""
-    op = HamiltonianEngine(columns)
+def _stack_spectra(op, m, tol, with_vectors, starts, energy_tol) -> list[SpectrumResult]:
+    """The results of one stack of ``sector_spectra``, on its engine ``op``."""
     dim = op.dimension
     start = None
     if starts is not None:
@@ -622,19 +674,19 @@ def _stack_spectra(columns, m, tol, with_vectors, starts) -> list[SpectrumResult
             vals, vecs = np.linalg.eigh(h)
             vals, vecs = vals[:, :m], vecs[:, :, :m]
             residuals = np.linalg.norm(h @ vecs - vecs * vals[:, None, :], axis=1)
-        iterations, method = [0] * len(columns), "dense"
+        iterations, method = [0] * len(op.columns), "dense"
     else:
         res = lowest_eigenpairs(op.matvec, dim, m, tol=tol, scale=op.norm_bound(),
-                                start=start)
+                                start=start, energy_tol=energy_tol)
         vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
         iterations, method = res.column_matvecs, "lanczos"
     if with_vectors:
         vecs = [op.unfold(vecs[:, :, j]) for j in range(m)]
     out = []
-    for i, idx in enumerate(op.indexers):
+    for i in range(len(op.columns)):
         wfs = None
         if with_vectors:
-            wfs = [Wavefunction(idx, op.phase * v[i]) for v in vecs]
+            wfs = [Wavefunction(op.indexers[i], op.phase * v[i]) for v in vecs]
         out.append(SpectrumResult(vals[i], residuals[i], int(iterations[i]),
                                   op.columns[i][1], method, wfs))
     return out
@@ -698,6 +750,17 @@ def ground_columns(spec: ManyBodySpec) -> list:
     return [(spec, (sec, 1) if clean else sec) for sec in SECTORS]
 
 
+def _omega_ref(spec: ManyBodySpec) -> float:
+    """The atomic frequency scale of a spec's splitting floor."""
+    return float(np.mean(np.abs(spec.omega_atoms))) or 1.0
+
+
+def _energy_tol(spec: ManyBodySpec) -> float:
+    """The Kato-Temple bound each ground energy of ``spec`` is certified to
+    in ``ground_splittings``: a tenth of the splitting floor."""
+    return NUMERICAL_FLOOR * _omega_ref(spec) / 10
+
+
 def ground_splittings(specs, tol: float = 1e-3,
                       refine: bool = True) -> list[SplittingRecord]:
     """|E0(even) - E0(odd)| of each spec, in order, with a convergence flag.
@@ -707,21 +770,25 @@ def ground_splittings(specs, tol: float = 1e-3,
     ``refine`` solves them again at larger cutoffs, from the padded ground
     vectors.  A record is converged when refinement changes delta by at most
     ``tol`` relative, or leaves both splittings below the floor; never
-    unrefined.
+    unrefined.  The vectors serve only as warm starts, so every Lanczos
+    column may stop once the Kato-Temple bound on its energy is within
+    ``_energy_tol``, a tenth of the floor, as well as at the residual gate.
     """
     columns = [c for s in specs for c in ground_columns(s)]
-    base = sector_spectra(columns, 1, with_vectors=refine)
+    energy_tol = [_energy_tol(s) for s, _ in columns]
+    base = sector_spectra(columns, 1, with_vectors=refine, energy_tol=energy_tol)
     e = [float(r.eigenvalues[0]) for r in base]
     d2s = [None] * len(e)
     if refine:
         bumped = [(s.with_cutoffs(_refined_cutoffs(s.cutoffs)), sec) for s, sec in columns]
         e2 = [float(r.eigenvalues[0])
-              for r in sector_spectra(bumped, 1, starts=[r.vectors[0] for r in base])]
+              for r in sector_spectra(bumped, 1, starts=[r.vectors[0] for r in base],
+                                      energy_tol=energy_tol)]
         d2s = [abs(a - b) for a, b in zip(e2[::2], e2[1::2])]
     records = []
     for (spec, _), e_even, e_odd, d2 in zip(columns[::2], e[::2], e[1::2], d2s):
         delta = abs(e_even - e_odd)
-        omega_ref = float(np.mean(np.abs(spec.omega_atoms))) or 1.0
+        omega_ref = _omega_ref(spec)
         floor = NUMERICAL_FLOOR * omega_ref
         converged = False
         if refine:

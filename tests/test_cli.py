@@ -271,11 +271,13 @@ class TestRun:
         monkeypatch.undo()
         rows = read_csv_rows(str(tmp_path / "disorder" / "disorder.csv"))
         assert len(rows) == args["count"]
-        # each delta is the bytes of its two sectors solved alone
+        # each delta is the bytes of its two sectors solved alone, with the
+        # energy certification of ground_splittings
         for row in rows:
             spec = base.with_omega_atoms((float(row["omega_F_1"]), float(row["omega_F_2"])))
-            even, odd = (manybody.lowest_spectrum(spec, s).eigenvalues[0]
-                         for s in manybody.SECTORS)
+            even, odd = (manybody.sector_spectra([(spec, s)], 1,
+                                                 energy_tol=[manybody._energy_tol(spec)])[0]
+                         .eigenvalues[0] for s in manybody.SECTORS)
             assert row["delta"] == repr(abs(float(even) - float(odd)))
 
     def test_fit_beta_end_to_end(self, tmp_path):

@@ -229,6 +229,35 @@ class TestApplyHamiltonian:
         x = np.random.default_rng(3).standard_normal((1, dim))
         assert np.allclose(op.matvec(x), x @ op.dense()[0])
 
+    @pytest.mark.parametrize("n, nm, cutoffs", [(2, 2, (7, 3)), (3, 3, (5, 3, 2)),
+                                                (4, 2, (4, 3))])
+    def test_product_is_the_per_axis_slice_product_bytewise(self, n, nm, cutoffs):
+        # the same sums in the same order as a product that adds sqrt(n + 1)
+        # times the ladder partner along each mode's axis of the (occupations,
+        # spin) array, so the contiguous shifts change no bit
+        spec = small_spec(n, nm, 0.9, cutoffs)
+        columns = [(spec.with_omega_atoms(w), s) for w, s in (
+            ((1.0,) * n, "even"), (tuple(np.linspace(0.8, 1.2, n)), "odd"),
+            ((0.9,) * n, "odd"))]
+        op = HamiltonianEngine(columns)
+        x = np.random.default_rng(4).standard_normal((3, op.dimension))
+        shape = (3,) + tuple(reversed(spec.mode_dims)) + (spec.spin_dim // 2,)
+        v = x.reshape(shape)
+        ref = v * op.diagonal.reshape(shape)
+        rest = np.arange(spec.spin_dim // 2)
+        for m, dim in enumerate(spec.mode_dims):
+            x_m = spec.couplings[m, 0] * np.eye(rest.size)
+            for j in range(1, n):
+                x_m[rest, rest ^ (1 << (j - 1))] += spec.couplings[m, j]
+            t = (v.reshape(3, -1, rest.size) @ x_m).reshape(shape)
+            axis = nm - m
+            lo, hi = [slice(None)] * len(shape), [slice(None)] * len(shape)
+            lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+            sq = np.sqrt(np.arange(1.0, dim)).reshape((-1,) + (1,) * (m + 1))
+            ref[tuple(lo)] -= sq * t[tuple(hi)]
+            ref[tuple(hi)] -= sq * t[tuple(lo)]
+        assert op.matvec(x).tobytes() == ref.reshape(3, -1).tobytes()
+
 
 # ------------------------------------------------------------------ parity
 
@@ -701,6 +730,83 @@ def test_sector_ground_solve_matvec_budget(sector):
     assert res.iterations <= 110
 
 
+def test_krylov_energy_target_bounds_the_eigenvalues():
+    # a Kato-Temple bound at or below the target stops the solve before the
+    # residual gate would, and the energies keep to the target
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((400, 400))
+    h = (a + a.T) / 2
+    ref = np.linalg.eigvalsh(h)
+    scale = np.array([np.linalg.norm(h, 2)])
+    for k in (1, 2):
+        gated = lowest_eigenpairs(lambda x: x @ h, 400, k, tol=1e-13, scale=scale)
+        bounded = lowest_eigenpairs(lambda x: x @ h, 400, k, tol=1e-13, scale=scale,
+                                    energy_tol=1e-10)
+        assert bounded.matvec_count < gated.matvec_count
+        assert np.max(np.abs(bounded.eigenvalues[0] - ref[:k])) <= 1e-10
+        assert np.max(bounded.residuals) > 10 * 1e-13 * scale[0]
+
+
+def test_krylov_energy_target_on_a_degenerate_level_keeps_the_residual_gate():
+    # the lowest level holds 50 states and the Krylov space reaches a second
+    # copy of it after the first breakdown, so the next Ritz value sits on
+    # the first and there is no positive gap: the solve is the gated one
+    diag = np.random.default_rng(9).permutation(np.repeat([-1.0, 1.0], [50, 100]))
+    for k in (1, 2):
+        gated = lowest_eigenpairs(lambda x: diag * x, 150, k, tol=1e-12, scale=np.array([1.0]))
+        bounded = lowest_eigenpairs(lambda x: diag * x, 150, k, tol=1e-12,
+                                    scale=np.array([1.0]), energy_tol=1e-3)
+        np.testing.assert_allclose(bounded.eigenvalues[0], [-1.0] * k, atol=1e-12)
+        assert np.max(bounded.residuals) < 10 * 1e-12
+        assert bounded.eigenvalues.tobytes() == gated.eigenvalues.tobytes()
+        assert bounded.matvec_count == gated.matvec_count
+
+
+#: (N, N_m, g grid, even_floor, safety, tol) of criterion 5's N = 2 grid,
+#: criterion 6's N = 3 grid and the splitting_n3 benchmark's grid
+SPLITTING_GRIDS = {
+    "criterion5": (2, 1, (0.8, 1.0, 1.2, 1.5), 4, 4.0, 1e-3),
+    "criterion6_n3": (3, 3, (0.9, 1.0, 1.1, 1.2, 1.3), 12, 4.0, 1e-2),
+    "splitting_n3": (3, 3, (0.7, 1.0), 8, 2.5, 1e-2),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SPLITTING_GRIDS))
+def test_certified_ground_energies_match_tight_residual_solves(grid, monkeypatch):
+    n, nm, gs, floor, safety, tol = SPLITTING_GRIDS[grid]
+    specs = [ManyBodySpec.from_coupling(n, nm, g, even_floor=floor, safety=safety)
+             for g in gs]
+    records = [ground_splittings([s], tol=tol)[0] for s in specs]
+    for spec, rec in zip(specs, records):
+        tight = sector_spectra(ground_columns(spec), 1, tol=1e-13)
+        for e, ref in zip((rec.e_even, rec.e_odd), tight):
+            assert abs(e - ref.eigenvalues[0]) <= 1e-14 * manybody._omega_ref(spec)
+    # with the residual gate alone the flags come out the same
+    solve = manybody.sector_spectra
+    monkeypatch.setattr(manybody, "sector_spectra",
+                        lambda *a, energy_tol=None, **kw: solve(*a, **kw))
+    gated = [ground_splittings([s], tol=tol)[0] for s in specs]
+    assert [(r.converged, r.below_floor) for r in records] == [
+        (r.converged, r.below_floor) for r in gated]
+
+
+def test_splitting_sweep_matvec_budget(monkeypatch):
+    # the splitting_n3 benchmark grid: 566 operator calls under the residual
+    # gate alone, 470 once the ground energies are certified by Kato-Temple
+    calls = []
+    matvec = HamiltonianEngine.matvec
+
+    def counted(self, x):
+        calls.append(len(x))
+        return matvec(self, x)
+
+    monkeypatch.setattr(HamiltonianEngine, "matvec", counted)
+    for g in (0.7, 1.0):
+        ground_splittings([ManyBodySpec.from_coupling(3, 3, g, even_floor=8, safety=2.5)],
+                          tol=1e-2)
+    assert len(calls) <= 480
+
+
 class TestStackedSolves:
     """Columns solved as one stack give the bytes of their lone solves."""
 
@@ -823,8 +929,10 @@ class TestStackedSolves:
         monkeypatch.setattr(manybody, "sector_spectra", recorded)
         ground_splittings([spec])
         base, refined = solved
+        # the lone solves take the energy certification of ground_splittings
         for column, b, r in zip(columns, base, refined):
-            lone = sector_spectra([column], 1, starts=[b.vectors[0]])[0]
+            lone = sector_spectra([column], 1, starts=[b.vectors[0]],
+                                  energy_tol=[manybody._energy_tol(spec)])[0]
             assert r.sector == column[1] and r.method == "lanczos"
             assert lone.eigenvalues.tobytes() == r.eigenvalues.tobytes()
             assert lone.iterations == r.iterations
