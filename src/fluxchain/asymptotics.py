@@ -183,19 +183,18 @@ def doublet_overlap(pair) -> OverlapResult:
 
     Parity maps V+ to V-, so span{V+, V-} = span{V+_even, V+_odd}, the
     sector parts of V+.  Sectors are orthogonal, so the principal cosines
-    are |<psi_s|V+_s>| / (||psi_s|| ||V+_s||), one per sector.  V+_s is
-    read from ``vacuum_factors`` at the sector's indices, so no vector
-    leaves its sector.
+    are |<psi_s|V+_s>| / (||psi_s|| ||V+_s||), one per sector.  V+_s is the
+    ``BasisIndexer.product`` of the sector with ``vacuum_factors``, so no
+    vector leaves its sector.
     """
     indexers = [wf.indexer for wf in pair]
     if (tuple(idx.sector for idx in indexers) != SECTORS
             or indexers[0].spec != indexers[1].spec):
         raise ManyBodyError("need the even and the odd state of one spec")
-    spec = indexers[0].spec
-    modes, spin = vacuum_factors(spec, +1)
+    modes, spin = vacuum_factors(indexers[0].spec, +1)
     cos = []
     for wf, idx in zip(pair, indexers):
-        part = modes[idx.indices // spec.spin_dim] * spin[idx.indices % spec.spin_dim]
+        part = idx.product(modes, spin)
         cos.append(abs(np.vdot(wf.data, part))
                    / (np.linalg.norm(wf.data) * np.linalg.norm(part)))
     hi, lo = np.clip(sorted(cos, reverse=True), 0.0, 1.0)

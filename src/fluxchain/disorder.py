@@ -40,6 +40,8 @@ class DisorderEnsembleSpec:
                                 f"got {self.amplitude}")
         if self.count < 1:
             raise DisorderError("count must be at least 1")
+        if self.seed < 0:
+            raise DisorderError(f"seed must be non-negative, got {self.seed}")
 
 
 def sample_frequencies(spec: DisorderEnsembleSpec) -> np.ndarray:

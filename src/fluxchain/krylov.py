@@ -107,6 +107,8 @@ import numpy as np
 SEED = 7
 #: a Gram-Schmidt pass that leaves less than this share of the norm is repeated
 DGKS = 1 / np.sqrt(2)
+#: matvecs a column may take before ``lowest_eigenpairs`` gives up
+MAX_MATVECS = 60000
 
 #: dimension at or below which a solve runs on one BLAS thread, above it on
 #: the usable cores.  One N=4 sector ground solve, fresh processes, median
@@ -216,7 +218,7 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> float:
 
 
 def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale,
-                      max_matvecs: int = 60000, start=None, energy_tol=None) -> LanczosResult:
+                      start=None, energy_tol=None) -> LanczosResult:
     """k lowest eigenpairs of each of b real symmetric operators on ``dim``
     states, given only their stacked matvec.
 
@@ -247,7 +249,7 @@ def lowest_eigenpairs(matvec, dim: int, k: int, *, tol: float, scale,
     if energy_tol is not None:
         energy_tol = np.broadcast_to(np.asarray(energy_tol, dtype=float), scale.shape)
     with solve_threads(dim):
-        return _lanczos(matvec, dim, k, tol, scale, max_matvecs, start, energy_tol)
+        return _lanczos(matvec, dim, k, tol, scale, start, energy_tol)
 
 
 def _kato_temple(res, theta, vals, est, energy_tol) -> np.ndarray:
@@ -260,7 +262,7 @@ def _kato_temple(res, theta, vals, est, energy_tol) -> np.ndarray:
     return np.all(res * res <= energy_tol[:, None] * gap, axis=1)
 
 
-def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start, energy_tol) -> LanczosResult:
+def _lanczos(matvec, dim, k, tol, scale, start, energy_tol) -> LanczosResult:
     b = scale.size
     size = basis_size(dim, k)
     keep = min(max(k + 6, 2 * k), size - 2)
@@ -293,7 +295,7 @@ def _lanczos(matvec, dim, k, tol, scale, max_matvecs, start, energy_tol) -> Lanc
     out_vecs = None
     best_vals = best_res = None
 
-    while steps + lag < max_matvecs:
+    while steps + lag < MAX_MATVECS:
         q = Q[:, m]
         w = matvec(q)
         steps += 1

@@ -11,22 +11,24 @@ cells (cosine pattern for odd k, sine for even k, the alternating
 zone-boundary pattern at k = N).
 
 Basis packing puts the N spin bits in the low bits of the index and the mode
-occupations above them in mixed radix, mode 1 fastest.  H commutes with the
-Z2 parity (product of sz times photon-number parity), and every solve works
-in one parity sector.  There the matvec never materializes H: a sector is
-indexed by (occupations, spin bits 2..N), since parity fixes bit 1, and in
-the gauge |n> -> i^n |n> per mode the sector operator is real, a diagonal
-minus, per mode, one small spin-space product and two contiguous shifts of
-each row by that mode's stride (``HamiltonianEngine``).  Everything but the
-diagonal is the same in both sectors and for any atomic frequencies, so one
-engine applies H to a stack of sectors of one chain shape, and
-``sector_spectra`` solves such a stack at once.  Its size alone picks the
-eigensolver: dense at or below ``DENSE_LIMIT`` states, Lanczos above.  Both
-routes run under ``krylov.solve_threads``: one OpenBLAS thread up to
-``THREADED_LIMIT`` states, so a sector's energies do not depend on the core
-count, and the usable cores above it.  A full-space spectrum is the merge of the two
-sector spectra.  Public vectors stay in the documented complex basis and on
-their sector's indexer; ``BasisIndexer.indices`` places one in the full space.
+occupations above them in mixed radix, mode 1 fastest; ``BasisIndexer`` is
+the one owner of that layout.  H commutes with the Z2 parity (product of sz
+times photon-number parity), and every solve works in one parity sector.
+There the matvec never materializes H: a sector is an array of occupation
+rows by columns of spin bits 2..N, since parity fixes bit 1, and in the
+gauge |n> -> i^n |n> per mode the sector operator is real, a diagonal minus,
+per mode, one small spin-space product and two contiguous shifts of each row
+by that mode's stride (``HamiltonianEngine``).  Everything but the diagonal
+is the same in both sectors and for any atomic frequencies, so one engine
+applies H to a stack of sectors of one chain shape, and ``sector_spectra``
+solves such a stack at once.  Its size alone picks the eigensolver: dense at
+or below ``DENSE_LIMIT`` states, Lanczos above.  Both routes run under
+``krylov.solve_threads``: one OpenBLAS thread up to ``THREADED_LIMIT``
+states, so a sector's energies do not depend on the core count, and the
+usable cores above it.  A full-space spectrum is the merge of the two sector
+spectra.  Public vectors stay in the documented complex basis and on their
+sector's indexer; ``BasisIndexer.indices``, built only when read, places one
+in the full space.
 
 Ground-state splittings (``ground_splittings``) are computed sector by
 sector; subtracting two nearly equal full-space eigenvalues cannot reach
@@ -41,14 +43,18 @@ and k = N at even N).  Both sector ground states are R-even, so a clean
 chain's ground pair (``ground_columns``: ``ground_splittings``, the CLI's
 ``overlap`` and the doublet fidelity) is solved in the R = +1 half of each
 sector, the column labels ('even', +1) and ('odd', +1).  That premise is
-tested against the Kronecker oracle for N = 2..4, every N_m and
-g = 0..1, and the folded ground energies against the whole sectors to
-1e-12.  A half holds 50-56% of its sector when a mode is odd under R, and
-62-76% when none is (N_m = 1).  At odd N the two halves have one dimension;
-at even N they differ (N=2 at cutoff 32: 50 and 49 of 66 states; N=4,
-N_m=2 at g=0.7: 740 and 730 of 1,400), and each is then its own stack.
-Excited levels are not folded: disorder ensembles, ``lowest_spectrum`` and
-every spectrum keep whole parity sectors, which hold the R = -1 levels too.
+tested against the Kronecker oracle for N = 2..4, every N_m and g = 0..1,
+and the folded ground energies against the whole sectors to 1e-12.  On a
+sector's rows R is the indexer's spin table bit-reversed times a sign per
+occupation (``_mirror``), and each engine builds the fold of its own labels
+from it.  A half holds (D + tr R) / 2 of its sector's D states: 50-56% when a
+mode is odd under R, and 62-76% when none is (N_m = 1).  At odd N the two
+halves have one dimension; at even N they differ (N=2 at cutoff 32: 50 and
+49 of 66 states; N=4, N_m=2 at g=0.7: 740 and 730 of 1,400), and each is
+then its own stack.  A stack holds parity sectors or mirror-even halves,
+never both.  Excited levels are not folded: disorder ensembles,
+``lowest_spectrum`` and every spectrum keep whole parity sectors, which hold
+the R = -1 levels too.
 """
 
 from __future__ import annotations
@@ -133,8 +139,8 @@ def choose_cutoffs(n_atoms: int, n_modes: int, g: float, safety: float = 4.0,
     Displaced (odd) modes get ceil(|alpha|^2 + safety |alpha| + safety^2);
     undisplaced modes keep the fixed floor.  Monotone in ``safety``.
     """
-    if safety < 1.0:
-        raise ManyBodyError("safety must be at least 1")
+    if not 1.0 <= safety < math.inf:
+        raise ManyBodyError(f"safety must be finite and at least 1, got {safety}")
     from .asymptotics import coherent_amplitudes
 
     amps = np.abs(coherent_amplitudes(n_atoms, n_modes, g))
@@ -276,41 +282,48 @@ def _mode_table(per_mode) -> np.ndarray:
     return out
 
 
-def _photon_totals(spec: ManyBodySpec) -> np.ndarray:
-    return _mode_table([np.arange(dim) for dim in spec.mode_dims])
-
-
-def _sector_indices(spec: ManyBodySpec, sector: str) -> np.ndarray:
-    # parity fixes spin bit 1 once the photon total and bits 2..N are known,
-    # so (occupations, bits 2..N) in row-major order enumerates the sector in
-    # increasing full index f * 2^N + s
-    rest = np.arange(spec.spin_dim // 2)
-    bit1 = (spec.n_atoms + (sector == "odd") + _photon_totals(spec)[:, None]
-            + _popcount(rest, spec.n_atoms - 1)[None, :]) % 2
-    occ = np.arange(spec.dimension // spec.spin_dim)[:, None]
-    return (occ * spec.spin_dim + 2 * rest[None, :] + bit1).reshape(-1)
-
-
 class BasisIndexer:
-    """The packed basis of a spec: the whole space or one parity sector.
+    """The packed basis of a spec, the whole space or one parity sector: the
+    one owner of its layout.
 
-    Index layout: bits of atom j in bit j-1, occupation of mode 1 in the
-    lowest mixed-radix digit above the spin bits.  A sector keeps
-    ``indices``, its sorted positions in the full space; the full space has
-    ``indices`` None.
+    A full index is f 2^N + s, with atom j's level in bit j-1 of the spin
+    pattern s and the occupations in f, a mixed-radix number with mode 1 the
+    lowest digit.  A basis is the array ``shape``, (n_Nm, ..., n_1, column):
+    one row per occupation pattern f, and one column per spin pattern of the
+    whole space.  In a parity sector a row's photon total fixes spin bit 1,
+    so a column is spin bits 2..N.  The basis keeps ``photons``, each row's
+    photon total, and ``spins``, the spin pattern of each column for each
+    photon-total parity (at most 2 x 2^(N-1) entries), so the state at
+    (f, c) has spin pattern ``spins[photons[f] % 2, c]``.  ``indices``, the
+    sorted full-space index of each state, is built only when read;
+    ``product`` places a product state without it.
     """
 
     def __init__(self, spec: ManyBodySpec, sector: str):
         if sector not in ("full",) + SECTORS:
             raise ManyBodyError("sector must be 'full', 'even' or 'odd'")
-        self.spec = spec
-        self.sector = sector
-        if sector == "full":
-            self.indices = None
-            self.dimension = spec.dimension
-        else:
-            self.indices = _sector_indices(spec, sector)
-            self.dimension = int(self.indices.size)
+        self.spec, self.sector = spec, sector
+        self.photons = _mode_table([np.arange(dim) for dim in spec.mode_dims])
+        n, spins = spec.n_atoms, np.arange(spec.spin_dim)
+        if sector != "full":
+            # parity fixes bit 1 once the photon total and bits 2..N are known
+            rest = spins[: spec.spin_dim // 2]
+            spins = 2 * rest + (n + (sector == "odd") + np.arange(2)[:, None]
+                                + _popcount(rest, n - 1)) % 2
+        self.spins = np.broadcast_to(spins, (2, spins.shape[-1]))
+        self.shape = tuple(reversed(spec.mode_dims)) + (self.spins.shape[1],)
+        self.dimension = math.prod(self.shape)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The full-space index of each state, in increasing order."""
+        rows = np.arange(self.photons.size)[:, None] * self.spec.spin_dim
+        return (rows + self.spins[self.photons % 2]).reshape(-1)
+
+    def product(self, modes: np.ndarray, spin: np.ndarray) -> np.ndarray:
+        """The amplitudes on this basis of the product state whose amplitude
+        at full index f 2^N + s is modes[f] spin[s]."""
+        return (modes[:, None] * spin[self.spins][self.photons % 2]).reshape(-1)
 
 
 @dataclass
@@ -331,20 +344,6 @@ class Wavefunction:
 def _parity(sector) -> str:
     """The parity sector of a column label, 'even' or 'odd'."""
     return sector if isinstance(sector, str) else sector[0]
-
-
-def _fold_maps(columns) -> dict:
-    """The ``_mirror_fold`` of each mirror-even label among the columns; a
-    parity sector folds by the identity and has no entry."""
-    spec = columns[0][0]
-    labels = dict.fromkeys(sec for _, sec in columns if not isinstance(sec, str))
-    return {sec: _mirror_fold(spec, sec) for sec in labels}
-
-
-def _column_dimension(spec: ManyBodySpec, maps: dict, sector) -> int:
-    """The states of a column of ``spec``, its mirror-even half's where
-    ``maps`` (``_fold_maps``) folds its label."""
-    return maps[sector][0].size if sector in maps else spec.dimension // 2
 
 
 def _stack_columns(columns) -> list:
@@ -370,33 +369,50 @@ def _stack_columns(columns) -> list:
     return columns
 
 
-def _mirror_fold(spec: ManyBodySpec, sector):
-    """The index map of a column onto its sector's coordinates (keep, back,
-    spread, gain); the identity for a parity sector.
+def _mirror(basis: BasisIndexer) -> tuple[np.ndarray, np.ndarray]:
+    """The mirror R on a parity sector's rows, as (cols, sign):
+    (R v)[f, c] = sign[f] v[f, cols[photons[f] % 2, c]].
 
-    For a mirror-even label, R maps atom j to atom N+1-j and multiplies by
-    (-1)^n_k on each mode whose weights are odd under that map (even k < N,
-    and k = N at even N).  It keeps every occupation and the parity, so in
-    sector coordinates (R v)[i] = sign[i] v[perm[i]], with ``perm`` the bit
-    reversal of the spin pattern.  The R = +1 half keeps one representative
-    per pair i < perm[i], u = (e_i + sign[i] e_perm[i]) / sqrt(2), and each
-    fixed point of sign +1.  A folded x unfolds to ``x[back] * spread``, and
-    an R-even sector vector y folds to its coordinates ``y[keep] * gain``.
+    R maps atom j to atom N+1-j and multiplies by (-1)^n_k on each mode
+    whose weights are odd under that map (even k < N, and k = N at even N).
+    It keeps every occupation and so each row's spin table; ``cols`` is the
+    column of each table entry bit-reversed, and ``sign`` the parity of the
+    occupations of the R-odd modes, per row.
     """
-    dim = spec.dimension // 2
-    if isinstance(sector, str):
-        every = np.arange(dim)
-        return every, every, np.ones(dim), np.ones(dim)
-    n = spec.n_atoms
-    idx = _sector_indices(spec, sector[0])
-    spins = idx & (spec.spin_dim - 1)
-    mirrored = np.zeros_like(spins)
+    spec, n = basis.spec, basis.spec.n_atoms
+    mirrored = np.zeros_like(basis.spins)
     for j in range(n):
-        mirrored |= ((spins >> j) & 1) << (n - 1 - j)
-    perm = (idx >> n) * (spec.spin_dim // 2) + (mirrored >> 1)
+        mirrored |= ((basis.spins >> j) & 1) << (n - 1 - j)
     odd = [k < n and k % 2 == 0 or k == n and n % 2 == 0 for k in range(1, spec.n_modes + 1)]
     flips = _mode_table([o * np.arange(d) for o, d in zip(odd, spec.mode_dims)])
-    sign = 1.0 - 2.0 * (flips[idx >> n] % 2)
+    return mirrored >> 1, 1.0 - 2.0 * (flips % 2)
+
+
+def _column_dimension(spec: ManyBodySpec, sector) -> int:
+    """The states of a column: D of its parity sector, or (D + tr R) / 2 of
+    a mirror-even half, its R = +1 eigenspace."""
+    if isinstance(sector, str):
+        return spec.dimension // 2
+    basis = BasisIndexer(spec, sector[0])
+    cols, sign = _mirror(basis)
+    fixed = np.count_nonzero(cols == np.arange(cols.shape[1]), axis=1)
+    return (basis.dimension + int(sign @ fixed[basis.photons % 2])) // 2
+
+
+def _mirror_fold(basis: BasisIndexer):
+    """The index map of a mirror-even column onto the coordinates of its
+    parity sector ``basis``: (keep, back, spread, gain).
+
+    In sector coordinates (R v)[i] = sign[i] v[perm[i]] (``_mirror``).  The
+    R = +1 half keeps one representative per pair i < perm[i],
+    u = (e_i + sign[i] e_perm[i]) / sqrt(2), and each fixed point of sign
+    +1.  A folded x unfolds to ``x[back] * spread``, and an R-even sector
+    vector y folds to its coordinates ``y[keep] * gain``.
+    """
+    cols, sign = _mirror(basis)
+    width, dim = cols.shape[1], basis.dimension
+    perm = (np.arange(sign.size)[:, None] * width + cols[basis.photons % 2]).reshape(-1)
+    sign = np.repeat(sign, width)
     every = np.arange(dim)
     keep = np.flatnonzero((perm > every) | ((perm == every) & (sign > 0)))
     pairs = perm[keep] != keep
@@ -409,14 +425,14 @@ def _mirror_fold(spec: ManyBodySpec, sector):
 
 
 class HamiltonianEngine:
-    """The real operators of a stack of parity sectors, applied matrix-free.
+    """The real operators of a stack of parity sectors, or of mirror-even
+    halves of them, applied matrix-free.
 
     A column of the stack is a (spec, sector) pair; the columns of one
     engine share N, N_m, g, the cutoffs and their dimension, and may differ
-    in sector and atomic frequencies.  Sector states are indexed as
-    (occupations, spin bits 2..N) in the order of
-    ``BasisIndexer(spec, sector).indices``.  In the gauge |n> -> i^n |n> per
-    mode, H restricted to a sector is
+    in sector and atomic frequencies.  Sector states sit in the layout of
+    their ``BasisIndexer``, (occupations, spin bits 2..N).  In the gauge
+    |n> -> i^n |n> per mode, H restricted to a sector is
 
         diag - sum_m (a_m + a_m^dag) (x) X_m,    X_m = sum_j c_mj sx_j,
 
@@ -430,51 +446,51 @@ class HamiltonianEngine:
     sqrt(n_m + 1), which is zero where n_m sits at its cutoff, so no shift
     reaches the next block of the higher modes.
 
-    A mirror-even column, ('even', +1) or ('odd', +1), solves the R = +1
-    half of its sector (``_mirror_fold``): its vectors hold the coordinates
-    of that half, ``dimension`` counts them, and ``matvec`` is
-    ``fold(H unfold(x))``, one flat gather on each side of the sector
-    product, since H keeps R-even vectors R-even.
+    A stack holds parity sectors or mirror-even halves, never both.  A
+    mirror-even column, ('even', +1) or ('odd', +1), solves the R = +1 half
+    of its sector: the engine builds the ``_mirror_fold`` of each of its
+    labels, its vectors hold the coordinates of that half, ``dimension``
+    counts them, and ``matvec`` is ``fold(H unfold(x))``, one flat gather on
+    each side of the sector product, since H keeps R-even vectors R-even.
     """
 
-    def __init__(self, columns, maps=None):
-        """The stack of (spec, sector) ``columns``, in order; ``maps`` is
-        ``_fold_maps`` of these columns or of a list that holds them, built
-        here when None."""
+    def __init__(self, columns):
+        """The stack of (spec, sector) ``columns``, in order."""
         self.columns = _stack_columns(columns)
         spec = self.spec = self.columns[0][0]
-        if maps is None:
-            maps = _fold_maps(self.columns)
-        sizes = {_column_dimension(spec, maps, sec) for _, sec in self.columns}
-        if len(sizes) > 1:
-            raise ManyBodyError("the columns of a stack differ in dimension")
-        self.dimension = sizes.pop()
-        sector_dim = spec.dimension // 2
-        n, half = spec.n_atoms, spec.spin_dim // 2
-        self._shape = tuple(reversed(spec.mode_dims)) + (half,)
+        labels = dict.fromkeys(sec for _, sec in self.columns)
+        if len({isinstance(sec, str) for sec in labels}) > 1:
+            raise ManyBodyError("a stack holds parity sectors or mirror-even halves, "
+                                "not both")
+        # one basis per parity; the rows, their photon totals and the shape
+        # are the same in both
+        bases = {sec: BasisIndexer(spec, _parity(sec)) for sec in labels}
+        self._basis = basis = bases[self.columns[0][1]]
+        sector_dim = self.dimension = basis.dimension
         # fold and unfold of the whole stack, each one flat gather over its
-        # rows and a scaling; None when no column folds
+        # rows and a scaling; None for parity sectors
         self._fold = self._unfold = None
-        if any(sec in maps for _, sec in self.columns):
+        if isinstance(self.columns[0][1], tuple):
+            maps = {sec: _mirror_fold(bases[sec]) for sec in labels}
+            sizes = {keep.size for keep, *_ in maps.values()}
+            if len(sizes) > 1:
+                raise ManyBodyError("the columns of a stack differ in dimension")
+            self.dimension = sizes.pop()
             keep, back, spread, gain = (np.stack(a) for a in zip(*(
-                maps[sec] if sec in maps else _mirror_fold(spec, sec)
-                for _, sec in self.columns)))
+                maps[sec] for _, sec in self.columns)))
             rows = np.arange(len(self.columns))[:, None]
             self._fold = (keep + rows * sector_dim, gain)
             self._unfold = (back + rows * self.dimension, spread)
 
-        # each column's diagonal straight from its spin and mode tables; the
-        # occupations of sector state s are s // half in either sector
+        # each column's diagonal straight from its spin and mode tables
         mode_e = _mode_table([w * np.arange(dim, dtype=float)
                               for w, dim in zip(spec.omega_modes, spec.mode_dims)])
-        occ = np.arange(sector_dim) // half
-        spins = {p: _sector_indices(spec, p) & (spec.spin_dim - 1)
-                 for p in dict.fromkeys(_parity(sec) for _, sec in self.columns)}
         self.diagonal = np.stack([
-            spin_diagonal(s.omega_atoms)[spins[_parity(sec)]] + mode_e[occ]
-            for s, sec in self.columns])
+            (spin_diagonal(s.omega_atoms)[bases[sec].spins][basis.photons % 2]
+             + mode_e[:, None]).reshape(-1) for s, sec in self.columns])
 
         self.couplings = spec.couplings
+        n, half = spec.n_atoms, basis.shape[-1]
         rest = np.arange(half)
         self._terms = []
         # states one stride apart in a row differ by one quantum of mode m
@@ -503,8 +519,8 @@ class HamiltonianEngine:
     @cached_property
     def phase(self) -> np.ndarray:
         """i^photons per sector state."""
-        occ = np.arange(self.diagonal.shape[1]) // self._shape[-1]
-        return np.array([1, 1j, -1, -1j])[_photon_totals(self.spec)[occ] % 4]
+        return np.repeat(np.array([1, 1j, -1, -1j])[self._basis.photons % 4],
+                         self._basis.shape[-1])
 
     def _apply(self, rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
         v = rows.reshape(-1, diagonal.shape[-1])
@@ -512,7 +528,7 @@ class HamiltonianEngine:
         for x_m, stride, sq in self._terms:
             # one spin-space product per row, so a row's bits never depend
             # on the rows stacked beside it
-            t = (v.reshape(len(v), -1, self._shape[-1]) @ x_m).reshape(v.shape)
+            t = (v.reshape(len(v), -1, self._basis.shape[-1]) @ x_m).reshape(v.shape)
             # <n| a |n+1> = <n+1| a^dag |n> = sqrt(n+1), as two contiguous
             # shifts of each row by the stride of mode m
             out[:, :-stride] -= sq * t[:, stride:]
@@ -521,8 +537,8 @@ class HamiltonianEngine:
 
     def fold(self, y: np.ndarray) -> np.ndarray:
         """The column coordinates of a (b, sector dimension) stack of sector
-        vectors, R-even in the rows of mirror-even columns; a parity-sector
-        column's row is its own coordinates."""
+        vectors, R-even where the columns are mirror-even halves; a parity
+        sector's vectors are their own coordinates."""
         if self._fold is None:
             return y
         keep, gain = self._fold
@@ -588,7 +604,7 @@ class SpectrumResult:
     vectors: list[Wavefunction] | None = None
 
 
-def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int = 0) -> np.ndarray:
+def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int) -> np.ndarray:
     """``start``, a vector of the chain and parity sector of ``op``'s column
     ``column`` at cutoffs no larger than ``op``'s, zero-padded onto that
     sector in its real gauge."""
@@ -598,14 +614,13 @@ def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int = 0) -
             or any(a > b for a, b in zip(idx.spec.cutoffs, spec.cutoffs))):
         raise ManyBodyError("start must be a vector of the same chain and sector "
                             "with cutoffs at most the spec's")
-    # sector coordinates are (mode_Nm, ..., mode_1, spin bits 2..N); padding
-    # keeps every occupation, so parity and the gauge phase of each state
-    # stay, and the start is taken to the real gauge on its own support
-    old_shape = tuple(reversed(idx.spec.mode_dims)) + (op._shape[-1],)
-    inner = tuple(slice(d) for d in old_shape)
-    padded = np.zeros(op._shape)
-    padded[inner] = (start.data.reshape(old_shape)
-                     * op.phase.reshape(op._shape)[inner].conj()).real
+    # padding keeps every occupation row, so parity and the gauge phase of
+    # each state stay, and the start is taken to the real gauge on its own
+    # support
+    inner = tuple(slice(d) for d in idx.shape)
+    padded = np.zeros(op._basis.shape)
+    padded[inner] = (start.data.reshape(idx.shape)
+                     * op.phase.reshape(op._basis.shape)[inner].conj()).real
     return padded.reshape(-1)
 
 
@@ -637,26 +652,22 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
         raise ManyBodyError("tol must be positive")
     if starts is not None and len(starts) != len(columns):
         raise ManyBodyError(f"{len(starts)} starts for {len(columns)} columns")
-    maps = _fold_maps(columns)
-    dims = [_column_dimension(columns[0][0], maps, sec) for _, sec in columns]
-    if m > min(dims):
-        raise ManyBodyError(f"m = {m} exceeds the sector dimension {min(dims)}")
+    spec = columns[0][0]
+    dims = {sec: _column_dimension(spec, sec) for sec in dict.fromkeys(sec for _, sec in columns)}
+    if m > min(dims.values()):
+        raise ManyBodyError(f"m = {m} exceeds the sector dimension {min(dims.values())}")
     stacks = []
     first = 0
-    for dim, run in groupby(dims):
+    # a stack holds parity sectors or mirror-even halves, of one dimension
+    for (_, dim), run in groupby((isinstance(sec, str), dims[sec]) for _, sec in columns):
         end = first + len(list(run))
         per_column = 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
         width = max(1, STACK_BYTES // per_column)
         stacks += [(lo, min(lo + width, end)) for lo in range(first, end, width)]
         first = end
     out = []
-    for i, (lo, hi) in enumerate(stacks):
-        op = HamiltonianEngine(columns[lo:hi], maps=maps)
-        if i == len(stacks) - 1:
-            # the engine keeps its stacked copy of the maps; the solve does
-            # not need the originals too
-            del maps
-        out += _stack_spectra(op, m, tol, with_vectors,
+    for lo, hi in stacks:
+        out += _stack_spectra(HamiltonianEngine(columns[lo:hi]), m, tol, with_vectors,
                               None if starts is None else starts[lo:hi],
                               None if energy_tol is None else energy_tol[lo:hi])
     return out

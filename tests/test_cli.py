@@ -413,6 +413,14 @@ class TestStrictConfig:
             assert "error: bad value for 'jobs'" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # numpy's generator once refused it with an error that named no key
+        argv = ["disorder", "--n", "2", "--n-m", "1", "--g", "1.0", "--amplitude", "0.3",
+                "--count", "2", "--seed", "-1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert re.fullmatch(r"error: .*\bseed\b.*\n", capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
     def test_non_finite_g_or_omega_f_rejected(self, tmp_path, capsys):
         # refused before any cutoff choice or solve, with explicit cutoffs
         # and with the defaults sized from g; a tolerance must be above 0

@@ -49,6 +49,11 @@ class TestSampling:
         with pytest.raises(DisorderError, match="amplitude"):
             make_ensemble(amplitude=amplitude, count=2)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator once refused it with a message that named no key
+        with pytest.raises(DisorderError, match="seed"):
+            make_ensemble(seed=-1, count=2)
+
     def test_seed_determinism(self):
         a = sample_frequencies(make_ensemble(count=8, seed=3))
         b = sample_frequencies(make_ensemble(count=8, seed=3))

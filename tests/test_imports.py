@@ -19,6 +19,11 @@ Parameters: every parameter with a default, of a function or method under
 in a call of that function's name.  A default that no caller overrides is a
 constant.
 
+Layout: ``manybody.BasisIndexer`` owns the packed basis, so under ``src/``
+only ``manybody.py`` uses the attributes that spell it out as full-space
+indices, ``spin_dim`` and ``indices``; other modules go through the
+indexer's ``product``.
+
 Runtime: the package runs on numpy alone, so importing it and running CLI
 commands in a fresh interpreter must load no ``scipy`` module; tests and
 the benchmark use scipy only as an independent oracle.
@@ -253,6 +258,33 @@ def test_no_unpassed_parameters():
                 for path in sorted((ROOT / "src").rglob("*.py"))
                 for name in unpassed_parameters(path.read_text(), keys, positional)]
     assert unpassed == []
+
+
+#: attributes of the full-space layout that only ``manybody.py`` may use
+LAYOUT_ATTRIBUTES = ("spin_dim", "indices")
+
+
+def layout_uses(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) of every use of a ``LAYOUT_ATTRIBUTES`` attribute."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRIBUTES)
+
+
+def test_layout_checker_flags_only_these():
+    source = (
+        "def f(spec, idx, modes, spin, indices):\n"
+        "    spin_dim = spec.spin_dim\n"
+        "    part = modes[idx.indices // spin_dim] * spin[indices]\n"
+        "    return idx.product(modes, spin), spec.dimension, idx.shape\n"
+    )
+    assert layout_uses(source) == [(2, "spin_dim"), (3, "indices")]
+
+
+def test_only_manybody_uses_the_full_space_layout():
+    uses = [f"{path.relative_to(ROOT)}:{line}: {attr}"
+            for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "manybody.py"
+            for line, attr in layout_uses(path.read_text())]
+    assert uses == []
 
 
 _NO_SCIPY_RUN = """

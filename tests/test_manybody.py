@@ -22,6 +22,8 @@ from fluxchain.manybody import (
     ManyBodyError,
     ManyBodySpec,
     Wavefunction,
+    _column_dimension,
+    _mirror_fold,
     _padded_start,
     _refined_cutoffs,
     choose_cutoffs,
@@ -33,7 +35,7 @@ from fluxchain.manybody import (
     sector_spectra,
     spatial_weights,
 )
-from fluxchain.asymptotics import analytic_splitting_n2, asymptotic_vacuum
+from fluxchain.asymptotics import analytic_splitting_n2, asymptotic_vacuum, doublet_overlap
 
 from oracles import dense_hamiltonian, embedded, mirror_operator, parity_diagonal
 
@@ -141,6 +143,14 @@ class TestChooseCutoffs:
         hi = choose_cutoffs(5, 3, 1.2, safety=4.0)
         assert all(b >= a for a, b in zip(lo, hi))
 
+    @pytest.mark.parametrize("safety", [0.5, math.nan, math.inf])
+    def test_safety_outside_one_to_infinity_rejected(self, safety):
+        # nan once ended in math.ceil's bare ValueError and inf in an
+        # OverflowError, which the CLI does not turn into an error line
+        for call in (choose_cutoffs, ManyBodySpec.from_coupling):
+            with pytest.raises(ManyBodyError, match="safety"):
+                call(3, 2, 1.0, safety=safety)
+
 
 # ------------------------------------------------------------------- basis
 
@@ -163,6 +173,20 @@ def test_sector_indices_match_kron_parity():
         for sector, want in (("even", 1), ("odd", -1)):
             assert np.array_equal(BasisIndexer(spec, sector).indices,
                                   np.flatnonzero(signs == want))
+
+
+@pytest.mark.parametrize("spec", [small_spec(2, 2, 1.0, (3, 2)),
+                                  small_spec(3, 3, 0.7, (4, 2, 3)),
+                                  small_spec(5, 2, 0.9, (3, 2))])
+def test_product_is_the_decode_of_the_indices_bytewise(spec):
+    rng = np.random.default_rng(8)
+    rows = spec.dimension // 2**spec.n_atoms
+    modes = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    spin = rng.standard_normal(2**spec.n_atoms)
+    for sector in SECTORS:
+        idx = BasisIndexer(spec, sector)
+        want = modes[idx.indices // 2**spec.n_atoms] * spin[idx.indices % 2**spec.n_atoms]
+        assert idx.product(modes, spin).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ matvec
@@ -400,10 +424,11 @@ class TestLowestSpectrum:
             res = sector_lanczos(spec, sector, 4, tol=1e-11)
             assert np.max(np.abs(res.eigenvalues - ref)) < 1e-9
 
-    def test_nonconvergence_raises_with_residuals(self):
+    def test_nonconvergence_raises_with_residuals(self, monkeypatch):
         spec = small_spec(3, 2, 1.0, (6, 4))
+        monkeypatch.setattr(krylov, "MAX_MATVECS", 8)
         with pytest.raises(EigenConvergenceError) as err:
-            sector_lanczos(spec, "even", 2, tol=1e-14, max_matvecs=8)
+            sector_lanczos(spec, "even", 2, tol=1e-14)
         assert err.value.residuals is not None
         # the error crosses the process boundary of parallel_map whole
         copy = pickle.loads(pickle.dumps(err.value))
@@ -544,7 +569,7 @@ class TestWarmStart:
         e0, vec = base.eigenvalues[0], base.vectors[0]
         op = HamiltonianEngine([(bumped, sector)])
         x = _padded_by_full_index(vec, bumped)
-        np.testing.assert_array_equal(_padded_start(op, vec), x)
+        np.testing.assert_array_equal(_padded_start(op, vec, 0), x)
         # couplings of the padded vector stay inside its own support, so its
         # Rayleigh quotient is the smaller solve's energy
         assert x @ op.matvec(x[None])[0] / (x @ x) == pytest.approx(e0, rel=1e-12)
@@ -1035,6 +1060,74 @@ class TestMirrorFold:
         assert [HamiltonianEngine([c]).dimension for c in ground_columns(spec)] == [50, 49]
         with pytest.raises(ManyBodyError, match="dimension"):
             HamiltonianEngine(ground_columns(spec))
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_half_dimension_is_half_the_sector_plus_the_trace(self, n):
+        # (D + tr R) / 2 from the spin tables and row signs alone, against
+        # the fold's own count and, up to N = 3, the oracle's trace of R;
+        # at N = 1 R is the identity and the half is the whole sector
+        for nm in range(1, n + 1):
+            for cutoffs in ((2,) * nm, (3,) * nm, (3, 2, 3, 2, 1)[:nm]):
+                spec = ManyBodySpec.from_coupling(n, nm, 0.8, cutoffs=cutoffs)
+                signs = parity_diagonal(spec) if n <= 3 else None
+                for sector, want in (("even", 1), ("odd", -1)):
+                    half = _column_dimension(spec, (sector, 1))
+                    assert half == _mirror_fold(BasisIndexer(spec, sector))[0].size
+                    if n == 1:
+                        assert half == spec.dimension // 2
+                    if signs is not None:
+                        sel = signs == want
+                        trace = np.trace(mirror_operator(spec)[np.ix_(sel, sel)]).real
+                        assert half == round((sel.sum() + trace) / 2)
+
+    @pytest.mark.parametrize("cutoff, method", [(40, "dense"), (900, "lanczos")])
+    def test_mixed_kinds_solve_in_two_stacks(self, monkeypatch, cutoff, method):
+        # at N = 1 R is the identity, so a parity sector and its mirror-even
+        # half share a dimension and only their kind keeps them apart
+        spec = ManyBodySpec.from_coupling(1, 1, 0.8, cutoffs=(cutoff,))
+        folded = [("even", 1), ("odd", 1)]
+        columns = [(spec, sec) for sec in list(SECTORS) + folded]
+        with pytest.raises(ManyBodyError, match="not both"):
+            HamiltonianEngine(columns[1:3])
+        stacks = []
+        build = HamiltonianEngine.__init__
+
+        def recorded(self, cols):
+            stacks.append([sec for _, sec in cols])
+            build(self, cols)
+
+        monkeypatch.setattr(HamiltonianEngine, "__init__", recorded)
+        mixed = sector_spectra(columns, 2, with_vectors=True)
+        assert stacks == [list(SECTORS), folded]
+        for column, r in zip(columns, mixed):
+            lone = sector_spectra([column], 2, with_vectors=True)[0]
+            assert r.method == lone.method == method and r.sector == column[1]
+            assert r.eigenvalues.tobytes() == lone.eigenvalues.tobytes()
+            assert r.residual_norms.tobytes() == lone.residual_norms.tobytes()
+            assert r.iterations == lone.iterations
+            for u, v in zip(r.vectors, lone.vectors):
+                assert u.data.tobytes() == v.data.tobytes()
+
+
+def test_splittings_and_fidelity_build_no_index_table(monkeypatch):
+    # the splitting_n3 benchmark grid, one ground_splittings call per g as
+    # the sweep makes them, and a fidelity: each engine folds its own two
+    # labels, and nothing reads a sector's full-space indices
+    built, folds = [], []
+    monkeypatch.setattr(BasisIndexer, "indices",
+                        property(lambda self: built.append(self.sector)))
+    fold = manybody._mirror_fold
+    monkeypatch.setattr(manybody, "_mirror_fold",
+                        lambda basis: folds.append(basis.sector) or fold(basis))
+    for g in (0.7, 1.0):
+        spec = ManyBodySpec.from_coupling(3, 3, g, even_floor=8, safety=2.5)
+        assert ground_splittings([spec], tol=1e-2)[0].converged
+    assert folds == list(SECTORS) * 4
+    spec = ManyBodySpec.from_coupling(3, 2, 1.0)
+    pair = [r.vectors[0] for r in sector_spectra(ground_columns(spec), 1, with_vectors=True)]
+    assert doublet_overlap(pair).fidelity > 0.9
+    assert built == []
 
 
 def square(x):
