@@ -54,9 +54,8 @@ def coherent_amplitudes(n_atoms: int, n_modes: int, g: float) -> np.ndarray:
     at odd N with N_m = N its entry k = N is sqrt(2) above the vacuum's own
     amplitude, ``displaced_amplitudes`` (0.5443 against 0.3849 at N = 3,
     g = 1).  ``choose_cutoffs`` sizes that mode from this larger value.
+    At N = 1, where sin(pi/2N) = 1, the one mode is that zone boundary.
     """
-    if n_atoms < 2:
-        raise ManyBodyError("need at least two atoms")
     if not 1 <= n_modes <= n_atoms:
         raise ManyBodyError("need 1 <= n_modes <= n_atoms")
     if not 0 <= g < math.inf:

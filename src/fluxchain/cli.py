@@ -329,7 +329,7 @@ def _cmd_polariton(cfg, chash):
 
 def _spec_from_cfg(cfg, g):
     kwargs = dict(safety=cfg["safety"], even_floor=cfg["even_floor"])
-    if cfg.get("cutoffs"):
+    if cfg.get("cutoffs") is not None:
         kwargs["cutoffs"] = cfg["cutoffs"]
     return manybody.ManyBodySpec.from_coupling(
         cfg["N"], cfg["N_m"], g,

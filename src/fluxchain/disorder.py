@@ -17,9 +17,6 @@ import numpy as np
 from .asymptotics import analytic_splitting_general, displaced_amplitudes, x_polarized
 from .manybody import ManyBodySpec, ground_splittings, spin_diagonal
 
-#: exact-engine ensembles refuse specs above this many basis states
-EXACT_ENGINE_BUDGET = 2_000_000
-
 
 class DisorderError(ValueError):
     pass
@@ -64,18 +61,14 @@ def ensemble_splitting(spec: DisorderEnsembleSpec, engine: str = "exact") -> np.
     Realization r has the atomic frequencies of row r of
     ``sample_frequencies(spec)``.  engine='exact' returns the deltas of
     ``ground_splittings`` over every realization at the base cutoffs
-    (bounded by ``EXACT_ENGINE_BUDGET``) without refinement; its stacked
-    sector solves leave each realization's bits as a lone solve gives them.
+    without refinement, refused as ``sector_spectra`` refuses a sector too
+    large to solve; its stacked sector solves leave each realization's bits
+    as a lone solve gives them.
     engine='analytic' evaluates the dominant-order closed form on every row
     at once; its per-realization value is signed.
     """
     if engine not in ("exact", "analytic"):
         raise DisorderError("engine must be 'exact' or 'analytic'")
-    if engine == "exact" and spec.base.dimension > EXACT_ENGINE_BUDGET:
-        raise DisorderError(
-            f"exact engine refused: dimension {spec.base.dimension} exceeds "
-            f"{EXACT_ENGINE_BUDGET}; use the analytic engine"
-        )
     base = spec.base
     freqs = sample_frequencies(spec)
     if engine == "analytic":

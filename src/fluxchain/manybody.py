@@ -21,14 +21,18 @@ per mode, one small spin-space product and two contiguous shifts of each row
 by that mode's stride (``HamiltonianEngine``).  Everything but the diagonal
 is the same in both sectors and for any atomic frequencies, so one engine
 applies H to a stack of sectors of one chain shape, and ``sector_spectra``
-solves such a stack at once.  Its size alone picks the eigensolver: dense at
-or below ``DENSE_LIMIT`` states, Lanczos above.  Both routes run under
-``krylov.solve_threads``: one OpenBLAS thread up to ``THREADED_LIMIT``
-states, so a sector's energies do not depend on the core count, and the
-usable cores above it.  A full-space spectrum is the merge of the two sector
-spectra.  Public vectors stay in the documented complex basis and on their
-sector's indexer; ``BasisIndexer.indices``, built only when read, places one
-in the full space.
+solves such a stack at once.  It is the one place that decides whether a
+chain is small enough to solve: before any basis is built, it refuses a call
+whose columns would each hold more than ``SOLVE_BYTES`` of Krylov basis or
+dense matrix, charging every column its whole parity sector, so a spec that
+is never solved is never refused for its size.  A sector's size alone picks
+the eigensolver: dense at or below ``DENSE_LIMIT`` states, Lanczos above.
+Both routes run under ``krylov.solve_threads``: one OpenBLAS thread up to
+``THREADED_LIMIT`` states, so a sector's energies do not depend on the core
+count, and the usable cores above it.  A full-space spectrum is the merge
+of the two sector spectra.  Public vectors stay in the documented complex
+basis and on their sector's indexer; ``BasisIndexer.indices``, built only
+when read, places one in the full space.
 
 Ground-state splittings (``ground_splittings``) are computed sector by
 sector; subtracting two nearly equal full-space eigenvalues cannot reach
@@ -90,8 +94,12 @@ DENSE_LIMIT = 400
 #: for 3.3-6.5 MB of basis, and is left unstacked
 STACK_BYTES = 2 * 2**20
 
-#: refuse to build spaces larger than this many basis states
-DIMENSION_BUDGET = 6_000_000
+#: bytes of Krylov basis, or of dense matrix, that one column's solve in
+#: ``sector_spectra`` may hold, each column charged its whole parity
+#: sector: 8 x 3,000,000 states x 49 vectors, the largest solve of 10
+#: levels that a 6,000,000-state full space once allowed.  A ground solve
+#: (37 vectors) may hold up to 3,972,972 states
+SOLVE_BYTES = 8 * 3_000_000 * 49
 
 
 class ManyBodyError(ValueError):
@@ -183,10 +191,6 @@ class ManyBodySpec:
             raise ManyBodyError("cutoffs length mismatch")
         if any(c < 1 for c in self.cutoffs):
             raise ManyBodyError("cutoffs must be at least 1")
-        if self.dimension > DIMENSION_BUDGET:
-            raise ManyBodyError(
-                f"dimension {self.dimension} exceeds budget {DIMENSION_BUDGET}"
-            )
 
     @classmethod
     def from_coupling(cls, n_atoms: int, n_modes: int, g: float, *,
@@ -624,6 +628,12 @@ def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int) -> np
     return padded.reshape(-1)
 
 
+def _column_bytes(dim: int, m: int) -> int:
+    """Bytes one column of ``dim`` states holds in a solve for m pairs: its
+    dense matrix at or below ``DENSE_LIMIT`` states, its Krylov basis above."""
+    return 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
+
+
 def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool = False,
                    starts=None, energy_tol=None) -> list[SpectrumResult]:
     """``lowest_spectrum`` of each (spec, sector) column, in column order.
@@ -632,10 +642,15 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     frequencies may differ.  A sector is a parity sector, 'even' or 'odd',
     or the mirror-even half of one, ('even', +1) or ('odd', +1), which needs
     equal atomic frequencies and holds both sectors' ground states (see
-    ``HamiltonianEngine``).  Runs of consecutive columns of one dimension
-    are solved together, as stacks of at most ``STACK_BYTES`` of Krylov
-    basis or dense matrices, and a column's result is the same, bit for bit,
-    whatever is stacked beside it; its dimension alone picks its route.
+    ``HamiltonianEngine``).  A call is refused, before any basis or engine
+    is built, when one column would hold more than ``SOLVE_BYTES`` of Krylov
+    basis, or of dense matrix at or below ``DENSE_LIMIT`` states; every
+    column is charged its whole parity sector, a mirror-even half too, whose
+    product still runs on the whole sector.  Runs of consecutive columns of
+    one dimension are solved together, as stacks of at most ``STACK_BYTES``
+    of the same per-column bytes, and a column's result is the same, bit
+    for bit, whatever is stacked beside it; its dimension alone picks its
+    route.
     Vectors come back on the parity sector's indexer either way.
     ``starts``, one parity-sector vector per column, warm-starts Lanczos
     columns from a vector of the same chain and sector at per-mode cutoffs
@@ -653,6 +668,11 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     if starts is not None and len(starts) != len(columns):
         raise ManyBodyError(f"{len(starts)} starts for {len(columns)} columns")
     spec = columns[0][0]
+    # before any basis is built, each column charged its whole parity sector
+    need = _column_bytes(spec.dimension // 2, m)
+    if need > SOLVE_BYTES:
+        raise ManyBodyError(f"sector of {spec.dimension // 2} states, m = {m}: one solve "
+                            f"would hold {need} bytes, more than SOLVE_BYTES = {SOLVE_BYTES}")
     dims = {sec: _column_dimension(spec, sec) for sec in dict.fromkeys(sec for _, sec in columns)}
     if m > min(dims.values()):
         raise ManyBodyError(f"m = {m} exceeds the sector dimension {min(dims.values())}")
@@ -661,8 +681,7 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     # a stack holds parity sectors or mirror-even halves, of one dimension
     for (_, dim), run in groupby((isinstance(sec, str), dims[sec]) for _, sec in columns):
         end = first + len(list(run))
-        per_column = 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
-        width = max(1, STACK_BYTES // per_column)
+        width = max(1, STACK_BYTES // _column_bytes(dim, m))
         stacks += [(lo, min(lo + width, end)) for lo in range(first, end, width)]
         first = end
     out = []

@@ -482,6 +482,56 @@ class TestStrictConfig:
                 run(command, None, dict(args, out_dir=str(tmp_path)))
         assert not any(tmp_path.iterdir())
 
+    def test_empty_cutoffs_refused(self, tmp_path, capsys):
+        # an empty list once fell back to the default cutoffs (29,) while
+        # the manifest recorded "cutoffs": []
+        argv = ["spectrum", "--n", "2", "--n-m", "1", "--g", "1", "--cutoffs", "[]"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: cutoffs length mismatch\n"
+        assert not any(tmp_path.iterdir())
+
+
+class TestChainSize:
+    """Only a solve is refused for its size, by ``sector_spectra``; a spec,
+    the analytic engine and a one-atom chain are not."""
+
+    #: from_coupling(6, 6, 1.5): 511,056,000 states at the default cutoffs
+    BIG = ["--n", "6", "--n-m", "6"]
+
+    def test_analytic_ensemble_of_a_large_chain_runs(self, tmp_path):
+        assert main(["disorder", *self.BIG, "--g", "1.5", "--engine", "analytic",
+                     "--count", "10", "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "disorder" / "disorder_summary.json").read_text())
+        assert math.isfinite(summary["mean"])
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--g", "1.5"],
+        ["splitting-sweep", "--g-grid", "[1.5]"],
+        ["overlap", "--g-grid", "[1.5]"],
+    ], ids=lambda argv: argv[0])
+    def test_solves_of_a_large_chain_refused_before_any_basis(self, argv, tmp_path,
+                                                              monkeypatch, capsys):
+        built = []
+        init = manybody.BasisIndexer.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(manybody.BasisIndexer, "__init__", counted)
+        assert main([argv[0], *self.BIG, *argv[1:], "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: sector of \d+ states, m = \d+: .* \d+ bytes, .*\n", err), err
+        assert built == []
+        assert not any(tmp_path.iterdir())
+
+    def test_one_atom_spectrum(self, tmp_path):
+        assert main(["spectrum", "--n", "1", "--n-m", "1", "--g", "0.5",
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = read_csv_rows(str(tmp_path / "spectrum" / "spectrum.csv"))
+        energies = [float(r["energy"]) for r in rows]
+        assert len(energies) == 10 and energies == sorted(energies)
+
 
 # one small configuration per command, from the TestRun cases above
 SMALL_RUNS = {

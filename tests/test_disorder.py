@@ -16,7 +16,8 @@ from fluxchain.asymptotics import (
     asymptotic_vacuum,
     displaced_amplitudes,
 )
-from fluxchain.manybody import ManyBodySpec, spin_diagonal
+from fluxchain import manybody
+from fluxchain.manybody import ManyBodyError, ManyBodySpec, spin_diagonal
 
 from oracles import SZ, parity_diagonal, spin_op
 
@@ -112,14 +113,21 @@ class TestEnsembleSplitting:
             math.sqrt(n) * amp, rel=0.08
         )
 
-    def test_engine_budget_guard(self):
-        big = DisorderEnsembleSpec(
-            base=ManyBodySpec.from_coupling(5, 3, 2.4, cutoffs=(99, 24, 40)),
-            amplitude=0.1, count=2, seed=0,
-        )
-        assert big.base.dimension > 2_000_000
-        with pytest.raises(DisorderError):
+    def test_exact_engine_refused_where_a_sector_solve_is(self, monkeypatch):
+        # 255,528,000 states a sector: refused before any basis or engine is
+        # built, while the product formula builds neither
+        big = DisorderEnsembleSpec(base=ManyBodySpec.from_coupling(6, 6, 1.5),
+                                   amplitude=0.1, count=2, seed=0)
+
+        def built(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        monkeypatch.setattr(manybody.BasisIndexer, "__init__", built)
+        monkeypatch.setattr(manybody.HamiltonianEngine, "__init__", built)
+        with pytest.raises(ManyBodyError, match="SOLVE_BYTES"):
             ensemble_splitting(big, engine="exact")
+        deltas = ensemble_splitting(big, engine="analytic")
+        assert deltas.shape == (2,) and np.all(np.isfinite(deltas))
 
     def test_disordered_slope_tracks_clean_slope(self):
         # exponential decay rate in g^2 survives strong frequency disorder
@@ -255,8 +263,8 @@ class TestPerturbation:
                 assert abs(got - complex(want)) <= 1e-10 * abs(complex(want))
 
     def test_runs_beyond_the_dimension_budget(self):
-        # from_coupling(5, 5, 1.0) holds 19,060,800 states, past
-        # DIMENSION_BUDGET; the product form builds no Fock space
+        # from_coupling(5, 5, 1.0) holds 19,060,800 states, more than a
+        # solve may hold; the product form builds no Fock space
         deltas = [0.3, -0.2, 0.4, 0.1, -0.5]
         el = protection_check(5, 5, 1.0, 5, deltas)
         assert el[("+", "+")] == el[("-", "-")]

@@ -24,6 +24,11 @@ only ``manybody.py`` uses the attributes that spell it out as full-space
 indices, ``spin_dim`` and ``indices``; other modules go through the
 indexer's ``product``.
 
+Validation: under ``src/``, a dataclass's ``__post_init__`` reads through
+``self`` only that dataclass's own fields (``getattr(self, name)`` is
+exempt), so a derived quantity such as ``ManyBodySpec.dimension`` is checked
+by the code that uses it, not on every construction.
+
 Runtime: the package runs on numpy alone, so importing it and running CLI
 commands in a fresh interpreter must load no ``scipy`` module; tests and
 the benchmark use scipy only as an independent oracle.
@@ -285,6 +290,59 @@ def test_only_manybody_uses_the_full_space_layout():
             for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "manybody.py"
             for line, attr in layout_uses(path.read_text())]
     assert uses == []
+
+
+def derived_reads(source: str) -> list[tuple[int, str]]:
+    """(line, ``Class.attribute``) of every read through ``self`` in a
+    dataclass's ``__post_init__`` of an attribute that is not one of its own
+    fields; ``getattr(self, name)`` is no attribute read and passes."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in cls.decorator_list)):
+            continue
+        own = {item.target.id for item in cls.body
+               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                out += [(node.lineno, f"{cls.name}.{node.attr}") for node in ast.walk(item)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and getattr(node.value, "id", None) == "self"
+                        and node.attr not in own]
+    return sorted(out)
+
+
+def test_derived_read_checker_flags_only_these():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    n: int\n"
+        "    def __post_init__(self):\n"
+        "        if self.n < 1 or self.size > 9 or getattr(self, 'n') > 9:\n"
+        "            self.n = self.n.real\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.n * self.n\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    a: A\n"
+        "    def __post_init__(self):\n"
+        "        self.check(self.a.size)\n"
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        return self.size\n"
+    )
+    assert derived_reads(source) == [(5, "A.size"), (14, "B.check")]
+
+
+def test_post_init_checks_only_the_fields():
+    # a derived property such as ManyBodySpec.dimension is validated where it
+    # is used, not on every construction
+    reads = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in derived_reads(path.read_text())]
+    assert reads == []
 
 
 _NO_SCIPY_RUN = """

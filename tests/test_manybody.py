@@ -113,6 +113,17 @@ def test_spec_validation_and_g_roundtrip():
             small_spec(g=g)
     with pytest.raises(ManyBodyError, match="omega_F"):
         spec.with_omega_atoms((1.0, math.nan))
+    # only a solve is refused for its size (sector_spectra), not a spec
+    assert ManyBodySpec.from_coupling(6, 6, 1.5).dimension == 511_056_000
+
+
+@pytest.mark.parametrize("g", [0.3, 0.8])
+def test_one_atom_chain_at_default_cutoffs(g):
+    # at N = 1 the continuum amplitude g sqrt(2) sizes the one mode
+    spec = ManyBodySpec.from_coupling(1, 1, g)
+    doubled = spec.with_cutoffs([2 * c for c in spec.cutoffs])
+    e0, e1 = (lowest_spectrum(s, "full", 1).eigenvalues[0] for s in (spec, doubled))
+    assert abs(e0 - e1) <= 1e-10
 
 
 def test_spec_holds_the_chain_inputs_and_derives_the_rest():
@@ -858,6 +869,24 @@ class TestStackedSolves:
         for call in (HamiltonianEngine, sector_spectra, ground_splittings):
             with pytest.raises(ManyBodyError, match="at least one"):
                 call([])
+
+    @pytest.mark.parametrize("spec, sectors", [
+        (small_spec(), SECTORS),
+        (ManyBodySpec.from_coupling(3, 2, 1.0), SECTORS),
+        (ManyBodySpec.from_coupling(3, 2, 1.0), [("even", 1), ("odd", 1)]),
+    ], ids=["dense", "lanczos", "lanczos-mirror"])
+    def test_solve_bytes_admit_one_column_exactly(self, monkeypatch, spec, sectors):
+        # each column is charged its whole parity sector, a mirror-even half
+        # too: its dense matrix, or its Krylov basis plus the next vector
+        sector = spec.dimension // 2
+        rows = sector if sector <= DENSE_LIMIT else krylov.basis_size(sector, 2) + 1
+        one_column = 8 * sector * rows
+        columns = [(spec, s) for s in sectors]
+        monkeypatch.setattr(manybody, "SOLVE_BYTES", one_column)
+        assert len(sector_spectra(columns, 2)) == 2
+        monkeypatch.setattr(manybody, "SOLVE_BYTES", one_column - 1)
+        with pytest.raises(ManyBodyError, match=f"would hold {one_column} bytes"):
+            sector_spectra(columns, 2)
 
     def test_two_shapes_rejected_across_stacks(self, monkeypatch):
         # one column per stack: each stack alone is of one shape, the call is not

@@ -1,9 +1,12 @@
 """Smoke runs of the study scripts under ``scripts/`` at tiny sizes.
 
 Each script runs in its own interpreter with ``src`` on ``PYTHONPATH`` and
-must exit cleanly and write a non-empty output file.
+must exit cleanly and write a non-empty output file.  The full-size grid of
+``splitting_scaling.py`` is checked against the solve-size rule without a
+solve.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,8 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluxchain import manybody
 from fluxchain.cli import read_csv_rows
-from fluxchain.manybody import ManyBodySpec, lowest_spectrum
+from fluxchain.manybody import (
+    ManyBodySpec,
+    _refined_cutoffs,
+    ground_columns,
+    lowest_spectrum,
+    sector_spectra,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +63,30 @@ def test_spectrum_vs_coupling_keeps_levels_of_either_sector(tmp_path):
     want = lowest_spectrum(ManyBodySpec.from_coupling(5, 3, g, safety=2.5), "full", 7)
     got = [float(r["energy"]) for r in rows]
     np.testing.assert_allclose(got, want.eigenvalues, rtol=0, atol=1e-9)
+
+
+def test_every_scaling_point_passes_the_solve_bytes(monkeypatch):
+    # each base and refined ground solve of splitting_scaling.py is
+    # admitted by sector_spectra, up to the N = 4, g = 1.0 refinement of
+    # 6,176,768 states; the stand-in engine stops each call before a solve
+    path = ROOT / "scripts" / "splitting_scaling.py"
+    spec = importlib.util.spec_from_file_location("splitting_scaling", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(self, columns):
+        raise Admitted
+
+    monkeypatch.setattr(manybody.HamiltonianEngine, "__init__", admitted)
+    sizes = []
+    for n, (grid, kw) in script.GRIDS.items():
+        for g in grid:
+            base = ManyBodySpec.from_coupling(n, n, g, **kw)
+            for chain in (base, base.with_cutoffs(_refined_cutoffs(base.cutoffs))):
+                with pytest.raises(Admitted):
+                    sector_spectra(ground_columns(chain), 1)
+                sizes.append(chain.dimension)
+    assert max(sizes) == 6_176_768
