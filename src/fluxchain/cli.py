@@ -47,6 +47,7 @@ class BetaFit:
     """Least-squares slope of log(delta/omega_F) against g^2."""
 
     n_atoms: int
+    n_modes: int
     beta: float
     intercept: float
     g2_min: float
@@ -86,9 +87,9 @@ def fit_beta(records) -> BetaFit:
     y = np.log(np.array([rec.delta_over_omega_atom for rec in usable]))
     slope, intercept = np.polyfit(g2, y, 1)
     resid = y - (slope * g2 + intercept)
-    n = usable[0].n_atoms
     return BetaFit(
-        n_atoms=n, beta=float(-slope), intercept=float(intercept),
+        n_atoms=usable[0].n_atoms, n_modes=usable[0].n_modes,
+        beta=float(-slope), intercept=float(intercept),
         g2_min=float(g2.min()), g2_max=float(g2.max()),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         point_count=len(usable),
@@ -442,6 +443,9 @@ def _cmd_fit_beta(cfg, chash):
             raise ConfigError(f"{path}: record {i}: {exc}") from exc
     fit = fit_beta(records)
     n2 = float(fit.n_atoms**2)
+    # the closed form needs two atoms; a one-atom fit reports null
+    closed = (asymptotics.beta_exponent(fit.n_atoms, fit.n_modes)
+              if fit.n_atoms >= 2 else None)
     return {"fit_beta.json": {
         "config_hash": chash,
         "N": fit.n_atoms, "beta": fit.beta, "intercept": fit.intercept,
@@ -449,6 +453,7 @@ def _cmd_fit_beta(cfg, chash):
         "residual_rms": fit.residual_rms, "point_count": fit.point_count,
         "bounds": [1.6 * n2, 2.1 * n2],
         "bounds_ok": 1.6 * n2 < fit.beta < 2.1 * n2,
+        "beta_closed_form": closed,
     }}
 
 

@@ -21,12 +21,14 @@ per mode, one small spin-space product and two contiguous shifts of each row
 by that mode's stride (``HamiltonianEngine``).  Everything but the diagonal
 is the same in both sectors and for any atomic frequencies, so one engine
 applies H to a stack of sectors of one chain shape, and ``sector_spectra``
-solves such a stack at once.  It is the one place that decides whether a
-chain is small enough to solve: before any basis is built, it refuses a call
-whose columns would each hold more than ``SOLVE_BYTES`` of Krylov basis or
-dense matrix, charging every column its whole parity sector, so a spec that
-is never solved is never refused for its size.  A sector's size alone picks
-the eigensolver: dense at or below ``DENSE_LIMIT`` states, Lanczos above.
+solves such a stack at once.  One rule, ``_admit``, decides whether a chain
+is small enough to solve: it refuses a solve whose columns would each hold
+more than ``SOLVE_BYTES`` of Krylov basis or dense matrix, charging every
+column its whole parity sector.  ``sector_spectra`` runs it before any basis
+is built, and ``ground_splittings`` on its refined columns before the first
+solve, so a spec that is never solved is never refused for its size.  A
+sector's size alone picks the eigensolver: dense at or below
+``DENSE_LIMIT`` states, Lanczos above.
 Both routes run under ``krylov.solve_threads``: one OpenBLAS thread up to
 ``THREADED_LIMIT`` states, so a sector's energies do not depend on the core
 count, and the usable cores above it.  A full-space spectrum is the merge
@@ -634,6 +636,15 @@ def _column_bytes(dim: int, m: int) -> int:
     return 8 * dim * (dim if dim <= DENSE_LIMIT else basis_size(dim, m) + 1)
 
 
+def _admit(spec: ManyBodySpec, m: int) -> None:
+    """Refuse a solve for m pairs on ``spec`` whose column, charged its
+    whole parity sector, would hold more than ``SOLVE_BYTES``."""
+    need = _column_bytes(spec.dimension // 2, m)
+    if need > SOLVE_BYTES:
+        raise ManyBodyError(f"sector of {spec.dimension // 2} states, m = {m}: one solve "
+                            f"would hold {need} bytes, more than SOLVE_BYTES = {SOLVE_BYTES}")
+
+
 def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool = False,
                    starts=None, energy_tol=None) -> list[SpectrumResult]:
     """``lowest_spectrum`` of each (spec, sector) column, in column order.
@@ -668,11 +679,7 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     if starts is not None and len(starts) != len(columns):
         raise ManyBodyError(f"{len(starts)} starts for {len(columns)} columns")
     spec = columns[0][0]
-    # before any basis is built, each column charged its whole parity sector
-    need = _column_bytes(spec.dimension // 2, m)
-    if need > SOLVE_BYTES:
-        raise ManyBodyError(f"sector of {spec.dimension // 2} states, m = {m}: one solve "
-                            f"would hold {need} bytes, more than SOLVE_BYTES = {SOLVE_BYTES}")
+    _admit(spec, m)  # before any basis is built
     dims = {sec: _column_dimension(spec, sec) for sec in dict.fromkeys(sec for _, sec in columns)}
     if m > min(dims.values()):
         raise ManyBodyError(f"m = {m} exceeds the sector dimension {min(dims.values())}")
@@ -803,14 +810,18 @@ def ground_splittings(specs, tol: float = 1e-3,
     unrefined.  The vectors serve only as warm starts, so every Lanczos
     column may stop once the Kato-Temple bound on its energy is within
     ``_energy_tol``, a tenth of the floor, as well as at the residual gate.
+    A refined column too large to solve is refused before the base solve.
     """
     columns = [c for s in specs for c in ground_columns(s)]
     energy_tol = [_energy_tol(s) for s, _ in columns]
+    if refine:
+        bumped = [(s.with_cutoffs(_refined_cutoffs(s.cutoffs)), sec) for s, sec in columns]
+        for s, _ in bumped:
+            _admit(s, 1)
     base = sector_spectra(columns, 1, with_vectors=refine, energy_tol=energy_tol)
     e = [float(r.eigenvalues[0]) for r in base]
     d2s = [None] * len(e)
     if refine:
-        bumped = [(s.with_cutoffs(_refined_cutoffs(s.cutoffs)), sec) for s, sec in columns]
         e2 = [float(r.eigenvalues[0])
               for r in sector_spectra(bumped, 1, starts=[r.vectors[0] for r in base],
                                       energy_tol=energy_tol)]

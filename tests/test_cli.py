@@ -23,6 +23,7 @@ from fluxchain.cli import (
     run,
 )
 from fluxchain import manybody
+from fluxchain.asymptotics import beta_exponent
 from fluxchain.krylov import EigenConvergenceError
 from fluxchain.manybody import SplittingRecord
 
@@ -291,6 +292,20 @@ class TestRun:
         assert payload["N"] == 2
         assert payload["bounds_ok"]
         assert 6.4 < payload["beta"] < 8.4
+        assert payload["beta_closed_form"] == beta_exponent(2, 1)
+
+    def test_fit_beta_of_one_atom_has_no_closed_form(self, tmp_path):
+        # the closed form needs two atoms; a one-atom sweep still fits
+        run("splitting-sweep", None,
+            {"N": 1, "N_m": 1, "g_grid": [1.0, 1.2, 1.4, 1.6], "tol": 1e-2,
+             "out_dir": str(tmp_path)})
+        csv_path = tmp_path / "splitting-sweep" / "splitting_sweep.csv"
+        run("fit-beta", None,
+            {"records_csv": str(csv_path), "out_dir": str(tmp_path)})
+        payload = json.loads((tmp_path / "fit-beta" / "fit_beta.json").read_text())
+        assert payload["N"] == 1
+        assert payload["point_count"] == 4
+        assert payload["beta_closed_form"] is None
 
     def test_polariton_csv_schema(self, tmp_path):
         run("polariton", None,

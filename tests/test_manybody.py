@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 from fluxchain import krylov, manybody
+from fluxchain.cli import main as cli_main
 from fluxchain.fluxonium import FluxoniumSpec, solve_levels
 from fluxchain.krylov import EigenConvergenceError, lowest_eigenpairs
 from fluxchain.manybody import (
@@ -887,6 +888,27 @@ class TestStackedSolves:
         monkeypatch.setattr(manybody, "SOLVE_BYTES", one_column - 1)
         with pytest.raises(ManyBodyError, match=f"would hold {one_column} bytes"):
             sector_spectra(columns, 2)
+
+    def test_oversized_refinement_refused_before_any_engine(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the base sectors (1,784,640 states) are admitted and the refined
+        # ones (4,300,800) are not: the sweep is refused before the base solve
+        class Built(Exception):
+            pass
+
+        def built(self, columns):
+            raise Built
+
+        monkeypatch.setattr(HamiltonianEngine, "__init__", built)
+        spec = ManyBodySpec.from_coupling(4, 4, 1.3, even_floor=12)
+        assert spec.dimension // 2 == 1_784_640
+        with pytest.raises(ManyBodyError, match="sector of 4300800 states"):
+            ground_splittings([spec], tol=0.01)
+        assert cli_main(["splitting-sweep", "--n", "4", "--n-m", "4", "--g-grid", "[1.3]",
+                         "--even-floor", "12", "--tol", "0.01",
+                         "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: sector of 4300800 states")
+        assert not any(tmp_path.iterdir())
 
     def test_two_shapes_rejected_across_stacks(self, monkeypatch):
         # one column per stack: each stack alone is of one shape, the call is not

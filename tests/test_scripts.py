@@ -1,12 +1,16 @@
-"""Smoke runs of the study scripts under ``scripts/`` at tiny sizes.
+"""Runs of the checked-in studies and of the study script, at tiny sizes.
 
-Each script runs in its own interpreter with ``src`` on ``PYTHONPATH`` and
-must exit cleanly and write a non-empty output file.  The full-size grid of
-``splitting_scaling.py`` is checked against the solve-size rule without a
-solve.
+A study is a ``key = value`` file, ``studies/<command>/*.cfg``, that the CLI
+command its directory names runs (README, "Studies").  Each file must parse
+and resolve against its command's schema, so a renamed or removed key fails
+here.  The studies run through ``cli.main``, the disorder one at a reduced
+count; the full-size grids of the splitting studies are checked against the
+solve-size rule without a solve.  ``scripts/spectrum_vs_coupling.py``, which
+no command covers, runs in its own interpreter with ``src`` on
+``PYTHONPATH`` and must exit cleanly and write a non-empty output file.
 """
 
-import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +20,15 @@ import numpy as np
 import pytest
 
 from fluxchain import manybody
-from fluxchain.cli import read_csv_rows
+from fluxchain.asymptotics import beta_exponent
+from fluxchain.cli import (
+    COMMANDS,
+    _spec_from_cfg,
+    main,
+    parse_config_file,
+    read_csv_rows,
+    resolve_config,
+)
 from fluxchain.manybody import (
     ManyBodySpec,
     _refined_cutoffs,
@@ -26,10 +38,11 @@ from fluxchain.manybody import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+STUDIES = ROOT / "studies"
+#: the keys a study passes on the command line, one run per value (README)
+PER_RUN = {"disorder": {"g": 1.0}}
 
 RUNS = [
-    ("splitting_scaling.py", ["--sizes", "2"], "summary.json"),
-    ("disorder_ensemble.py", ["--count", "3", "--g-grid", "1.2"], "ensemble.csv"),
     ("spectrum_vs_coupling.py", ["--points", "2", "--levels", "4", "--g-max", "0.6"],
      "spectrum.csv"),
 ]
@@ -45,6 +58,12 @@ def run_script(tmp_path, script, args):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def run_study(tmp_path, command, name, *flags):
+    """Exit code of ``command`` on the study file ``name``, flags after it."""
+    return main([command, "--config", str(STUDIES / command / name), *flags,
+                 "--out-dir", str(tmp_path)])
 
 
 @pytest.mark.parametrize("script, args, output", RUNS, ids=[r[0] for r in RUNS])
@@ -65,15 +84,53 @@ def test_spectrum_vs_coupling_keeps_levels_of_either_sector(tmp_path):
     np.testing.assert_allclose(got, want.eigenvalues, rtol=0, atol=1e-9)
 
 
+def test_every_study_config_resolves():
+    # studies/ holds config files only, each in its command's directory
+    files = sorted(p for p in STUDIES.rglob("*") if p.is_file())
+    assert files
+    for path in files:
+        command = path.parent.name
+        assert path.suffix == ".cfg" and path.parent.parent == STUDIES, path
+        assert command in COMMANDS, path
+        resolve_config(command, parse_config_file(str(path)), PER_RUN.get(command, {}))
+
+
+@pytest.mark.parametrize("engine", ["exact", "analytic"])
+def test_disorder_study_runs(tmp_path, engine):
+    assert run_study(tmp_path, "disorder", "n2.cfg",
+                     "--count", "3", "--g", "1.2", "--engine", engine) == 0
+    assert (tmp_path / "disorder" / "disorder.csv").stat().st_size > 0
+
+
+def test_splitting_study_runs_and_fits(tmp_path):
+    assert run_study(tmp_path, "splitting-sweep", "n2.cfg") == 0
+    csv = tmp_path / "splitting-sweep" / "splitting_sweep.csv"
+    assert main(["fit-beta", "--records-csv", str(csv), "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "fit-beta" / "fit_beta.json").read_text())
+    assert 6.4 < payload["beta"] < 8.4
+    assert payload["beta_closed_form"] == beta_exponent(2, 2)
+
+
+def test_a_refused_fit_keeps_the_sweep(tmp_path, capsys):
+    # sweep and fit are two commands, so a fit refused for too few points
+    # leaves the sweep's records and manifest on disk
+    assert run_study(tmp_path, "splitting-sweep", "n2.cfg",
+                     "--g-grid", "[1.0, 1.2, 1.4]") == 0
+    sweep = tmp_path / "splitting-sweep"
+    capsys.readouterr()
+    assert main(["fit-beta", "--records-csv", str(sweep / "splitting_sweep.csv"),
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(read_csv_rows(str(sweep / "splitting_sweep.csv"))) == 3
+    assert (sweep / "manifest.json").stat().st_size > 0
+    assert not (tmp_path / "fit-beta").exists()
+
+
 def test_every_scaling_point_passes_the_solve_bytes(monkeypatch):
-    # each base and refined ground solve of splitting_scaling.py is
+    # each base and refined ground solve of the splitting-sweep studies is
     # admitted by sector_spectra, up to the N = 4, g = 1.0 refinement of
     # 6,176,768 states; the stand-in engine stops each call before a solve
-    path = ROOT / "scripts" / "splitting_scaling.py"
-    spec = importlib.util.spec_from_file_location("splitting_scaling", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-
     class Admitted(Exception):
         pass
 
@@ -82,9 +139,10 @@ def test_every_scaling_point_passes_the_solve_bytes(monkeypatch):
 
     monkeypatch.setattr(manybody.HamiltonianEngine, "__init__", admitted)
     sizes = []
-    for n, (grid, kw) in script.GRIDS.items():
-        for g in grid:
-            base = ManyBodySpec.from_coupling(n, n, g, **kw)
+    for path in sorted((STUDIES / "splitting-sweep").glob("*.cfg")):
+        cfg = resolve_config("splitting-sweep", parse_config_file(str(path)), {})
+        for g in cfg["g_grid"]:
+            base = _spec_from_cfg(cfg, g)
             for chain in (base, base.with_cutoffs(_refined_cutoffs(base.cutoffs))):
                 with pytest.raises(Admitted):
                     sector_spectra(ground_columns(chain), 1)
