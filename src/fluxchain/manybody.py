@@ -151,6 +151,8 @@ def choose_cutoffs(n_atoms: int, n_modes: int, g: float, safety: float = 4.0,
     """
     if not 1.0 <= safety < math.inf:
         raise ManyBodyError(f"safety must be finite and at least 1, got {safety}")
+    if even_floor < 1:
+        raise ManyBodyError(f"even_floor must be at least 1, got {even_floor}")
     from .asymptotics import coherent_amplitudes
 
     amps = np.abs(coherent_amplitudes(n_atoms, n_modes, g))

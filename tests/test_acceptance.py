@@ -290,8 +290,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     jobs = [
         ("polariton", {"omega_k": 1.0, "omega_F": 1.0, "rabi_max": 0.9,
                        "rabi_count": 10}),
-        ("splitting-sweep", {"N": 2, "N_m": 1, "g_grid": [0.9, 1.1],
-                             "seed": 42}),
+        ("splitting-sweep", {"N": 2, "N_m": 1, "g_grid": [0.9, 1.1]}),
         ("disorder", {"N": 2, "N_m": 1, "g": 1.0, "amplitude": 0.4,
                       "count": 12, "engine": "analytic", "seed": 42}),
     ]

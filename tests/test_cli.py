@@ -22,7 +22,7 @@ from fluxchain.cli import (
     resolve_config,
     run,
 )
-from fluxchain import manybody
+from fluxchain import cli, manybody
 from fluxchain.asymptotics import beta_exponent
 from fluxchain.krylov import EigenConvergenceError
 from fluxchain.manybody import SplittingRecord
@@ -215,7 +215,7 @@ class TestRun:
 
     def test_sweep_schema_and_determinism(self, tmp_path):
         # the same bytes from one process and from a pool of two
-        args = {"N": 2, "N_m": 1, "g_grid": [0.9, 1.1], "seed": 5, "jobs": 1,
+        args = {"N": 2, "N_m": 1, "g_grid": [0.9, 1.1], "jobs": 1,
                 "out_dir": str(tmp_path / "a")}
         run("splitting-sweep", None, args)
         args2 = dict(args, jobs=2, out_dir=str(tmp_path / "b"))
@@ -332,10 +332,20 @@ class TestRun:
         run("overlap", None,
             {"N": 2, "N_m": 1, "g_grid": [0.6, 1.0], "out_dir": str(tmp_path)})
         payload = json.loads((tmp_path / "overlap" / "overlap.json").read_text())
+        assert payload["beta_exponent"] == beta_exponent(2, 1)
         assert payload["beta_bounds_ok"]
         fids = [p["fidelity"] for p in payload["points"]]
         assert fids[1] > fids[0]
         assert payload["config_hash"]
+
+    def test_overlap_of_one_atom_has_no_closed_form(self, tmp_path):
+        # like fit-beta: the closed form needs two atoms, the points do not
+        assert main(["overlap", "--n", "1", "--n-m", "1", "--g-grid", "[0.5]",
+                     "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "overlap" / "overlap.json").read_text())
+        assert set(payload) == {"config_hash", "points", "beta_exponent", "beta_bounds_ok"}
+        assert payload["beta_exponent"] is None and payload["beta_bounds_ok"] is None
+        assert [p["g"] for p in payload["points"]] == [0.5]
 
     def test_fluxonium_command_with_wavefunctions(self, tmp_path):
         run("fluxonium", None,
@@ -419,7 +429,7 @@ class TestStrictConfig:
         assert not bad.exists()
 
     def test_jobs_below_one_rejected(self, tmp_path, capsys):
-        argv = ["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5"]
+        argv = ["splitting-sweep", "--n", "2", "--n-m", "1", "--g-grid", "[1.0]"]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("jobs = -3\n")
         for extra in (["--jobs", "0"], ["--config", str(cfg)]):
@@ -495,6 +505,16 @@ class TestStrictConfig:
         ):
             with pytest.raises(ConfigError):
                 run(command, None, dict(args, out_dir=str(tmp_path)))
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n_modes, even_floor", [("1", "-2"), ("2", "0")])
+    def test_even_floor_below_one_refused(self, n_modes, even_floor, tmp_path, capsys):
+        # -2 once ran and was recorded in the manifest; 0 failed with an
+        # error that named no key
+        assert main(["spectrum", "--n", "2", "--n-m", n_modes, "--g", "0.5", "--count", "3",
+                     "--even-floor", even_floor, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .*\beven_floor\b.*\n", err), err
         assert not any(tmp_path.iterdir())
 
     def test_empty_cutoffs_refused(self, tmp_path, capsys):
@@ -575,15 +595,21 @@ def test_manifest_records_numpy_and_thread_env(tmp_path, monkeypatch):
     assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] is None
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_manifest_lists_the_files_written(command, tmp_path):
+def small_run_args(command, tmp_path):
+    """The ``SMALL_RUNS`` keys of ``command`` with an out_dir under tmp_path;
+    fit-beta's records come from a small sweep run first."""
     args = dict(SMALL_RUNS[command], out_dir=str(tmp_path))
     if command == "fit-beta":
         run("splitting-sweep", None,
             dict(SMALL_RUNS["splitting-sweep"], out_dir=str(tmp_path / "sweep")))
         args["records_csv"] = str(
             tmp_path / "sweep" / "splitting-sweep" / "splitting_sweep.csv")
-    assert run(command, None, args) == 0
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_lists_the_files_written(command, tmp_path):
+    assert run(command, None, small_run_args(command, tmp_path)) == 0
     out = tmp_path / command
     manifest = json.loads((out / "manifest.json").read_text())
     written = sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
@@ -594,6 +620,69 @@ def test_manifest_lists_the_files_written(command, tmp_path):
             assert path.read_text().splitlines()[0] == f"# manifest: {chash}"
         elif path.name != "derive.json":
             assert json.loads(path.read_text())["config_hash"] == chash
+
+
+class ReadRecorder(dict):
+    """A resolved config that notes every key looked up in it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+#: (command, key) of a schema key that no code reads, with the reason it stays
+UNREAD = {
+    ("disorder", "jobs"): "the benchmark's cli_small passes --jobs to disorder "
+                          "(ROADMAP item 1 drops it)",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_schema_key_is_read(command, tmp_path, monkeypatch):
+    # the config twin of test_imports::test_no_unpassed_parameters: a key
+    # that the command never reads would still be accepted and hashed
+    args = small_run_args(command, tmp_path)
+    recorders = []
+
+    def recording(*a, **kw):
+        recorders.append(ReadRecorder(resolve_config(*a, **kw)))
+        return recorders[-1]
+
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    assert run(command, None, args) == 0
+    unread = {(command, key) for key in {**_COMMON, **COMMANDS[command][1]}
+              if key not in recorders[0].read}
+    assert unread == {k for k in UNREAD if k[0] == command}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_seed_and_jobs_only_where_read(command, tmp_path, capsys):
+    takes = {"seed": {"disorder"}, "jobs": {"splitting-sweep", "disorder"}}
+    for key, commands in takes.items():
+        flag = ["--" + key, "2"]
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = 2\n")
+        if command in commands:
+            assert vars(_build_parser(command).parse_args([command, *flag]))[key] == 2
+            others = {k: v for k, v in SMALL_RUNS[command].items() if k != key}
+            assert resolve_config(command, parse_config_file(str(cfg)), others)[key] == 2
+            continue
+        code, out, err = _parser_output(main, [command, *flag], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"fluxchain: error: unrecognized arguments: --{key} 2"
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown key '{key}' (line 1) for command {command}\n")
+        assert not out_dir.exists()
 
 
 def test_readme_examples_resolve():

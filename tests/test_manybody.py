@@ -163,6 +163,17 @@ class TestChooseCutoffs:
             with pytest.raises(ManyBodyError, match="safety"):
                 call(3, 2, 1.0, safety=safety)
 
+    @pytest.mark.parametrize("even_floor", [0, -2])
+    def test_even_floor_below_one_rejected(self, even_floor):
+        # (2, 2, 0.5) once gave the cutoffs (21, 0), and at N_m = 1, where
+        # the floor only bounds a displaced mode's cutoff, -2 went unnoticed
+        for n_modes in (1, 2):
+            with pytest.raises(ManyBodyError, match="even_floor"):
+                choose_cutoffs(2, n_modes, 0.5, even_floor=even_floor)
+        # explicit cutoffs never reach choose_cutoffs
+        spec = ManyBodySpec.from_coupling(2, 2, 0.5, cutoffs=(10, 2), even_floor=even_floor)
+        assert spec.cutoffs == (10, 2)
+
 
 # ------------------------------------------------------------------- basis
 
