@@ -18,21 +18,46 @@ column converges.  A stack pays where the loop is Python-bound: eight
 462-state sector solves took 60-85 ms one by one and 26-35 ms as one stack
 (medians of five fresh processes, 2 cores).
 
-Each step costs one matvec and about one sweep over the basis:
+Each step costs one matvec, one sweep reading the basis and, on a quarter
+to two fifths of the steps, a second sweep updating from it:
 
 * the recurrence first subtracts the couplings it already knows, beta times
   the previous vector on an ordinary step, or the arrow of couplings to the
   kept Ritz vectors on the first step after a restart, and then alpha times
   the current vector;
-* one classical Gram-Schmidt pass against the whole basis removes what
-  rounding left behind, and a second pass runs only when the first cancelled
-  most of the vector, its norm falling below 1/sqrt(2) of its value before
-  the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976));
-  the recurrence and both corrections enter the projected block;
+* a classical Gram-Schmidt reading pass ``corr = Q^T w`` measures what
+  rounding left behind, and the update ``w -= Q corr`` runs only in the
+  columns where some entry of ``corr`` exceeds ``ORTHO`` = 1e-14 of the
+  norm of w; elsewhere the recurrence already left w orthogonal to the
+  basis at the rounding level, and the step keeps w and its norm as they
+  are.  Where the update runs, a second pass follows only when the first
+  cancelled most of the vector, its norm falling below 1/sqrt(2) of its
+  value before the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
+  772 (1976)), and the corrections enter the projected block beside the
+  recurrence.  Full orthogonality to rounding is kept, not the
+  semi-orthogonality at sqrt(eps) that suffices for the Ritz values alone
+  (Simon, Math. Comp. 42, 115 (1984)): with the threshold at 1e-8 the
+  benchmark's sector solves stalled at ``MAX_MATVECS``.  In the
+  benchmark's three workloads the update ran on 27-37% of the matvecs
+  (CHANGES.md).  The choice is made per column from that column's numbers
+  alone, so it too leaves a column's bits independent of its neighbours;
 * on every fourth step, on a restart and once the Krylov space is
   exhausted, the projected blocks are diagonalized (``numpy.linalg.eigh``)
   and their k lowest pairs, or as many as the restart keeps, are used; a
   converged pair is thus seen at most three matvecs late.
+
+The basis holds ``basis_size`` vectors, 2k + 24 and at least 32, before a
+thick restart keeps max(k + 6, 2k) Ritz vectors.  The window was swept as
+2k + f - 8 and at least f, for f from 20 to 48 (CHANGES.md).  Against the
+earlier f = 36, f = 32 took from 1% fewer to 1.5% more matvecs on every
+case tried (spectra of 3 to 10 pairs, ground splittings of N=3 and N=4
+chains, a disorder stack, a 2,000-state clustered matrix), 17% fewer on
+the splitting_n3 benchmark grid and 2% more on the other two benchmark
+workloads, and read 5-21% fewer basis vectors in all; each projected
+``eigh`` is cheaper too (32 x 32 in 100-125 us against 138-142 us at
+36 x 36, best of 7 runs).  Smaller windows were faster still on the N=5
+spectrum, f = 24 by about 3%, but cost more matvecs: f = 24 up to 7%
+(and 8% on the cli_small benchmark workload), f = 20 up to 20%.
 
 Arithmetic is real and the start vector is seeded gaussian noise, so a solve
 is deterministic and its start has weight on every eigenvector; a start
@@ -77,10 +102,10 @@ check the certified energies against tight residual-gated ones.
 
 Every solve owns its BLAS thread budget (``solve_threads``).  At or below
 ``THREADED_LIMIT`` states it runs on one OpenBLAS thread: a step there is
-Python-bound, with GEMVs of some thousand rows and a projected block of at
-most 36 x 36.  A second thread there saves no time: it doubled the CPU
-time, and a solve ran two to ten times slower while another process held
-the second core.  One thread also sums every long dot product in one order,
+Python-bound, with GEMVs of some thousand rows and a projected block of
+``basis_size`` rows, 32 for up to four pairs.  A second thread there saves
+no time: it doubled the CPU time, and a solve ran two to ten times slower
+while another process held the second core.  One thread also sums every long dot product in one order,
 so the result does not depend on the core count.  Above the limit a solve
 runs on the usable cores.  A cap never raises the count it finds, so a
 solve in a worker of ``manybody.parallel_map``, whose OpenBLAS the pool
@@ -107,6 +132,9 @@ import numpy as np
 SEED = 7
 #: a Gram-Schmidt pass that leaves less than this share of the norm is repeated
 DGKS = 1 / np.sqrt(2)
+#: the Gram-Schmidt update runs only where an overlap of w with the basis
+#: exceeds this share of the norm of w; kept near the rounding level
+ORTHO = 1e-14
 #: matvecs a column may take before ``lowest_eigenpairs`` gives up
 MAX_MATVECS = 60000
 
@@ -187,7 +215,9 @@ class LanczosResult:
 
     ``matvec_count`` is the number of operator calls the loop made, each on
     the whole stack; ``column_matvecs`` counts each column's matvecs up to
-    its certification, the count a solve of that column alone would make.
+    its certification, the count a solve of that column alone would make,
+    and ``column_updates`` the steps among them on which the column ran the
+    Gram-Schmidt update.
     """
 
     eigenvalues: np.ndarray
@@ -196,12 +226,14 @@ class LanczosResult:
     matvec_count: int
     restarts: int
     column_matvecs: np.ndarray
+    column_updates: np.ndarray
 
 
 def basis_size(dim: int, k: int) -> int:
     """Krylov vectors a solve for ``k`` pairs on ``dim`` states keeps, one
-    more being the next Lanczos vector."""
-    return min(max(2 * k + 28, 36), dim)
+    more being the next Lanczos vector; the module docstring gives the
+    measurement that set it."""
+    return min(max(2 * k + 24, 32), dim)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,6 +322,7 @@ def _lanczos(matvec, dim, k, tol, scale, start, energy_tol) -> LanczosResult:
     steps = lag = cert_calls = 0
     certs = np.zeros(b, dtype=int)
     counts = np.zeros(b, dtype=int)
+    updates, out_updates = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
     done = np.zeros(b, dtype=bool)
     out_vals, out_res = np.empty((b, k)), np.empty((b, k))
     out_vecs = None
@@ -310,15 +343,20 @@ def _lanczos(matvec, dim, k, tol, scale, start, energy_tol) -> LanczosResult:
         basis = Q[:, : m + 1]
         before = np.sqrt(_dots(w, w))
         corr = (basis @ w[:, :, None])[:, :, 0]
-        w -= (corr[:, None, :] @ basis)[:, 0]
-        beta = np.sqrt(_dots(w, w))
-        if (beta < DGKS * before).any():
-            for i in np.flatnonzero(beta < DGKS * before):
+        beta = before.copy()
+        # the update runs, column by column, only where the reading pass
+        # found more than rounding; a second runs where it cancelled most of
+        # w (DGKS)
+        for i in np.flatnonzero(np.abs(corr).max(axis=1) > ORTHO * before):
+            w[i] -= corr[i] @ basis[i]
+            beta[i] = np.sqrt(w[i] @ w[i])
+            if beta[i] < DGKS * before[i]:
                 extra = basis[i] @ w[i]
                 w[i] -= extra @ basis[i]
                 corr[i] += extra
                 beta[i] = np.sqrt(w[i] @ w[i])
-        proj[:, m, : m + 1] += corr
+            proj[i, m, : m + 1] += corr[i]
+            updates[i] += 1
         proj[:, : m + 1, m] = proj[:, m, : m + 1]
         m += 1
 
@@ -359,10 +397,11 @@ def _lanczos(matvec, dim, k, tol, scale, start, energy_tol) -> LanczosResult:
                 else:
                     np.copyto(out_vecs, ritz, where=accept[:, None, None])
                 counts[accept] = steps + certs[accept]
+                out_updates[accept] = updates[accept]
                 done |= accept
                 if done.all():
                     return LanczosResult(out_vals, out_vecs.transpose(0, 2, 1), out_res,
-                                         steps + cert_calls, restarts, counts)
+                                         steps + cert_calls, restarts, counts, out_updates)
                 lag = int(certs[~done].max())
 
         broke = beta < 1e-13 * scale

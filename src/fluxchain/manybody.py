@@ -90,17 +90,20 @@ DENSE_LIMIT = 400
 #: bytes of Krylov basis, or of dense sector matrices, that one stacked
 #: solve of ``sector_spectra`` may hold; the next columns start a new stack.
 #: Per-column time of a ground solve against stack width (fresh process per
-#: size, 2 cores; CHANGES.md) falls 2-2.7x at 462-740 states and 1.9x at
-#: 1,500, and stops falling once a stack holds about 1.8 MB (4 columns at
-#: 1,500 states, 2 at 3,000); a pair gains 3-16% at 5,500-11,000 states,
-#: for 3.3-6.5 MB of basis, and is left unstacked
+#: size, 2 cores, 37-vector basis; CHANGES.md) falls 2-2.7x at 462-740
+#: states and 1.9x at 1,500, and stops falling once a stack holds about
+#: 1.8 MB (4 columns at 1,500 states, 2 at 3,000); a pair gains 3-16% at
+#: 5,500-11,000 states, for 3.3-6.5 MB of basis.  A ground solve keeps
+#: 33 vectors (``krylov.basis_size``), so the same bytes hold 5 columns at
+#: 1,500 states, 2 at 3,000, and a pair up to 3,971 states
 STACK_BYTES = 2 * 2**20
 
 #: bytes of Krylov basis, or of dense matrix, that one column's solve in
 #: ``sector_spectra`` may hold, each column charged its whole parity
 #: sector: 8 x 3,000,000 states x 49 vectors, the largest solve of 10
 #: levels that a 6,000,000-state full space once allowed.  A ground solve
-#: (37 vectors) may hold up to 3,972,972 states
+#: (33 vectors, ``krylov.basis_size``) may hold up to 4,454,545 states, a
+#: solve of 10 levels (45 vectors) up to 3,266,666
 SOLVE_BYTES = 8 * 3_000_000 * 49
 
 

@@ -159,7 +159,7 @@ class TestStackedEnsemble:
         (3, 3, 0.7, {}, 11020),
     ])
     def test_column_does_not_depend_on_its_neighbours(self, n, nm, g, kw, dim):
-        # the 740-state columns split into stacks of 9 and 3, and the
+        # the 740-state columns split into stacks of 10 and 2, and the
         # 11,020-state ones go one at a time; the 66-state ones are dense
         base = base_spec(n, nm, g, **kw)
         assert base.dimension // 2 == dim

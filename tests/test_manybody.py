@@ -13,6 +13,7 @@ import scipy.linalg
 
 from fluxchain import krylov, manybody
 from fluxchain.cli import main as cli_main
+from fluxchain.disorder import DisorderEnsembleSpec, sample_frequencies
 from fluxchain.fluxonium import FluxoniumSpec, solve_levels
 from fluxchain.krylov import EigenConvergenceError, lowest_eigenpairs
 from fluxchain.manybody import (
@@ -768,10 +769,44 @@ def test_krylov_resolves_cluster_through_restarts(clustered, shift, k):
     assert np.max(np.abs(x.T @ x - np.eye(k))) < 1e-12
 
 
+def _krylov_solve(columns, k):
+    """The engine of a stack of (spec, sector) columns, and the k lowest
+    pairs of each column straight from the Krylov solver."""
+    op = HamiltonianEngine(columns)
+    return op, lowest_eigenpairs(op.matvec, op.dimension, k, tol=1e-11,
+                                 scale=op.norm_bound())
+
+
+def test_krylov_update_runs_only_where_rounding_left_work():
+    # the spectrum_n5 benchmark's g = 0.5 even sector, three pairs: the
+    # recurrence leaves w orthogonal to rounding on most steps, and the
+    # vectors of a solve that skipped the update there stay orthonormal
+    spec = ManyBodySpec.from_coupling(5, 3, 0.5, safety=2.5)
+    op, res = _krylov_solve([(spec, "even")], 3)
+    assert op.dimension == 13_680
+    updates, matvecs = res.column_updates[0], res.column_matvecs[0]
+    # the matvecs are the steps plus three per certification
+    assert 0 < updates and 2 * updates < matvecs
+    x = res.eigenvectors[0]
+    assert np.max(np.abs(x.T @ x - np.eye(3))) < 1e-12
+
+
+def test_krylov_levels_with_skipped_updates_match_dense():
+    # an N = 4, N_m = 2 sector of 1,400 states, solved for three levels
+    spec = small_spec(4, 2, 1.0, (24, 6))
+    op, res = _krylov_solve([(spec, "even")], 3)
+    assert op.dimension == 1400
+    assert res.column_updates[0] < res.column_matvecs[0]
+    scale = op.norm_bound()[0]
+    ref = np.linalg.eigvalsh(op.dense()[0])[:3]
+    assert np.max(np.abs(res.eigenvalues[0] - ref)) < 1e-10 * scale
+
+
 @pytest.mark.parametrize("sector", ["even", "odd"])
 def test_sector_ground_solve_matvec_budget(sector):
     # the splitting_n3 benchmark point: about 5.5k states per sector, which
-    # converge in 99-102 matvecs; a cheaper step must not slow the iteration
+    # converge in 104 (even) and 100 (odd) matvecs; a cheaper step must not
+    # slow the iteration
     spec = ManyBodySpec.from_coupling(3, 3, 0.7, even_floor=8, safety=2.5)
     res = lowest_spectrum(spec, sector, 1)
     assert res.method == "lanczos"
@@ -839,8 +874,8 @@ def test_certified_ground_energies_match_tight_residual_solves(grid, monkeypatch
 
 
 def test_splitting_sweep_matvec_budget(monkeypatch):
-    # the splitting_n3 benchmark grid: 566 operator calls under the residual
-    # gate alone, 470 once the ground energies are certified by Kato-Temple
+    # the splitting_n3 benchmark grid: 477 operator calls under the residual
+    # gate alone, 389 once the ground energies are certified by Kato-Temple
     calls = []
     matvec = HamiltonianEngine.matvec
 
@@ -902,8 +937,8 @@ class TestStackedSolves:
 
     def test_oversized_refinement_refused_before_any_engine(self, tmp_path, monkeypatch,
                                                               capsys):
-        # the base sectors (1,784,640 states) are admitted and the refined
-        # ones (4,300,800) are not: the sweep is refused before the base solve
+        # the base sectors (2,376,000 states) are admitted and the refined
+        # ones (6,064,800) are not: the sweep is refused before the base solve
         class Built(Exception):
             pass
 
@@ -911,14 +946,14 @@ class TestStackedSolves:
             raise Built
 
         monkeypatch.setattr(HamiltonianEngine, "__init__", built)
-        spec = ManyBodySpec.from_coupling(4, 4, 1.3, even_floor=12)
-        assert spec.dimension // 2 == 1_784_640
-        with pytest.raises(ManyBodyError, match="sector of 4300800 states"):
+        spec = ManyBodySpec.from_coupling(4, 4, 1.3, even_floor=14)
+        assert spec.dimension // 2 == 2_376_000
+        with pytest.raises(ManyBodyError, match="sector of 6064800 states"):
             ground_splittings([spec], tol=0.01)
         assert cli_main(["splitting-sweep", "--n", "4", "--n-m", "4", "--g-grid", "[1.3]",
-                         "--even-floor", "12", "--tol", "0.01",
+                         "--even-floor", "14", "--tol", "0.01",
                          "--out-dir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error: sector of 4300800 states")
+        assert capsys.readouterr().err.startswith("error: sector of 6064800 states")
         assert not any(tmp_path.iterdir())
 
     def test_two_shapes_rejected_across_stacks(self, monkeypatch):
@@ -951,6 +986,25 @@ class TestStackedSolves:
             assert stacked.residuals[i].tobytes() == r.residuals[0].tobytes()
             assert np.array_equal(stacked.eigenvectors[i], r.eigenvectors[0])
             assert stacked.column_matvecs[i] == r.matvec_count
+
+    def test_columns_skip_updates_on_their_own(self):
+        # a disorder stack: columns certified after the same matvecs ran the
+        # Gram-Schmidt update on different numbers of steps, so they skipped
+        # it on different steps, and each keeps the bits of its lone solve
+        base = ManyBodySpec.from_coupling(3, 2, 1.0)
+        freqs = sample_frequencies(DisorderEnsembleSpec(base, 0.3, 4, 5))
+        columns = [(base.with_omega_atoms(w), "even") for w in freqs]
+        _, stacked = _krylov_solve(columns, 1)
+        same = stacked.column_matvecs == stacked.column_matvecs[0]
+        assert np.count_nonzero(same) > 1
+        assert len(set(stacked.column_updates[same])) > 1
+        for i, column in enumerate(columns):
+            _, lone = _krylov_solve([column], 1)
+            assert stacked.eigenvalues[i].tobytes() == lone.eigenvalues[0].tobytes()
+            assert stacked.residuals[i].tobytes() == lone.residuals[0].tobytes()
+            assert stacked.eigenvectors[i].tobytes() == lone.eigenvectors[0].tobytes()
+            assert stacked.column_matvecs[i] == lone.column_matvecs[0]
+            assert stacked.column_updates[i] == lone.column_updates[0]
 
     def test_stacked_sectors_match_lone_solves(self, monkeypatch):
         # three levels per sector at N = 5: the sectors converge at different
