@@ -64,10 +64,16 @@ is deterministic and its start has weight on every eigenvector; a start
 inside one symmetry class of the operator would never reach the levels of
 another.  A caller that already holds a good approximation (the ground
 vector of the same operator at smaller cutoffs, say) passes it as ``start``;
-the seeded noise is then added at relative weight 1e-3, which keeps the
-solve deterministic and every eigenvector reachable.  A single start still
-spans one direction per eigenspace, so an exactly degenerate level may come
-back fewer times than its multiplicity.
+the seeded noise is then added at relative weight ``START_NOISE`` = 1e-6,
+which keeps the solve deterministic and every eigenvector reachable, and
+lies ten decades above the rounding a Lanczos step adds.  The weight was
+swept from 1e-3 to 1e-10 on the refinement solves of three splitting grids
+(CHANGES.md): operator calls fell 285 -> 273 on the splitting_n3 benchmark
+grid, 1,541 -> 1,268 on criterion 6's N = 3 grid and 405 -> 225 on its
+N = 2 grid from 1e-3 to 1e-6; at 1e-10 they read 269, 1,250 and 185.
+Every refined energy stayed inside its Kato-Temple target of a tight
+solve.  A single start still spans one direction per eigenspace, so an
+exactly degenerate level may come back fewer times than its multiplicity.
 ``manybody.lowest_spectrum`` solves sectors of at most ``DENSE_LIMIT``
 states densely, which returns every copy, and only larger ones here.
 
@@ -91,8 +97,10 @@ Eigenvalue Problem*, SIAM 1998, ch. 10-11): r and theta are the explicit
 residual and Rayleigh quotient, and theta_2 - r_2, the next Ritz value of
 the same projected block less its residual estimate, stands in for a lower
 bound on the next level.  ``manybody.ground_splittings`` is that caller:
-its vectors only warm-start the refinement, and each ground energy is
-bounded by a tenth of the splitting floor.  The stand-in holds only for a
+its vectors only warm-start the refinement, each base ground energy is
+bounded by a tenth of the splitting floor, and each refined one, which
+feeds only the convergence flag, by ``manybody.REFINE_SHARE`` of that
+flag's threshold.  The stand-in holds only for a
 level the Krylov space has resolved.  A level just above the lowest that
 the space has not yet separated from it leaves theta_2 too high; with
 levels -1 and -1 + 1e-6 below a band in [0, 1], a target of 1e-12 stopped
@@ -137,6 +145,8 @@ DGKS = 1 / np.sqrt(2)
 ORTHO = 1e-14
 #: matvecs a column may take before ``lowest_eigenpairs`` gives up
 MAX_MATVECS = 60000
+#: relative weight of the seeded noise added to a caller's start vector
+START_NOISE = 1e-6
 
 #: dimension at or below which a solve runs on one BLAS thread, above it on
 #: the usable cores.  One N=4 sector ground solve, fresh processes, median
@@ -308,7 +318,7 @@ def _lanczos(matvec, dim, k, tol, scale, start, energy_tol) -> LanczosResult:
         norm = np.sqrt(_dots(start, start)) if start.shape == (b, dim) else np.zeros(1)
         if not np.all(np.isfinite(norm) & (norm > 0.0)):
             raise ValueError(f"start must hold {b} finite nonzero ({dim},) rows")
-        v = start / norm[:, None] + 1e-3 * (v / np.sqrt(_dots(v, v))[:, None])
+        v = start / norm[:, None] + START_NOISE * (v / np.sqrt(_dots(v, v))[:, None])
     # the bases are row-stacked, so every slice Q[:, lo:m] is a (b, m - lo,
     # dim) view whose products run as one BLAS call per column
     Q = np.empty((b, size + 1, dim))

@@ -40,8 +40,12 @@ Ground-state splittings (``ground_splittings``) are computed sector by
 sector; subtracting two nearly equal full-space eigenvalues cannot reach
 the 1e-12 level that the sector route resolves.  Splittings below
 ``NUMERICAL_FLOOR`` times the atomic frequency are flagged as floor-limited,
-and each Lanczos ground energy is certified to a tenth of that floor by its
-Kato-Temple bound, or by the residual gate (``krylov``).
+and each reported Lanczos ground energy is certified to a tenth of that
+floor by its Kato-Temple bound, or by the residual gate (``krylov``).  The
+energies of the refinement solve feed only the convergence flag, which
+compares two splittings to ``tol`` relative, so each is certified to
+``REFINE_SHARE`` of that flag's threshold, tol times the base splitting,
+and to no less than a tenth of the floor.
 
 A clean chain (all atomic frequencies equal) also commutes with the mirror
 R: atom j -> N+1-j, times (-1)^n_k on each mode odd under it (even k < N,
@@ -77,6 +81,12 @@ from .krylov import basis_size, cap_blas_threads, lowest_eigenpairs, solve_threa
 
 #: splittings below this (relative to omega_F) are numerically unresolvable
 NUMERICAL_FLOOR = 1e-13
+
+#: share of the convergence threshold ``tol`` x delta that the Kato-Temple
+#: bound of each refined ground energy may take in ``ground_splittings``;
+#: with both energies inside it the refined splitting is off by at most
+#: 0.2% of the threshold it is compared with
+REFINE_SHARE = 1e-3
 
 #: sector dimension at or below which a solve is dense, above it Lanczos.
 #: Dense numpy.linalg.eigh computes every pair; on one BLAS thread, as every
@@ -778,6 +788,9 @@ class SplittingRecord:
     delta_over_omega_atom: float
     converged: bool
     below_floor: bool = False
+    #: the splitting at the refined cutoffs that ``converged`` compared with
+    #: delta, or None without refinement
+    delta_refined: float | None = None
 
 
 def _refined_cutoffs(cutoffs) -> tuple[int, ...]:
@@ -798,9 +811,19 @@ def _omega_ref(spec: ManyBodySpec) -> float:
 
 
 def _energy_tol(spec: ManyBodySpec) -> float:
-    """The Kato-Temple bound each ground energy of ``spec`` is certified to
-    in ``ground_splittings``: a tenth of the splitting floor."""
+    """The Kato-Temple bound each base ground energy of ``spec`` is
+    certified to in ``ground_splittings``: a tenth of the splitting floor."""
     return NUMERICAL_FLOOR * _omega_ref(spec) / 10
+
+
+def _refined_energy_tol(spec: ManyBodySpec, delta: float, tol: float) -> float:
+    """The Kato-Temple bound of each refined ground energy of ``spec``, whose
+    base splitting is ``delta``, under the convergence test at ``tol``:
+    ``REFINE_SHARE`` of that test's threshold tol x delta, and never below
+    ``_energy_tol``, to which a splitting at or below the floor falls back."""
+    if delta <= NUMERICAL_FLOOR * _omega_ref(spec):
+        return _energy_tol(spec)
+    return max(_energy_tol(spec), REFINE_SHARE * tol * delta)
 
 
 def ground_splittings(specs, tol: float = 1e-3,
@@ -813,27 +836,30 @@ def ground_splittings(specs, tol: float = 1e-3,
     vectors.  A record is converged when refinement changes delta by at most
     ``tol`` relative, or leaves both splittings below the floor; never
     unrefined.  The vectors serve only as warm starts, so every Lanczos
-    column may stop once the Kato-Temple bound on its energy is within
-    ``_energy_tol``, a tenth of the floor, as well as at the residual gate.
+    column may stop at a Kato-Temple bound on its energy as well as at the
+    residual gate: a base energy at ``_energy_tol``, a tenth of the floor,
+    and a refined one, which feeds only ``converged``, at
+    ``_refined_energy_tol``, ``REFINE_SHARE`` of tol times the base delta.
     A refined column too large to solve is refused before the base solve.
     """
     columns = [c for s in specs for c in ground_columns(s)]
-    energy_tol = [_energy_tol(s) for s, _ in columns]
     if refine:
         bumped = [(s.with_cutoffs(_refined_cutoffs(s.cutoffs)), sec) for s, sec in columns]
         for s, _ in bumped:
             _admit(s, 1)
-    base = sector_spectra(columns, 1, with_vectors=refine, energy_tol=energy_tol)
+    base = sector_spectra(columns, 1, with_vectors=refine,
+                          energy_tol=[_energy_tol(s) for s, _ in columns])
     e = [float(r.eigenvalues[0]) for r in base]
-    d2s = [None] * len(e)
+    deltas = [abs(a - b) for a, b in zip(e[::2], e[1::2])]
+    d2s = [None] * len(deltas)
     if refine:
+        targets = [_refined_energy_tol(s, d, tol) for (s, _), d in zip(columns[::2], deltas)]
         e2 = [float(r.eigenvalues[0])
               for r in sector_spectra(bumped, 1, starts=[r.vectors[0] for r in base],
-                                      energy_tol=energy_tol)]
+                                      energy_tol=[t for t in targets for _ in SECTORS])]
         d2s = [abs(a - b) for a, b in zip(e2[::2], e2[1::2])]
     records = []
-    for (spec, _), e_even, e_odd, d2 in zip(columns[::2], e[::2], e[1::2], d2s):
-        delta = abs(e_even - e_odd)
+    for (spec, _), e_even, e_odd, delta, d2 in zip(columns[::2], e[::2], e[1::2], deltas, d2s):
         omega_ref = _omega_ref(spec)
         floor = NUMERICAL_FLOOR * omega_ref
         converged = False
@@ -843,7 +869,7 @@ def ground_splittings(specs, tol: float = 1e-3,
         records.append(SplittingRecord(
             n_atoms=spec.n_atoms, n_modes=spec.n_modes, g=spec.g, cutoffs=spec.cutoffs,
             e_even=e_even, e_odd=e_odd, delta=delta, delta_over_omega_atom=delta / omega_ref,
-            converged=converged, below_floor=delta < floor))
+            converged=converged, below_floor=delta < floor, delta_refined=d2))
     return records
 
 

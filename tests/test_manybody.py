@@ -538,7 +538,7 @@ class TestGroundSplitting:
         assert rec.n_atoms == 2 and rec.n_modes == 1
         assert rec.delta == abs(rec.e_even - rec.e_odd)
         assert rec.delta_over_omega_atom == pytest.approx(rec.delta)
-        assert not rec.converged  # refinement skipped
+        assert not rec.converged and rec.delta_refined is None  # refinement skipped
 
     def test_floor_rule_counts_two_floor_splittings_as_converged(self):
         # the default cutoffs (64,) put delta at 1.4e-14, below the floor,
@@ -873,9 +873,59 @@ def test_certified_ground_energies_match_tight_residual_solves(grid, monkeypatch
         (r.converged, r.below_floor) for r in gated]
 
 
-def test_splitting_sweep_matvec_budget(monkeypatch):
-    # the splitting_n3 benchmark grid: 477 operator calls under the residual
-    # gate alone, 389 once the ground energies are certified by Kato-Temple
+def _refined_solves(monkeypatch, spec, tol):
+    """The record of ``ground_splittings([spec], tol)``, and the columns,
+    results and ``energy_tol`` of its refined ``sector_spectra`` call."""
+    calls = []
+    solve = manybody.sector_spectra
+
+    def recorded(columns, *a, energy_tol=None, **kw):
+        calls.append((columns, solve(columns, *a, energy_tol=energy_tol, **kw), energy_tol))
+        return calls[-1][1]
+
+    monkeypatch.setattr(manybody, "sector_spectra", recorded)
+    rec = ground_splittings([spec], tol=tol)[0]
+    monkeypatch.undo()
+    return rec, calls[1]
+
+
+@pytest.mark.parametrize("grid", ["criterion6_n3", "splitting_n3"])
+def test_refined_energies_are_inside_their_target(grid, monkeypatch):
+    # each refined energy stops at REFINE_SHARE of tol times the base delta,
+    # or at a tenth of the floor where that is larger (criterion 6 at g = 1.3,
+    # delta 1.3e-11), so the refined splitting is off by at most twice that
+    # from a tight one
+    n, nm, gs, floor, safety, tol = SPLITTING_GRIDS[grid]
+    for g in gs:
+        spec = ManyBodySpec.from_coupling(n, nm, g, even_floor=floor, safety=safety)
+        rec, (columns, refined, energy_tol) = _refined_solves(monkeypatch, spec, tol)
+        target = manybody._refined_energy_tol(spec, rec.delta, tol)
+        assert energy_tol == [target, target]
+        tight = sector_spectra(columns, 1, tol=1e-13)
+        for r, ref in zip(refined, tight):
+            assert abs(r.eigenvalues[0] - ref.eigenvalues[0]) <= target
+        d2 = abs(tight[0].eigenvalues[0] - tight[1].eigenvalues[0])
+        assert abs(rec.delta_refined - d2) <= 2 * target
+
+
+def test_refined_target_of_a_floor_splitting_is_the_base_one(monkeypatch):
+    # at g = 2.6 the base delta, 1.4e-14, is below the floor, so its refined
+    # columns keep the floor's target; at g = 1.0 they take the relative one
+    tol = 1e-2
+    below = ManyBodySpec.from_coupling(2, 1, 2.6)
+    rec, (_, _, energy_tol) = _refined_solves(monkeypatch, below, tol)
+    assert rec.below_floor
+    assert energy_tol == [manybody._energy_tol(below)] * 2
+    above = ManyBodySpec.from_coupling(2, 1, 1.0)
+    rec, (_, _, energy_tol) = _refined_solves(monkeypatch, above, tol)
+    assert not rec.below_floor
+    assert energy_tol == [manybody.REFINE_SHARE * tol * rec.delta] * 2
+    assert energy_tol[0] > manybody._energy_tol(above)
+
+
+def _grid_matvecs(monkeypatch, grid) -> int:
+    """Operator calls of one ``SPLITTING_GRIDS`` grid, a spec at a time."""
+    n, nm, gs, floor, safety, tol = SPLITTING_GRIDS[grid]
     calls = []
     matvec = HamiltonianEngine.matvec
 
@@ -884,10 +934,23 @@ def test_splitting_sweep_matvec_budget(monkeypatch):
         return matvec(self, x)
 
     monkeypatch.setattr(HamiltonianEngine, "matvec", counted)
-    for g in (0.7, 1.0):
-        ground_splittings([ManyBodySpec.from_coupling(3, 3, g, even_floor=8, safety=2.5)],
-                          tol=1e-2)
-    assert len(calls) <= 480
+    for g in gs:
+        ground_splittings([ManyBodySpec.from_coupling(n, nm, g, even_floor=floor,
+                                                      safety=safety)], tol=tol)
+    return len(calls)
+
+
+def test_splitting_sweep_matvec_budget(monkeypatch):
+    # the splitting_n3 benchmark grid: 477 operator calls under the residual
+    # gate alone, 389 with every energy certified to a tenth of the floor,
+    # 285 with the refined ones at REFINE_SHARE of the convergence threshold
+    # and 273 with the start noise at 1e-6
+    assert _grid_matvecs(monkeypatch, "splitting_n3") <= 287
+
+
+def test_criterion6_matvec_budget(monkeypatch):
+    # criterion 6's N = 3 grid, in the same steps: 1,658, 1,541 and 1,268
+    assert _grid_matvecs(monkeypatch, "criterion6_n3") <= 1331
 
 
 class TestStackedSolves:
@@ -1068,12 +1131,12 @@ class TestStackedSolves:
             return solved[-1]
 
         monkeypatch.setattr(manybody, "sector_spectra", recorded)
-        ground_splittings([spec])
+        rec = ground_splittings([spec])[0]
         base, refined = solved
-        # the lone solves take the energy certification of ground_splittings
+        # the lone solves take the refined energy target of ground_splittings
+        target = manybody._refined_energy_tol(spec, rec.delta, 1e-3)
         for column, b, r in zip(columns, base, refined):
-            lone = sector_spectra([column], 1, starts=[b.vectors[0]],
-                                  energy_tol=[manybody._energy_tol(spec)])[0]
+            lone = sector_spectra([column], 1, starts=[b.vectors[0]], energy_tol=[target])[0]
             assert r.sector == column[1] and r.method == "lanczos"
             assert lone.eigenvalues.tobytes() == r.eigenvalues.tobytes()
             assert lone.iterations == r.iterations
