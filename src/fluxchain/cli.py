@@ -4,10 +4,10 @@ Every run resolves a flat key=value configuration (file keys overridden by
 command-line flags), validates it against the command's schema (unknown keys
 are rejected with their line number), executes, and writes its artifacts plus
 a ``manifest.json`` echoing the resolved configuration and its hash, the
-numpy version and the BLAS/OpenMP thread variables (``THREAD_ENV``).  Flags
-are decoded like file values, so ``resolve_config`` alone converts and checks
-every value.  Nothing in any output depends on wall time, so reruns are
-byte-identical.
+fluxchain and numpy versions and the BLAS/OpenMP thread variables
+(``THREAD_ENV``).  Flags are decoded like file values, so ``resolve_config``
+alone converts and checks every value.  Nothing in any output depends on
+wall time, so reruns are byte-identical.
 
 ``COMMANDS`` maps each command to its schema and its implementation, which
 returns ``{file name: payload}`` (a dict for JSON, ``(header, rows)`` for
@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from . import asymptotics, circuit, disorder, fluxonium, hopfield, manybody
+from . import __version__, asymptotics, circuit, disorder, fluxonium, hopfield, manybody
 
 ENV_OUTDIR = "FLUXCHAIN_OUTDIR"
 #: thread-count variables of the BLAS and OpenMP runtimes, echoed in manifests
@@ -337,17 +337,22 @@ def _spec_from_cfg(cfg, g):
     )
 
 
+SPECTRUM_HEADER = ["N", "N_m", "g", "sector", "level", "energy", "residual"]
+
+
+def _spectrum_rows(cfg, g, sector, res):
+    """The ``spectrum.csv`` rows of one solve at ``g``: one per level."""
+    return [[cfg["N"], cfg["N_m"], g, sector, i, float(e), float(r)]
+            for i, (e, r) in enumerate(zip(res.eigenvalues, res.residual_norms))]
+
+
 def _cmd_spectrum(cfg, chash):
     spec = _spec_from_cfg(cfg, cfg["g"])
     res = manybody.lowest_spectrum(
         spec, sector=cfg["sector"], m=cfg["count"], tol=cfg["tol"]
     )
-    return {"spectrum.csv": (
-        ["N", "N_m", "g", "sector", "level", "energy", "residual"],
-        [[cfg["N"], cfg["N_m"], cfg["g"], res.sector, i,
-          float(res.eigenvalues[i]), float(res.residual_norms[i])]
-         for i in range(len(res.eigenvalues))],
-    )}
+    return {"spectrum.csv": (SPECTRUM_HEADER,
+                             _spectrum_rows(cfg, cfg["g"], res.sector, res))}
 
 
 def _sweep_point(cfg, g):
@@ -376,11 +381,17 @@ def _closed_form_beta(n_atoms, n_modes):
 
 
 def _cmd_overlap(cfg, chash):
-    rows = []
+    rows, spectrum = [], []
     for g in sorted(cfg["g_grid"]):
         spec = _spec_from_cfg(cfg, g)
-        se, so = manybody.sector_spectra(manybody.ground_columns(spec), 1,
+        # the mirror-even halves hold both ground states; higher levels may
+        # be R-odd, so more than one level takes the whole sectors
+        columns = (manybody.ground_columns(spec) if cfg["levels"] == 1
+                   else [(spec, sec) for sec in manybody.SECTORS])
+        se, so = manybody.sector_spectra(columns, cfg["levels"],
                                          tol=cfg["tol"], with_vectors=True)
+        for sec, res in zip(manybody.SECTORS, (se, so)):
+            spectrum += _spectrum_rows(cfg, g, sec, res)
         ov = asymptotics.doublet_overlap((se.vectors[0], so.vectors[0]))
         amps = asymptotics.displaced_amplitudes(spec, [+1] * cfg["N"])
         rows.append({
@@ -393,12 +404,15 @@ def _cmd_overlap(cfg, chash):
         })
     beta = _closed_form_beta(cfg["N"], cfg["N_m"])
     n2 = float(cfg["N"] ** 2)
-    return {"overlap.json": {
-        "config_hash": chash,
-        "points": rows,
-        "beta_exponent": beta,
-        "beta_bounds_ok": None if beta is None else 1.6 * n2 < beta < 2.1 * n2,
-    }}
+    return {
+        "overlap.json": {
+            "config_hash": chash,
+            "points": rows,
+            "beta_exponent": beta,
+            "beta_bounds_ok": None if beta is None else 1.6 * n2 < beta < 2.1 * n2,
+        },
+        "spectrum.csv": (SPECTRUM_HEADER, spectrum),
+    }
 
 
 def _cmd_disorder(cfg, chash):
@@ -498,7 +512,7 @@ COMMANDS: dict[str, tuple] = {
         "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g_grid": (_list_of(_float), _REQUIRED),
         "safety": (_float, 3.5), "even_floor": (_int, 4),
-        "tol": (_positive_float, 1e-10),
+        "tol": (_positive_float, 1e-10), "levels": (_positive_int, 1),
     }),
     "disorder": (_cmd_disorder, {
         "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
@@ -541,6 +555,7 @@ def run(command: str, file_cfg: dict | None = None,
         "config": dict(sorted(resolved.items())),
         "config_hash": chash,
         "artifacts": sorted(artifacts),
+        "fluxchain": __version__,
         "numpy": np.__version__,
         "thread_env": {k: os.environ.get(k) for k in THREAD_ENV},
     })

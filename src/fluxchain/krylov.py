@@ -65,8 +65,16 @@ inside one symmetry class of the operator would never reach the levels of
 another.  A caller that already holds a good approximation (the ground
 vector of the same operator at smaller cutoffs, say) passes it as ``start``;
 the seeded noise is then added at relative weight ``START_NOISE`` = 1e-6,
-which keeps the solve deterministic and every eigenvector reachable, and
-lies ten decades above the rounding a Lanczos step adds.  The weight was
+which keeps the solve deterministic and gives every eigenvector a weight
+ten decades above the rounding a Lanczos step adds.  A weight is not a
+guarantee that an eigenvector is found: one the start holds at 1e-6 shows
+in the Krylov space only once the start's own components are resolved,
+and a solve for k pairs may certify k pairs, each with a small residual,
+before it does.  From an R-even start, an odd sector of the N=5, N_m=3
+chain at g = 0.5 came back with a certified third level of -5.29156, where
+a cold start returns the R-odd level -5.29653.  A start thus serves a
+ground solve (k = 1), whose level it approximates, and
+``manybody.sector_spectra`` refuses starts for more pairs.  The weight was
 swept from 1e-3 to 1e-10 on the refinement solves of three splitting grids
 (CHANGES.md): operator calls fell 285 -> 273 on the splitting_n3 benchmark
 grid, 1,541 -> 1,268 on criterion 6's N = 3 grid and 405 -> 225 on its

@@ -682,6 +682,9 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     columns from a vector of the same chain and sector at per-mode cutoffs
     no larger than the column's (the ground vector of a smaller solve),
     zero-padded to the column's cutoffs; the dense route ignores them.
+    Starts are refused for more than one pair: a start inside one symmetry
+    class gives the levels of another too little weight to be found, and
+    the residual gate cannot tell a level that was missed.
     ``energy_tol``, one absolute bound per column, lets a Lanczos column
     whose vectors serve only as warm starts be certified by the
     Kato-Temple bound on its energies (``krylov.lowest_eigenpairs``).
@@ -691,6 +694,8 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
         raise ManyBodyError("m must be at least 1")
     if tol <= 0:
         raise ManyBodyError("tol must be positive")
+    if starts is not None and m > 1:
+        raise ManyBodyError(f"starts serve ground solves only, not m = {m}")
     if starts is not None and len(starts) != len(columns):
         raise ManyBodyError(f"{len(starts)} starts for {len(columns)} columns")
     spec = columns[0][0]
@@ -746,7 +751,8 @@ def _stack_spectra(op, m, tol, with_vectors, starts, energy_tol) -> list[Spectru
 
 def lowest_spectrum(spec: ManyBodySpec, sector: str = "full", m: int = 1,
                     tol: float = 1e-11, with_vectors: bool = False) -> SpectrumResult:
-    """m lowest eigenpairs of H restricted to a parity sector.
+    """m lowest eigenpairs of H: by default of the full space, the merge of
+    the two parity sectors, or of one sector, 'even' or 'odd'.
 
     The sector dimension alone picks the route: dense diagonalization at or
     below ``DENSE_LIMIT`` states, and Lanczos above it; either runs under

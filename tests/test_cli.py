@@ -22,7 +22,7 @@ from fluxchain.cli import (
     resolve_config,
     run,
 )
-from fluxchain import cli, manybody
+from fluxchain import __version__, cli, manybody
 from fluxchain.asymptotics import beta_exponent
 from fluxchain.krylov import EigenConvergenceError
 from fluxchain.manybody import SplittingRecord
@@ -337,6 +337,14 @@ class TestRun:
         fids = [p["fidelity"] for p in payload["points"]]
         assert fids[1] > fids[0]
         assert payload["config_hash"]
+        # one level of each parity sector per g, the ground pair of the points
+        lines = (tmp_path / "overlap" / "spectrum.csv").read_text().splitlines()
+        assert lines[1] == "N,N_m,g,sector,level,energy,residual"
+        rows = read_csv_rows(str(tmp_path / "overlap" / "spectrum.csv"))
+        assert [(r["g"], r["sector"], r["level"]) for r in rows] == [
+            (g, sec, "0") for g in ("0.6", "1.0") for sec in ("even", "odd")]
+        assert [float(r["energy"]) for r in rows] == [
+            e for p in payload["points"] for e in (p["E_even"], p["E_odd"])]
 
     def test_overlap_of_one_atom_has_no_closed_form(self, tmp_path):
         # like fit-beta: the closed form needs two atoms, the points do not
@@ -590,6 +598,7 @@ def test_manifest_records_numpy_and_thread_env(tmp_path, monkeypatch):
     run("polariton", None, dict(SMALL_RUNS["polariton"], out_dir=str(tmp_path)))
     manifest = json.loads((tmp_path / "polariton" / "manifest.json").read_text())
     assert manifest["numpy"] == np.__version__
+    assert manifest["fluxchain"] == __version__
     assert set(manifest["thread_env"]) == set(THREAD_ENV)
     assert manifest["thread_env"]["OMP_NUM_THREADS"] == "3"
     assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] is None

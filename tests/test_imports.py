@@ -1,17 +1,17 @@
 """No dead imports and no dead definitions, checked with the stdlib ``ast``.
 
 Imports: a stand-in for a linter's unused-import rule.  In every ``.py`` file
-under ``src/``, ``scripts/`` and ``tests/``, a name bound by an import must be
-read somewhere in the module.  Package ``__init__.py`` files (whose imports
+under ``src/`` and ``tests/``, a name bound by an import must be read
+somewhere in the module.  Package ``__init__.py`` files (whose imports
 are re-exports) and ``from __future__`` imports are exempt.
 
 Definitions: every module-level function, class and constant under ``src/``,
 and every method of those classes (dunders exempt), must be referenced by
-name, attribute or import in some file under ``src/``, ``scripts/``,
-``tests/`` or ``bench/``, so that removing a caller does not leave dead code
-behind.  One that ``fluxchain/__init__.py`` does not re-export (itself or
-its class) must be read under ``src/``, ``scripts/`` or ``bench/``: a
-definition only tests read is a test oracle and belongs in ``tests/``.
+name, attribute or import in some file under ``src/``, ``tests/`` or
+``bench/``, so that removing a caller does not leave dead code behind.  One
+that ``fluxchain/__init__.py`` does not re-export (itself or its class)
+must be read under ``src/`` or ``bench/``: a definition only tests read is
+a test oracle and belongs in ``tests/``.
 
 Parameters: every parameter with a default, of a function or method under
 ``src/``, must be passed somewhere in those files: as a keyword in any call
@@ -45,7 +45,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     path
-    for top in ("src", "scripts", "tests")
+    for top in ("src", "tests")
     for path in (ROOT / top).rglob("*.py")
     if path.name != "__init__.py"
 )
@@ -53,7 +53,7 @@ FILES = sorted(
 
 REFERENCING = sorted(
     path
-    for top in ("src", "scripts", "tests", "bench")
+    for top in ("src", "tests", "bench")
     for path in (ROOT / top).rglob("*.py")
 )
 

@@ -626,6 +626,18 @@ class TestWarmStart:
             with pytest.raises(ManyBodyError, match=f"{len(starts)} starts for 2 columns"):
                 sector_spectra(columns, 1, starts=starts)
 
+    def test_starts_refused_above_one_pair(self, monkeypatch):
+        # an R-even start at m = 3 once certified an odd sector's third level
+        # 5e-3 above the R-odd one it missed; the refusal builds no engine
+        vec = lowest_spectrum(self.SPEC, "even", 1, with_vectors=True).vectors[0]
+        built = []
+        monkeypatch.setattr(HamiltonianEngine, "__init__",
+                            lambda self, columns: built.append(columns))
+        for m in (2, 3):
+            with pytest.raises(ManyBodyError, match=f"not m = {m}"):
+                sector_spectra([(self.SPEC, "even")], m, starts=[vec])
+        assert built == []
+
 
 class TestConvergenceScan:
     """Splittings and sector energies along increasing cutoff schedules."""

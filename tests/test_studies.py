@@ -1,19 +1,14 @@
-"""Runs of the checked-in studies and of the study script, at tiny sizes.
+"""Runs of the checked-in studies, at tiny sizes.
 
 A study is a ``key = value`` file, ``studies/<command>/*.cfg``, that the CLI
 command its directory names runs (README, "Studies").  Each file must parse
 and resolve against its command's schema, so a renamed or removed key fails
 here.  The studies run through ``cli.main``, the disorder one at a reduced
-count; the full-size grids of the splitting studies are checked against the
-solve-size rule without a solve.  ``scripts/spectrum_vs_coupling.py``, which
-no command covers, runs in its own interpreter with ``src`` on
-``PYTHONPATH`` and must exit cleanly and write a non-empty output file.
+count and the overlap one on a shorter grid; the full-size grids of the
+splitting studies are checked against the solve-size rule without a solve.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,23 +37,6 @@ STUDIES = ROOT / "studies"
 #: the keys a study passes on the command line, one run per value (README)
 PER_RUN = {"disorder": {"g": 1.0}}
 
-RUNS = [
-    ("spectrum_vs_coupling.py", ["--points", "2", "--levels", "4", "--g-max", "0.6"],
-     "spectrum.csv"),
-]
-
-
-def run_script(tmp_path, script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args,
-         "--out-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-
 
 def run_study(tmp_path, command, name, *flags):
     """Exit code of ``command`` on the study file ``name``, flags after it."""
@@ -66,22 +44,33 @@ def run_study(tmp_path, command, name, *flags):
                  "--out-dir", str(tmp_path)])
 
 
-@pytest.mark.parametrize("script, args, output", RUNS, ids=[r[0] for r in RUNS])
-def test_script_runs(tmp_path, script, args, output):
-    run_script(tmp_path, script, args)
-    assert (tmp_path / output).stat().st_size > 0
+def test_overlap_study_writes_a_spectrum(tmp_path):
+    assert run_study(tmp_path, "overlap", "n5.cfg", "--g-grid", "[0.3, 0.6]",
+                     "--levels", "4") == 0
+    assert (tmp_path / "overlap" / "spectrum.csv").stat().st_size > 0
 
 
-def test_spectrum_vs_coupling_keeps_levels_of_either_sector(tmp_path):
+def test_overlap_spectrum_keeps_levels_of_either_sector(tmp_path):
     # at g = 1/9 the even sector holds six of the seven lowest levels; a
     # merge of five levels per sector lost level 6 (-1.3643)
     g = 0.1111111111111111
-    run_script(tmp_path, "spectrum_vs_coupling.py",
-               ["--points", "1", "--levels", "7", "--g-max", repr(g)])
-    rows = read_csv_rows(str(tmp_path / "spectrum.csv"))
+    assert run_study(tmp_path, "overlap", "n5.cfg", "--g-grid", f"[{g!r}]",
+                     "--levels", "7") == 0
+    rows = read_csv_rows(str(tmp_path / "overlap" / "spectrum.csv"))
     want = lowest_spectrum(ManyBodySpec.from_coupling(5, 3, g, safety=2.5), "full", 7)
-    got = [float(r["energy"]) for r in rows]
+    got = sorted(float(r["energy"]) for r in rows)[:7]
     np.testing.assert_allclose(got, want.eigenvalues, rtol=0, atol=1e-9)
+
+
+def test_levels_above_the_sector_dimension_refused(tmp_path, capsys):
+    args = {"N": 2, "N_m": 1, "g_grid": [0.6]}
+    spec = _spec_from_cfg(resolve_config("overlap", None, args), 0.6)
+    levels = spec.dimension // 2 + 1
+    assert main(["overlap", "--n", "2", "--n-m", "1", "--g-grid", "[0.6]",
+                 "--levels", str(levels), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_every_study_config_resolves():
