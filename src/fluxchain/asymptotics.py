@@ -118,6 +118,27 @@ def x_polarized(n_atoms: int, sign: int) -> np.ndarray:
     return out / math.sqrt(out.size)
 
 
+def truncated_factors(spec: ManyBodySpec, sign: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """``vacuum_factors`` without its mass check, and the squared mass that
+    each mode's truncated coherent state keeps.
+
+    A mode whose squared mass underflows to zero (|alpha|^2 in the
+    thousands above its cutoff) stays unnormalized, so the mode factor is
+    never non-finite.  ``manybody.ground_splittings`` starts its solves from
+    these factors, where no accuracy is needed.
+    """
+    if sign not in (+1, -1):
+        raise ManyBodyError("sign must be +1 or -1")
+    modes, masses = np.ones(1, dtype=complex), []
+    for alpha, cutoff in zip(displaced_amplitudes(spec, [sign] * spec.n_atoms), spec.cutoffs):
+        vec = coherent_vector(alpha, cutoff)
+        masses.append(float(np.sum(np.abs(vec) ** 2)))
+        if masses[-1] > 0.0:
+            vec = vec / math.sqrt(masses[-1])
+        modes = np.multiply.outer(vec, modes).reshape(-1)
+    return modes, x_polarized(spec.n_atoms, sign), masses
+
+
 def vacuum_factors(spec: ManyBodySpec, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """The two factors of the asymptotic vacuum on the spec's basis.
 
@@ -128,17 +149,12 @@ def vacuum_factors(spec: ManyBodySpec, sign: int) -> tuple[np.ndarray, np.ndarra
     ``CutoffError`` (with the needed cutoff) if any truncated mode keeps
     less than ``MIN_MASS`` of its weight.
     """
-    if sign not in (+1, -1):
-        raise ManyBodyError("sign must be +1 or -1")
-    modes = np.ones(1, dtype=complex)
-    amps = displaced_amplitudes(spec, [sign] * spec.n_atoms)
-    for m, alpha in enumerate(amps):
-        vec = coherent_vector(alpha, spec.cutoffs[m])
-        mass = float(np.sum(np.abs(vec) ** 2))
+    modes, spin, masses = truncated_factors(spec, sign)
+    for m, mass in enumerate(masses):
         if mass < MIN_MASS:
+            alpha = displaced_amplitudes(spec, [sign] * spec.n_atoms)[m]
             raise CutoffError(m + 1, spec.cutoffs[m], _required_cutoff(alpha))
-        modes = np.multiply.outer(vec / math.sqrt(mass), modes).reshape(-1)
-    return modes, x_polarized(spec.n_atoms, sign)
+    return modes, spin
 
 
 def asymptotic_vacuum(spec: ManyBodySpec, sign: int = +1) -> Wavefunction:

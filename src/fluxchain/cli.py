@@ -346,8 +346,19 @@ def _spectrum_rows(cfg, g, sector, res):
             for i, (e, r) in enumerate(zip(res.eigenvalues, res.residual_norms))]
 
 
+def _at_most(key, count, dimension, space):
+    """Refuse a level count above the dimension of the space it is taken from."""
+    if count > dimension:
+        raise ConfigError(f"bad value for '{key}': {count} exceeds the {space} "
+                          f"dimension {dimension}")
+
+
 def _cmd_spectrum(cfg, chash):
     spec = _spec_from_cfg(cfg, cfg["g"])
+    if cfg["sector"] == "full":
+        _at_most("count", cfg["count"], spec.dimension, "full-space")
+    else:
+        _at_most("count", cfg["count"], spec.dimension // 2, "sector")
     res = manybody.lowest_spectrum(
         spec, sector=cfg["sector"], m=cfg["count"], tol=cfg["tol"]
     )
@@ -384,6 +395,7 @@ def _cmd_overlap(cfg, chash):
     rows, spectrum = [], []
     for g in sorted(cfg["g_grid"]):
         spec = _spec_from_cfg(cfg, g)
+        _at_most("levels", cfg["levels"], spec.dimension // 2, "sector")
         # the mirror-even halves hold both ground states; higher levels may
         # be R-odd, so more than one level takes the whole sectors
         columns = (manybody.ground_columns(spec) if cfg["levels"] == 1
@@ -495,7 +507,7 @@ COMMANDS: dict[str, tuple] = {
     "spectrum": (_cmd_spectrum, {
         "N": (_int, _REQUIRED), "N_m": (_int, _REQUIRED),
         "g": (_float, _REQUIRED),
-        "omega_F": (_float, 1.0), "count": (_int, 10),
+        "omega_F": (_float, 1.0), "count": (_positive_int, 10),
         "sector": (_choice("full", "even", "odd"), "full"), "tol": (_positive_float, 1e-10),
         "safety": (_float, 4.0), "even_floor": (_int, 4),
         "cutoffs": (_list_of(_int), None),

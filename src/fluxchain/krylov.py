@@ -62,11 +62,13 @@ spectrum, f = 24 by about 3%, but cost more matvecs: f = 24 up to 7%
 Arithmetic is real and the start vector is seeded gaussian noise, so a solve
 is deterministic and its start has weight on every eigenvector; a start
 inside one symmetry class of the operator would never reach the levels of
-another.  A caller that already holds a good approximation (the ground
-vector of the same operator at smaller cutoffs, say) passes it as ``start``;
-the seeded noise is then added at relative weight ``START_NOISE`` = 1e-6,
-which keeps the solve deterministic and gives every eigenvector a weight
-ten decades above the rounding a Lanczos step adds.  A weight is not a
+another.  A caller that already holds a good approximation passes it as
+``start``: ``manybody.ground_splittings`` passes the sector part of the
+asymptotic vacuum to its base columns and the padded base ground vectors
+to its refined ones.  The seeded noise is then added at relative weight
+``START_NOISE`` = 1e-6, which keeps the solve deterministic and gives
+every eigenvector a weight ten decades above the rounding a Lanczos step
+adds.  A weight is not a
 guarantee that an eigenvector is found: one the start holds at 1e-6 shows
 in the Krylov space only once the start's own components are resolved,
 and a solve for k pairs may certify k pairs, each with a small residual,
@@ -108,11 +110,12 @@ bound on the next level.  ``manybody.ground_splittings`` is that caller:
 its vectors only warm-start the refinement, each base ground energy is
 bounded by a tenth of the splitting floor, and each refined one, which
 feeds only the convergence flag, by ``manybody.REFINE_SHARE`` of that
-flag's threshold.  The stand-in holds only for a
-level the Krylov space has resolved.  A level just above the lowest that
-the space has not yet separated from it leaves theta_2 too high; with
-levels -1 and -1 + 1e-6 below a band in [0, 1], a target of 1e-12 stopped
-a 300-state solve with its energy 3e-9 high.  A sector's ground state is
+flag's threshold; where those bounds leave the flag open, the refined pair
+is solved again to a quarter of the flag's margin.  The stand-in holds
+only for a level the Krylov space has resolved.  A level just above the
+lowest that the space has not yet separated from it leaves theta_2 too
+high; with levels -1 and -1 + 1e-6 below a band in [0, 1], a target of
+1e-12 stopped a 300-state solve with its energy 3e-9 high.  A sector's ground state is
 separated from its next level by the sector's gap, and the splitting tests
 check the certified energies against tight residual-gated ones.
 

@@ -41,11 +41,14 @@ sector; subtracting two nearly equal full-space eigenvalues cannot reach
 the 1e-12 level that the sector route resolves.  Splittings below
 ``NUMERICAL_FLOOR`` times the atomic frequency are flagged as floor-limited,
 and each reported Lanczos ground energy is certified to a tenth of that
-floor by its Kato-Temple bound, or by the residual gate (``krylov``).  The
+floor by its Kato-Temple bound, or by the residual gate (``krylov``).  Each
+base Lanczos column starts from the sector part of the asymptotic vacuum
+V+ (``_vacuum_start``), each refined one from the padded base vector.  The
 energies of the refinement solve feed only the convergence flag, which
 compares two splittings to ``tol`` relative, so each is certified to
 ``REFINE_SHARE`` of that flag's threshold, tol times the base splitting,
-and to no less than a tenth of the floor.
+and to no less than a tenth of the floor; a point whose flag those bounds
+leave open is solved again, tighter.
 
 A clean chain (all atomic frequencies equal) also commutes with the mirror
 R: atom j -> N+1-j, times (-1)^n_k on each mode odd under it (even k < N,
@@ -72,7 +75,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -84,9 +87,10 @@ NUMERICAL_FLOOR = 1e-13
 
 #: share of the convergence threshold ``tol`` x delta that the Kato-Temple
 #: bound of each refined ground energy may take in ``ground_splittings``;
-#: with both energies inside it the refined splitting is off by at most
-#: 0.2% of the threshold it is compared with
-REFINE_SHARE = 1e-3
+#: with both energies inside it the refined splitting is off by at most 20%
+#: of the threshold it is compared with, and a flag whose margin that leaves
+#: open is decided by a tighter solve of its point
+REFINE_SHARE = 0.1
 
 #: sector dimension at or below which a solve is dense, above it Lanczos.
 #: Dense numpy.linalg.eigh computes every pair; on one BLAS thread, as every
@@ -303,6 +307,18 @@ def _mode_table(per_mode) -> np.ndarray:
     return out
 
 
+def _spin_table(n: int, sector: str) -> np.ndarray:
+    """``BasisIndexer.spins`` of an N-atom basis: the spin pattern of each
+    column for each photon-total parity."""
+    spins = np.arange(2**n)
+    if sector != "full":
+        # parity fixes bit 1 once the photon total and bits 2..N are known
+        rest = spins[: 2 ** (n - 1)]
+        spins = 2 * rest + (n + (sector == "odd") + np.arange(2)[:, None]
+                            + _popcount(rest, n - 1)) % 2
+    return np.broadcast_to(spins, (2, spins.shape[-1]))
+
+
 class BasisIndexer:
     """The packed basis of a spec, the whole space or one parity sector: the
     one owner of its layout.
@@ -325,13 +341,7 @@ class BasisIndexer:
             raise ManyBodyError("sector must be 'full', 'even' or 'odd'")
         self.spec, self.sector = spec, sector
         self.photons = _mode_table([np.arange(dim) for dim in spec.mode_dims])
-        n, spins = spec.n_atoms, np.arange(spec.spin_dim)
-        if sector != "full":
-            # parity fixes bit 1 once the photon total and bits 2..N are known
-            rest = spins[: spec.spin_dim // 2]
-            spins = 2 * rest + (n + (sector == "odd") + np.arange(2)[:, None]
-                                + _popcount(rest, n - 1)) % 2
-        self.spins = np.broadcast_to(spins, (2, spins.shape[-1]))
+        self.spins = _spin_table(spec.n_atoms, sector)
         self.shape = tuple(reversed(spec.mode_dims)) + (self.spins.shape[1],)
         self.dimension = math.prod(self.shape)
 
@@ -390,23 +400,30 @@ def _stack_columns(columns) -> list:
     return columns
 
 
-def _mirror(basis: BasisIndexer) -> tuple[np.ndarray, np.ndarray]:
-    """The mirror R on a parity sector's rows, as (cols, sign):
-    (R v)[f, c] = sign[f] v[f, cols[photons[f] % 2, c]].
+@lru_cache(maxsize=4)
+def _mirror(n: int, mode_dims: tuple, sector: str) -> tuple[np.ndarray, np.ndarray]:
+    """The mirror R on the rows of an N-atom parity sector with these mode
+    dimensions, as (cols, sign): (R v)[f, c] = sign[f] v[f, cols[photons[f] % 2, c]].
 
     R maps atom j to atom N+1-j and multiplies by (-1)^n_k on each mode
     whose weights are odd under that map (even k < N, and k = N at even N).
     It keeps every occupation and so each row's spin table; ``cols`` is the
     column of each table entry bit-reversed, and ``sign`` the parity of the
-    occupations of the R-odd modes, per row.
+    occupations of the R-odd modes, per row.  The tables do not depend on
+    the coupling or the atomic frequencies, so the stack plan of
+    ``sector_spectra`` and the fold of each engine share one read-only copy;
+    the four most recent stay cached, the base and refined sectors of a
+    ``ground_splittings`` call.
     """
-    spec, n = basis.spec, basis.spec.n_atoms
-    mirrored = np.zeros_like(basis.spins)
+    spins = _spin_table(n, sector)
+    mirrored = np.zeros_like(spins)
     for j in range(n):
-        mirrored |= ((basis.spins >> j) & 1) << (n - 1 - j)
-    odd = [k < n and k % 2 == 0 or k == n and n % 2 == 0 for k in range(1, spec.n_modes + 1)]
-    flips = _mode_table([o * np.arange(d) for o, d in zip(odd, spec.mode_dims)])
-    return mirrored >> 1, 1.0 - 2.0 * (flips % 2)
+        mirrored |= ((spins >> j) & 1) << (n - 1 - j)
+    odd = [k < n and k % 2 == 0 or k == n and n % 2 == 0 for k in range(1, len(mode_dims) + 1)]
+    flips = _mode_table([o * np.arange(d) for o, d in zip(odd, mode_dims)])
+    cols, sign = mirrored >> 1, 1.0 - 2.0 * (flips % 2)
+    cols.flags.writeable = sign.flags.writeable = False
+    return cols, sign
 
 
 def _column_dimension(spec: ManyBodySpec, sector) -> int:
@@ -415,7 +432,7 @@ def _column_dimension(spec: ManyBodySpec, sector) -> int:
     if isinstance(sector, str):
         return spec.dimension // 2
     basis = BasisIndexer(spec, sector[0])
-    cols, sign = _mirror(basis)
+    cols, sign = _mirror(spec.n_atoms, spec.mode_dims, sector[0])
     fixed = np.count_nonzero(cols == np.arange(cols.shape[1]), axis=1)
     return (basis.dimension + int(sign @ fixed[basis.photons % 2])) // 2
 
@@ -430,7 +447,7 @@ def _mirror_fold(basis: BasisIndexer):
     +1.  A folded x unfolds to ``x[back] * spread``, and an R-even sector
     vector y folds to its coordinates ``y[keep] * gain``.
     """
-    cols, sign = _mirror(basis)
+    cols, sign = _mirror(basis.spec.n_atoms, basis.spec.mode_dims, basis.sector)
     width, dim = cols.shape[1], basis.dimension
     perm = (np.arange(sign.size)[:, None] * width + cols[basis.photons % 2]).reshape(-1)
     sign = np.repeat(sign, width)
@@ -485,7 +502,7 @@ class HamiltonianEngine:
                                 "not both")
         # one basis per parity; the rows, their photon totals and the shape
         # are the same in both
-        bases = {sec: BasisIndexer(spec, _parity(sec)) for sec in labels}
+        self._bases = bases = {sec: BasisIndexer(spec, _parity(sec)) for sec in labels}
         self._basis = basis = bases[self.columns[0][1]]
         sector_dim = self.dimension = basis.dimension
         # fold and unfold of the whole stack, each one flat gather over its
@@ -645,6 +662,26 @@ def _padded_start(op: HamiltonianEngine, start: Wavefunction, column: int) -> np
     return padded.reshape(-1)
 
 
+def _vacuum_start(op: HamiltonianEngine) -> np.ndarray | None:
+    """The sector part of the asymptotic vacuum V+ on each of ``op``'s
+    columns, in column coordinates and the real gauge, or None where the
+    truncated coherent states keep too little weight for a start to have a
+    norm.
+
+    V+ does not depend on the atomic frequencies, so every column of one
+    sector label takes the same start.  Its factors are taken without the
+    mass check of ``asymptotics.vacuum_factors``: a start needs no accuracy,
+    so it never refuses a solve that a cold start would run.
+    """
+    from .asymptotics import truncated_factors  # asymptotics imports this module
+
+    modes, spin, _ = truncated_factors(op.spec, +1)
+    parts = {sec: (basis.product(modes, spin) * op.phase.conj()).real
+             for sec, basis in op._bases.items()}
+    start = op.fold(np.stack([parts[sec] for _, sec in op.columns]))
+    return start if np.all(np.sum(start * start, axis=1) > 0.0) else None
+
+
 def _column_bytes(dim: int, m: int) -> int:
     """Bytes one column of ``dim`` states holds in a solve for m pairs: its
     dense matrix at or below ``DENSE_LIMIT`` states, its Krylov basis above."""
@@ -682,6 +719,9 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     columns from a vector of the same chain and sector at per-mode cutoffs
     no larger than the column's (the ground vector of a smaller solve),
     zero-padded to the column's cutoffs; the dense route ignores them.
+    ``starts="vacuum"`` starts every Lanczos column from the sector part of
+    the asymptotic vacuum V+ (``_vacuum_start``), built per stack and never
+    for a dense one.
     Starts are refused for more than one pair: a start inside one symmetry
     class gives the levels of another too little weight to be found, and
     the residual gate cannot tell a level that was missed.
@@ -696,7 +736,10 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
         raise ManyBodyError("tol must be positive")
     if starts is not None and m > 1:
         raise ManyBodyError(f"starts serve ground solves only, not m = {m}")
-    if starts is not None and len(starts) != len(columns):
+    vacuum = isinstance(starts, str)
+    if vacuum and starts != "vacuum":
+        raise ManyBodyError(f"starts must be 'vacuum' or one vector per column, got {starts!r}")
+    if starts is not None and not vacuum and len(starts) != len(columns):
         raise ManyBodyError(f"{len(starts)} starts for {len(columns)} columns")
     spec = columns[0][0]
     _admit(spec, m)  # before any basis is built
@@ -714,7 +757,7 @@ def sector_spectra(columns, m: int = 1, tol: float = 1e-11, with_vectors: bool =
     out = []
     for lo, hi in stacks:
         out += _stack_spectra(HamiltonianEngine(columns[lo:hi]), m, tol, with_vectors,
-                              None if starts is None else starts[lo:hi],
+                              starts if starts is None or vacuum else starts[lo:hi],
                               None if energy_tol is None else energy_tol[lo:hi])
     return out
 
@@ -723,7 +766,7 @@ def _stack_spectra(op, m, tol, with_vectors, starts, energy_tol) -> list[Spectru
     """The results of one stack of ``sector_spectra``, on its engine ``op``."""
     dim = op.dimension
     start = None
-    if starts is not None:
+    if starts is not None and not isinstance(starts, str):
         start = op.fold(np.stack([_padded_start(op, st, i) for i, st in enumerate(starts)]))
     if dim <= DENSE_LIMIT:
         with solve_threads(dim):
@@ -733,6 +776,8 @@ def _stack_spectra(op, m, tol, with_vectors, starts, energy_tol) -> list[Spectru
             residuals = np.linalg.norm(h @ vecs - vecs * vals[:, None, :], axis=1)
         iterations, method = [0] * len(op.columns), "dense"
     else:
+        if starts == "vacuum":
+            start = _vacuum_start(op)
         res = lowest_eigenpairs(op.matvec, dim, m, tol=tol, scale=op.norm_bound(),
                                 start=start, energy_tol=energy_tol)
         vals, vecs, residuals = res.eigenvalues, res.eigenvectors, res.residuals
@@ -832,12 +877,19 @@ def _refined_energy_tol(spec: ManyBodySpec, delta: float, tol: float) -> float:
     return max(_energy_tol(spec), REFINE_SHARE * tol * delta)
 
 
+def _splittings(results) -> list[float]:
+    """|E0(even) - E0(odd)| of each consecutive (even, odd) pair of results."""
+    e = [float(r.eigenvalues[0]) for r in results]
+    return [abs(a - b) for a, b in zip(e[::2], e[1::2])]
+
+
 def ground_splittings(specs, tol: float = 1e-3,
                       refine: bool = True) -> list[SplittingRecord]:
     """|E0(even) - E0(odd)| of each spec, in order, with a convergence flag.
 
     The specs differ in atomic frequencies only.  Their ``ground_columns``,
-    spec by spec and even before odd, are one ``sector_spectra`` call;
+    spec by spec and even before odd, are one ``sector_spectra`` call whose
+    Lanczos columns start from the sector parts of the asymptotic vacuum V+;
     ``refine`` solves them again at larger cutoffs, from the padded ground
     vectors.  A record is converged when refinement changes delta by at most
     ``tol`` relative, or leaves both splittings below the floor; never
@@ -846,6 +898,11 @@ def ground_splittings(specs, tol: float = 1e-3,
     residual gate: a base energy at ``_energy_tol``, a tenth of the floor,
     and a refined one, which feeds only ``converged``, at
     ``_refined_energy_tol``, ``REFINE_SHARE`` of tol times the base delta.
+    The flag's margin |delta - d2| - tol max(delta, d2) is then known to
+    within the two splittings' error bars, twice each energy's bound; where
+    it lies inside them, the point's refined pair is solved again from the
+    base vectors at a quarter of the margin, so the flag is the one an
+    exactly solved d2 gives.
     A refined column too large to solve is refused before the base solve.
     """
     columns = [c for s in specs for c in ground_columns(s)]
@@ -853,17 +910,32 @@ def ground_splittings(specs, tol: float = 1e-3,
         bumped = [(s.with_cutoffs(_refined_cutoffs(s.cutoffs)), sec) for s, sec in columns]
         for s, _ in bumped:
             _admit(s, 1)
-    base = sector_spectra(columns, 1, with_vectors=refine,
+    base = sector_spectra(columns, 1, with_vectors=refine, starts="vacuum",
                           energy_tol=[_energy_tol(s) for s, _ in columns])
     e = [float(r.eigenvalues[0]) for r in base]
-    deltas = [abs(a - b) for a, b in zip(e[::2], e[1::2])]
+    deltas = _splittings(base)
     d2s = [None] * len(deltas)
     if refine:
+        starts = [r.vectors[0] for r in base]
         targets = [_refined_energy_tol(s, d, tol) for (s, _), d in zip(columns[::2], deltas)]
-        e2 = [float(r.eigenvalues[0])
-              for r in sector_spectra(bumped, 1, starts=[r.vectors[0] for r in base],
-                                      energy_tol=[t for t in targets for _ in SECTORS])]
-        d2s = [abs(a - b) for a, b in zip(e2[::2], e2[1::2])]
+        d2s = _splittings(sector_spectra(bumped, 1, starts=starts,
+                                         energy_tol=[t for t in targets for _ in SECTORS]))
+        again = {}
+        for i, ((spec, _), delta, d2, target) in enumerate(zip(columns[::2], deltas, d2s,
+                                                               targets)):
+            margin = abs(delta - d2) - tol * max(delta, d2)
+            tighter = max(_energy_tol(spec), abs(margin) / 4)
+            # a re-solve at a target no tighter would give the same bits
+            if (abs(margin) <= 2 * (1 + tol) * (_energy_tol(spec) + target)
+                    and tighter < target):
+                again[i] = tighter
+        if again:
+            pick = [2 * i + j for i in again for j in range(len(SECTORS))]
+            solved = sector_spectra([bumped[k] for k in pick], 1,
+                                    starts=[starts[k] for k in pick],
+                                    energy_tol=[t for t in again.values() for _ in SECTORS])
+            for i, d2 in zip(again, _splittings(solved)):
+                d2s[i] = d2
     records = []
     for (spec, _), e_even, e_odd, delta, d2 in zip(columns[::2], e[::2], e[1::2], deltas, d2s):
         omega_ref = _omega_ref(spec)

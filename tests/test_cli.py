@@ -273,10 +273,10 @@ class TestRun:
         rows = read_csv_rows(str(tmp_path / "disorder" / "disorder.csv"))
         assert len(rows) == args["count"]
         # each delta is the bytes of its two sectors solved alone, with the
-        # energy certification of ground_splittings
+        # vacuum start and energy certification of ground_splittings
         for row in rows:
             spec = base.with_omega_atoms((float(row["omega_F_1"]), float(row["omega_F_2"])))
-            even, odd = (manybody.sector_spectra([(spec, s)], 1,
+            even, odd = (manybody.sector_spectra([(spec, s)], 1, starts="vacuum",
                                                  energy_tol=[manybody._energy_tol(spec)])[0]
                          .eigenvalues[0] for s in manybody.SECTORS)
             assert row["delta"] == repr(abs(float(even) - float(odd)))
@@ -435,6 +435,25 @@ class TestStrictConfig:
         assert main(argv + ["--count", "2.7", "--out-dir", str(bad)]) == 1
         assert "error: bad value for 'count'" in capsys.readouterr().err
         assert not bad.exists()
+
+    @pytest.mark.parametrize("argv, key, reason", [
+        (["overlap", "--n", "2", "--n-m", "1", "--g-grid", "[0.6]", "--levels", "40"],
+         "levels", "exceeds the sector dimension 38"),
+        (["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5", "--count", "5000"],
+         "count", "exceeds the full-space dimension 88"),
+        (["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5", "--count", "45",
+          "--sector", "odd"], "count", "exceeds the sector dimension 44"),
+        (["spectrum", "--n", "2", "--n-m", "1", "--g", "0.5", "--count", "0"],
+         "count", "(expected an integer of at least 1)"),
+    ])
+    def test_count_out_of_range_names_its_key(self, argv, key, reason, tmp_path, capsys):
+        # the library once refused these with a line naming its own m
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad value for '{key}'")
+        assert err[0].endswith(reason)
+        assert not out.exists()
 
     def test_jobs_below_one_rejected(self, tmp_path, capsys):
         argv = ["splitting-sweep", "--n", "2", "--n-m", "1", "--g-grid", "[1.0]"]

@@ -32,9 +32,15 @@ by the code that uses it, not on every construction.
 Runtime: the package runs on numpy alone, so importing it and running CLI
 commands in a fresh interpreter must load no ``scipy`` module; tests and
 the benchmark use scipy only as an independent oracle.
+
+Tracing: ``bench/tracing.py`` wraps package names from outside, and reports
+a name it cannot find as absent.  A rename under ``src/`` must not leave a
+traced name behind, so the names it may miss are only the two that are
+known stale.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -370,3 +376,21 @@ def test_package_and_cli_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["derive", "fluxonium", "overlap", "spectrum"]
+
+
+#: traced names that no longer exist under ``src/``: ``dense_matrix`` went
+#: with the full-space Hamiltonian and ``disorder.ground_splitting`` when
+#: ensembles moved onto ``ground_splittings``
+STALE_TRACED = {"fluxchain.manybody.dense_matrix", "fluxchain.disorder.ground_splitting"}
+
+
+def test_benchmark_tracer_finds_its_names(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        absent = tracing.install(tracer)
+    finally:
+        tracing.uninstall(tracer)
+    assert set(absent) <= STALE_TRACED
+    assert not tracer.patched

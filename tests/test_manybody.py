@@ -37,7 +37,13 @@ from fluxchain.manybody import (
     sector_spectra,
     spatial_weights,
 )
-from fluxchain.asymptotics import analytic_splitting_n2, asymptotic_vacuum, doublet_overlap
+from fluxchain.asymptotics import (
+    CutoffError,
+    analytic_splitting_n2,
+    asymptotic_vacuum,
+    doublet_overlap,
+    vacuum_factors,
+)
 
 from oracles import dense_hamiltonian, embedded, mirror_operator, parity_diagonal
 
@@ -625,6 +631,8 @@ class TestWarmStart:
         for starts in ([vec], [vec, vec, vec]):
             with pytest.raises(ManyBodyError, match=f"{len(starts)} starts for 2 columns"):
                 sector_spectra(columns, 1, starts=starts)
+        with pytest.raises(ManyBodyError, match="'vacuum' or one vector per column"):
+            sector_spectra(columns, 1, starts="cold")
 
     def test_starts_refused_above_one_pair(self, monkeypatch):
         # an R-even start at m = 3 once certified an odd sector's third level
@@ -898,20 +906,21 @@ def _refined_solves(monkeypatch, spec, tol):
     monkeypatch.setattr(manybody, "sector_spectra", recorded)
     rec = ground_splittings([spec], tol=tol)[0]
     monkeypatch.undo()
+    assert len(calls) == 2  # base and refined, no second refined solve
     return rec, calls[1]
 
 
 @pytest.mark.parametrize("grid", ["criterion6_n3", "splitting_n3"])
 def test_refined_energies_are_inside_their_target(grid, monkeypatch):
-    # each refined energy stops at REFINE_SHARE of tol times the base delta,
-    # or at a tenth of the floor where that is larger (criterion 6 at g = 1.3,
+    # each refined energy stops at a tenth of tol times the base delta, or
+    # at a tenth of the floor where that is larger (criterion 6 at g = 1.3,
     # delta 1.3e-11), so the refined splitting is off by at most twice that
-    # from a tight one
+    # from a tight one; no flag on these grids needs a second refined solve
     n, nm, gs, floor, safety, tol = SPLITTING_GRIDS[grid]
     for g in gs:
         spec = ManyBodySpec.from_coupling(n, nm, g, even_floor=floor, safety=safety)
         rec, (columns, refined, energy_tol) = _refined_solves(monkeypatch, spec, tol)
-        target = manybody._refined_energy_tol(spec, rec.delta, tol)
+        target = max(manybody._energy_tol(spec), 0.1 * tol * rec.delta)
         assert energy_tol == [target, target]
         tight = sector_spectra(columns, 1, tol=1e-13)
         for r, ref in zip(refined, tight):
@@ -931,7 +940,7 @@ def test_refined_target_of_a_floor_splitting_is_the_base_one(monkeypatch):
     above = ManyBodySpec.from_coupling(2, 1, 1.0)
     rec, (_, _, energy_tol) = _refined_solves(monkeypatch, above, tol)
     assert not rec.below_floor
-    assert energy_tol == [manybody.REFINE_SHARE * tol * rec.delta] * 2
+    assert energy_tol == [0.1 * tol * rec.delta] * 2
     assert energy_tol[0] > manybody._energy_tol(above)
 
 
@@ -955,14 +964,99 @@ def _grid_matvecs(monkeypatch, grid) -> int:
 def test_splitting_sweep_matvec_budget(monkeypatch):
     # the splitting_n3 benchmark grid: 477 operator calls under the residual
     # gate alone, 389 with every energy certified to a tenth of the floor,
-    # 285 with the refined ones at REFINE_SHARE of the convergence threshold
-    # and 273 with the start noise at 1e-6
-    assert _grid_matvecs(monkeypatch, "splitting_n3") <= 287
+    # 285 with the refined ones at 1e-3 of the convergence threshold, 273
+    # with the start noise at 1e-6, and 217 with the base columns started
+    # from the asymptotic vacuum and the refined ones at a tenth of the
+    # threshold
+    assert _grid_matvecs(monkeypatch, "splitting_n3") <= 228
 
 
 def test_criterion6_matvec_budget(monkeypatch):
-    # criterion 6's N = 3 grid, in the same steps: 1,658, 1,541 and 1,268
-    assert _grid_matvecs(monkeypatch, "criterion6_n3") <= 1331
+    # criterion 6's N = 3 grid, in the same steps: 1,658, 1,541, 1,268 and 952
+    assert _grid_matvecs(monkeypatch, "criterion6_n3") <= 1000
+
+
+def test_vacuum_start_never_refuses_a_solve(monkeypatch):
+    # mode 1 keeps 59% of its coherent state: vacuum_factors refuses it, but
+    # ground_splittings still runs, and each energy lies within its target
+    # of a tight cold-start solve
+    spec = ManyBodySpec.from_coupling(3, 3, 1.0, cutoffs=(8, 8, 8))
+    with pytest.raises(CutoffError):
+        vacuum_factors(spec, +1)
+    rec = ground_splittings([spec], tol=1e-2)[0]
+    bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
+    tight = [sector_spectra(ground_columns(s), 1, tol=1e-13) for s in (spec, bumped)]
+    assert all(r.method == "lanczos" for pair in tight for r in pair)
+    for e, ref in zip((rec.e_even, rec.e_odd), tight[0]):
+        assert abs(e - ref.eigenvalues[0]) <= manybody._energy_tol(spec)
+    d2 = abs(tight[1][0].eigenvalues[0] - tight[1][1].eigenvalues[0])
+    assert abs(rec.delta_refined - d2) <= 2 * manybody._refined_energy_tol(spec, rec.delta, 1e-2)
+    # where mode 1's squared mass underflows to zero, the start has no norm
+    # and the solve is the cold one, bit for bit
+    far = ManyBodySpec.from_coupling(2, 1, 25.0, cutoffs=(450,))
+    with np.errstate(under="ignore"):
+        assert manybody._vacuum_start(HamiltonianEngine(ground_columns(far)[:1])) is None
+        rec = ground_splittings([far], tol=1e-2)[0]
+        solve = manybody.sector_spectra
+        monkeypatch.setattr(manybody, "sector_spectra",
+                            lambda *a, starts=None, **kw: solve(
+                                *a, starts=None if starts == "vacuum" else starts, **kw))
+        assert ground_splittings([far], tol=1e-2)[0] == rec
+
+
+@pytest.mark.parametrize("side", [+1, -1])
+def test_flag_inside_its_error_bars_is_solved_again(side, monkeypatch):
+    # tol is set so that the flag's margin, |delta - d2| - tol max(delta, d2)
+    # with d2 from a tight solve, is a fifth of the refined target: inside
+    # the bars of the refined pair, so that pair is solved again at a quarter
+    # of the margin, and the flag is the one the tight d2 gives
+    spec = ManyBodySpec.from_coupling(3, 2, 1.0)
+    bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
+    delta = ground_splittings([spec], refine=False)[0].delta
+    tight = sector_spectra(ground_columns(bumped), 1, tol=1e-13)
+    d2 = abs(tight[0].eigenvalues[0] - tight[1].eigenvalues[0])
+    larger = max(delta, d2)
+    ratio = abs(delta - d2) / larger
+    margin = side * 0.2 * manybody._refined_energy_tol(spec, delta, ratio)
+    tol = (abs(delta - d2) - margin) / larger
+    calls = []
+    solve = manybody.sector_spectra
+
+    def recorded(columns, *a, energy_tol=None, **kw):
+        calls.append(energy_tol)
+        return solve(columns, *a, energy_tol=energy_tol, **kw)
+
+    monkeypatch.setattr(manybody, "sector_spectra", recorded)
+    rec = ground_splittings([spec], tol=tol)[0]
+    assert len(calls) == 3
+    tighter = calls[2][0]
+    assert calls[2] == [tighter] * 2 and manybody._energy_tol(spec) < tighter < calls[1][0]
+    assert abs(rec.delta_refined - d2) <= 2 * tighter
+    assert rec.converged == (abs(delta - d2) <= tol * larger) == (side < 0)
+
+
+def test_disordered_stack_with_vacuum_starts_matches_cold_starts(monkeypatch):
+    # whole-sector columns of an ensemble take the clean chain's start, since
+    # the vacuum does not depend on the atomic frequencies; each delta lies
+    # within its bars, twice a tenth of the floor, of the cold-start one
+    base = ManyBodySpec.from_coupling(3, 2, 1.0)
+    specs = [base.with_omega_atoms(w)
+             for w in sample_frequencies(DisorderEnsembleSpec(base, 0.3, 4, 5))]
+    kinds = []
+    solve = manybody.sector_spectra
+
+    def recorded(columns, *a, starts=None, **kw):
+        kinds.append(starts)
+        return solve(columns, *a, starts=starts, **kw)
+
+    monkeypatch.setattr(manybody, "sector_spectra", recorded)
+    warm = ground_splittings(specs, refine=False)
+    monkeypatch.setattr(manybody, "sector_spectra",
+                        lambda *a, starts=None, **kw: solve(*a, **kw))
+    cold = ground_splittings(specs, refine=False)
+    assert kinds == ["vacuum"]
+    for spec, w, c in zip(specs, warm, cold):
+        assert abs(w.delta - c.delta) <= 4 * manybody._energy_tol(spec)
 
 
 class TestStackedSolves:
