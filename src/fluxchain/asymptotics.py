@@ -18,6 +18,7 @@ from itertools import product
 
 import numpy as np
 
+from .krylov import solve_threads
 from .manybody import (
     SECTORS,
     BasisIndexer,
@@ -177,16 +178,19 @@ def subspace_overlap(pair_a, pair_b) -> OverlapResult:
     The cosines of the principal angles between span(pair_a) and span(pair_b)
     are the singular values of the overlap matrix between orthonormalized
     pairs; the combined fidelity is their product.  Invariant under any
-    unitary remixing within either pair.
+    unitary remixing within either pair.  Its BLAS calls run under
+    ``krylov.solve_threads``, so the bits do not depend on the core count
+    below ``krylov.THREADED_LIMIT`` states.
     """
     mats = []
-    for pair in (pair_a, pair_b):
-        cols = np.column_stack([w.data for w in pair])
-        q, r = np.linalg.qr(cols)
-        if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, float(np.abs(r[0, 0]))):
-            raise ManyBodyError("rank-deficient state pair")
-        mats.append(q)
-    sv = np.linalg.svd(mats[0].conj().T @ mats[1], compute_uv=False)
+    with solve_threads(max(w.data.size for w in pair_a)):
+        for pair in (pair_a, pair_b):
+            cols = np.column_stack([w.data for w in pair])
+            q, r = np.linalg.qr(cols)
+            if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, float(np.abs(r[0, 0]))):
+                raise ManyBodyError("rank-deficient state pair")
+            mats.append(q)
+        sv = np.linalg.svd(mats[0].conj().T @ mats[1], compute_uv=False)
     sv = np.clip(sv, 0.0, 1.0)
     return OverlapResult(cosines=(float(sv[0]), float(sv[1])),
                          fidelity=float(sv[0] * sv[1]))
@@ -200,7 +204,8 @@ def doublet_overlap(pair) -> OverlapResult:
     sector parts of V+.  Sectors are orthogonal, so the principal cosines
     are |<psi_s|V+_s>| / (||psi_s|| ||V+_s||), one per sector.  V+_s is the
     ``BasisIndexer.product`` of the sector with ``vacuum_factors``, so no
-    vector leaves its sector.
+    vector leaves its sector.  The overlaps run under
+    ``krylov.solve_threads``, as ``subspace_overlap``'s do.
     """
     indexers = [wf.indexer for wf in pair]
     if (tuple(idx.sector for idx in indexers) != SECTORS
@@ -208,10 +213,11 @@ def doublet_overlap(pair) -> OverlapResult:
         raise ManyBodyError("need the even and the odd state of one spec")
     modes, spin = vacuum_factors(indexers[0].spec, +1)
     cos = []
-    for wf, idx in zip(pair, indexers):
-        part = idx.product(modes, spin)
-        cos.append(abs(np.vdot(wf.data, part))
-                   / (np.linalg.norm(wf.data) * np.linalg.norm(part)))
+    with solve_threads(max(idx.dimension for idx in indexers)):
+        for wf, idx in zip(pair, indexers):
+            part = idx.product(modes, spin)
+            cos.append(abs(np.vdot(wf.data, part))
+                       / (np.linalg.norm(wf.data) * np.linalg.norm(part)))
     hi, lo = np.clip(sorted(cos, reverse=True), 0.0, 1.0)
     return OverlapResult(cosines=(float(hi), float(lo)), fidelity=float(hi * lo))
 

@@ -254,14 +254,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+#: the types ``csv.writer`` writes as ``_fmt`` does (float by repr, int and
+#: str by str), matched by exact type: bool and np.float64 subclass int and
+#: float, but the two write them differently
+_PLAIN = (float, int, str)
+
+
 def write_csv(path: str, header: list[str], rows, chash: str) -> None:
     """A CSV table under a ``# manifest: <config hash>`` line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# manifest: {chash}\n")
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        w.writerows([x if type(x) in _PLAIN else _fmt(x) for x in row] for row in rows)
 
 
 def read_csv_rows(path: str) -> list[dict]:
@@ -308,7 +313,7 @@ def _cmd_fluxonium(cfg, chash):
     if cfg["wavefunction_csv"]:
         out["wavefunctions.csv"] = (
             ["phi", "psi0", "psi1"],
-            zip(levels.phi_grid, levels.wavefunctions[0], levels.wavefunctions[1]),
+            np.column_stack([levels.phi_grid, *levels.wavefunctions[:2]]).tolist(),
         )
     return out
 
@@ -396,12 +401,15 @@ def _cmd_overlap(cfg, chash):
     for g in sorted(cfg["g_grid"]):
         spec = _spec_from_cfg(cfg, g)
         _at_most("levels", cfg["levels"], spec.dimension // 2, "sector")
-        # the mirror-even halves hold both ground states; higher levels may
-        # be R-odd, so more than one level takes the whole sectors
-        columns = (manybody.ground_columns(spec) if cfg["levels"] == 1
+        # the mirror-even halves hold both ground states, and their Lanczos
+        # columns start from the asymptotic vacuum; higher levels may be
+        # R-odd, so more than one level takes the whole sectors, cold
+        ground = cfg["levels"] == 1
+        columns = (manybody.ground_columns(spec) if ground
                    else [(spec, sec) for sec in manybody.SECTORS])
-        se, so = manybody.sector_spectra(columns, cfg["levels"],
-                                         tol=cfg["tol"], with_vectors=True)
+        se, so = manybody.sector_spectra(columns, cfg["levels"], tol=cfg["tol"],
+                                         with_vectors=True,
+                                         starts="vacuum" if ground else None)
         for sec, res in zip(manybody.SECTORS, (se, so)):
             spectrum += _spectrum_rows(cfg, g, sec, res)
         ov = asymptotics.doublet_overlap((se.vectors[0], so.vectors[0]))
@@ -574,16 +582,21 @@ def run(command: str, file_cfg: dict | None = None,
     return 0
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None, alone: bool = False) -> argparse.ArgumentParser:
     """The parser of every command name, with the flags of ``command`` only:
     argparse hands the rest of the line to that one subparser, so the others
-    need none."""
+    need none.  ``alone`` registers ``command``'s subparser and no other, as
+    a line that opens with that name reaches no other; a line that may print
+    the top-level usage (help, a missing or unknown command, a word no
+    subparser takes) needs them all."""
     p = argparse.ArgumentParser(
         prog="fluxchain",
         description="chain-of-junction-atoms resonator simulator",
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_impl, schema) in COMMANDS.items():
+        if alone and name != command:
+            continue
         sp = sub.add_parser(name)
         if name != command:
             continue
@@ -599,7 +612,11 @@ def main(argv=None) -> int:
     # the top-level parser has no option that takes a value, so its first
     # word that is not an option names the subparser that parses the rest
     command = next((a for a in argv if not a.startswith("-")), None)
-    overrides = vars(_build_parser(command).parse_args(argv))
+    alone = argv[:1] == [command] and command in COMMANDS
+    overrides, extra = _build_parser(command, alone).parse_known_args(argv)
+    if extra:  # the error's top-level usage names every command
+        _build_parser(command).parse_args(argv)
+    overrides = vars(overrides)
     command, config = overrides.pop("command"), overrides.pop("config")
     try:
         file_cfg = parse_config_file(config) if config else None

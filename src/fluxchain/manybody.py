@@ -307,9 +307,11 @@ def _mode_table(per_mode) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def _spin_table(n: int, sector: str) -> np.ndarray:
     """``BasisIndexer.spins`` of an N-atom basis: the spin pattern of each
-    column for each photon-total parity."""
+    column for each photon-total parity.  Read-only, and built once per
+    chain length and sector, which every basis of a run shares."""
     spins = np.arange(2**n)
     if sector != "full":
         # parity fixes bit 1 once the photon total and bits 2..N are known
@@ -400,41 +402,67 @@ def _stack_columns(columns) -> list:
     return columns
 
 
+@lru_cache(maxsize=16)
+def _mirror_columns(n: int, sector: str) -> np.ndarray:
+    """The column of each entry of an N-atom sector's spin table (``_spin_table``)
+    once its spin pattern is bit-reversed, atom j taken to atom N+1-j; read-only."""
+    spins = _spin_table(n, sector)
+    mirrored = np.zeros_like(spins)
+    for j in range(n):
+        mirrored |= ((spins >> j) & 1) << (n - 1 - j)
+    cols = mirrored >> 1
+    cols.flags.writeable = False
+    return cols
+
+
+def _mirror_odd(n: int, n_modes: int) -> list[bool]:
+    """Whether each mode's weights are odd under the mirror of an N-atom
+    chain: even k < N, and k = N at even N."""
+    return [k < n and k % 2 == 0 or k == n and n % 2 == 0 for k in range(1, n_modes + 1)]
+
+
 @lru_cache(maxsize=4)
 def _mirror(n: int, mode_dims: tuple, sector: str) -> tuple[np.ndarray, np.ndarray]:
     """The mirror R on the rows of an N-atom parity sector with these mode
     dimensions, as (cols, sign): (R v)[f, c] = sign[f] v[f, cols[photons[f] % 2, c]].
 
     R maps atom j to atom N+1-j and multiplies by (-1)^n_k on each mode
-    whose weights are odd under that map (even k < N, and k = N at even N).
-    It keeps every occupation and so each row's spin table; ``cols`` is the
-    column of each table entry bit-reversed, and ``sign`` the parity of the
-    occupations of the R-odd modes, per row.  The tables do not depend on
-    the coupling or the atomic frequencies, so the stack plan of
-    ``sector_spectra`` and the fold of each engine share one read-only copy;
-    the four most recent stay cached, the base and refined sectors of a
-    ``ground_splittings`` call.
+    whose weights are odd under that map (``_mirror_odd``).  It keeps every
+    occupation and so each row's spin table; ``cols`` is the column of each
+    table entry bit-reversed (``_mirror_columns``), and ``sign`` the parity
+    of the occupations of the R-odd modes, per row.  The tables do not
+    depend on the coupling or the atomic frequencies, so the fold of each
+    engine shares one read-only copy; the four most recent stay cached, the
+    base and refined sectors of a ``ground_splittings`` call.
     """
-    spins = _spin_table(n, sector)
-    mirrored = np.zeros_like(spins)
-    for j in range(n):
-        mirrored |= ((spins >> j) & 1) << (n - 1 - j)
-    odd = [k < n and k % 2 == 0 or k == n and n % 2 == 0 for k in range(1, len(mode_dims) + 1)]
+    cols = _mirror_columns(n, sector)
+    odd = _mirror_odd(n, len(mode_dims))
     flips = _mode_table([o * np.arange(d) for o, d in zip(odd, mode_dims)])
-    cols, sign = mirrored >> 1, 1.0 - 2.0 * (flips % 2)
-    cols.flags.writeable = sign.flags.writeable = False
+    sign = 1.0 - 2.0 * (flips % 2)
+    sign.flags.writeable = False
     return cols, sign
 
 
 def _column_dimension(spec: ManyBodySpec, sector) -> int:
     """The states of a column: D of its parity sector, or (D + tr R) / 2 of
-    a mirror-even half, its R = +1 eigenspace."""
+    a mirror-even half, its R = +1 eigenspace.
+
+    tr R = sum_f sign[f] fixed[photons[f] % 2] (``_mirror``), where fixed[p]
+    counts the spin columns that bit reversal keeps in place at photon
+    parity p.  Summed mode by mode, sum_f sign[f] = a and
+    sum_f sign[f] (-1)^photons[f] = b, each a product of per-mode sums of
+    (-1)^n over 0 <= n < d, which is d mod 2, so
+    tr R = fixed[0] (a + b) / 2 + fixed[1] (a - b) / 2.
+    """
     if isinstance(sector, str):
         return spec.dimension // 2
-    basis = BasisIndexer(spec, sector[0])
-    cols, sign = _mirror(spec.n_atoms, spec.mode_dims, sector[0])
-    fixed = np.count_nonzero(cols == np.arange(cols.shape[1]), axis=1)
-    return (basis.dimension + int(sign @ fixed[basis.photons % 2])) // 2
+    cols = _mirror_columns(spec.n_atoms, sector[0])
+    fixed = np.count_nonzero(cols == np.arange(cols.shape[1]), axis=1).tolist()
+    a = b = 1
+    for odd, d in zip(_mirror_odd(spec.n_atoms, spec.n_modes), spec.mode_dims):
+        a *= d % 2 if odd else d
+        b *= d if odd else d % 2
+    return (spec.dimension // 2 + (fixed[0] * (a + b) + fixed[1] * (a - b)) // 2) // 2
 
 
 def _mirror_fold(basis: BasisIndexer):
@@ -891,13 +919,15 @@ def ground_splittings(specs, tol: float = 1e-3,
     spec by spec and even before odd, are one ``sector_spectra`` call whose
     Lanczos columns start from the sector parts of the asymptotic vacuum V+;
     ``refine`` solves them again at larger cutoffs, from the padded ground
-    vectors.  A record is converged when refinement changes delta by at most
-    ``tol`` relative, or leaves both splittings below the floor; never
-    unrefined.  The vectors serve only as warm starts, so every Lanczos
-    column may stop at a Kato-Temple bound on its energy as well as at the
-    residual gate: a base energy at ``_energy_tol``, a tenth of the floor,
-    and a refined one, which feeds only ``converged``, at
-    ``_refined_energy_tol``, ``REFINE_SHARE`` of tol times the base delta.
+    vectors, which the base solve builds only when a refined column is above
+    ``DENSE_LIMIT``, since the dense route ignores starts.  A record is
+    converged when refinement changes delta by at most ``tol`` relative, or
+    leaves both splittings below the floor; never unrefined.  The vectors
+    serve only as warm starts, so every Lanczos column may stop at a
+    Kato-Temple bound on its energy as well as at the residual gate: a base
+    energy at ``_energy_tol``, a tenth of the floor, and a refined one,
+    which feeds only ``converged``, at ``_refined_energy_tol``,
+    ``REFINE_SHARE`` of tol times the base delta.
     The flag's margin |delta - d2| - tol max(delta, d2) is then known to
     within the two splittings' error bars, twice each energy's bound; where
     it lies inside them, the point's refined pair is solved again from the
@@ -906,17 +936,20 @@ def ground_splittings(specs, tol: float = 1e-3,
     A refined column too large to solve is refused before the base solve.
     """
     columns = [c for s in specs for c in ground_columns(s)]
+    warm = False
     if refine:
         bumped = [(s.with_cutoffs(_refined_cutoffs(s.cutoffs)), sec) for s, sec in columns]
         for s, _ in bumped:
             _admit(s, 1)
-    base = sector_spectra(columns, 1, with_vectors=refine, starts="vacuum",
+        warm = any(_column_dimension(bumped[0][0], sec) > DENSE_LIMIT
+                   for sec in {sec for _, sec in bumped})
+    base = sector_spectra(columns, 1, with_vectors=warm, starts="vacuum",
                           energy_tol=[_energy_tol(s) for s, _ in columns])
     e = [float(r.eigenvalues[0]) for r in base]
     deltas = _splittings(base)
     d2s = [None] * len(deltas)
     if refine:
-        starts = [r.vectors[0] for r in base]
+        starts = [r.vectors[0] for r in base] if warm else None
         targets = [_refined_energy_tol(s, d, tol) for (s, _), d in zip(columns[::2], deltas)]
         d2s = _splittings(sector_spectra(bumped, 1, starts=starts,
                                          energy_tol=[t for t in targets for _ in SECTORS]))
@@ -932,7 +965,7 @@ def ground_splittings(specs, tol: float = 1e-3,
         if again:
             pick = [2 * i + j for i in again for j in range(len(SECTORS))]
             solved = sector_spectra([bumped[k] for k in pick], 1,
-                                    starts=[starts[k] for k in pick],
+                                    starts=[starts[k] for k in pick] if warm else None,
                                     energy_tol=[t for t in again.values() for _ in SECTORS])
             for i, d2 in zip(again, _splittings(solved)):
                 d2s[i] = d2

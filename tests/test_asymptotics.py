@@ -29,6 +29,7 @@ from fluxchain.manybody import (
     Wavefunction,
     sector_spectra,
 )
+from fluxchain import krylov
 from fluxchain.cli import main
 from fluxchain.disorder import protection_check
 
@@ -224,6 +225,32 @@ def test_overlaps_build_no_full_space(monkeypatch, tmp_path):
     assert abs(protection_check(3, 2, 1.5, 3, [0.4, -0.1, 0.2])[("+", "-")]) > 0.0
     assert main(["overlap", "--n", "3", "--n-m", "2", "--g-grid", "[0.8, 1.2]",
                  "--out-dir", str(tmp_path)]) == 0
+
+
+def test_overlaps_do_not_depend_on_the_core_count():
+    # 13,680-state sectors: unpinned, OpenBLAS splits the dot products of
+    # such vectors across threads, and the fidelity's last bits follow the
+    # thread count the process had before the call
+    lib = krylov._openblas()
+    if lib is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    if krylov.usable_cores() < 2:
+        pytest.skip("one usable core")
+    spec = ManyBodySpec.from_coupling(5, 3, 0.5, safety=2.5)
+    rng = np.random.default_rng(3)
+    pair = [Wavefunction(idx, rng.standard_normal(idx.dimension)
+                         + 1j * rng.standard_normal(idx.dimension))
+            for idx in (BasisIndexer(spec, sec) for sec in SECTORS)]
+    other = [Wavefunction(w.indexer, w.data[::-1].copy()) for w in pair]
+    before = lib.scipy_openblas_get_num_threads64_()
+    try:
+        runs = []
+        for count in (1, 2):
+            lib.scipy_openblas_set_num_threads64_(count)
+            runs.append((doublet_overlap(pair), subspace_overlap(pair, other)))
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert runs[0] == runs[1]
 
 
 class TestPseudospinMinimizer:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from fluxchain.cli import (
     read_csv_rows,
     resolve_config,
     run,
+    write_csv,
 )
 from fluxchain import __version__, cli, manybody
 from fluxchain.asymptotics import beta_exponent
@@ -713,6 +715,25 @@ def test_seed_and_jobs_only_where_read(command, tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_csv_rows_of_every_value_type_keep_their_bytes(tmp_path):
+    # plain floats, ints and strs go to csv.writer as they are, and every
+    # other value through _fmt; either way each cell is _fmt's text
+    rows = [[True, np.bool_(False), np.float64(0.1), 0.1, 3, np.int64(-4), "odd"],
+            [False, np.bool_(True), np.float64(-2.5e-300), 1e16, -7, np.int64(2**40), ""],
+            [np.float64("nan"), float("inf"), 0, np.float32(0.1), np.int32(5), "a,b", 1.0]]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), header, rows, "hash")
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("# manifest: hash\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([cli._fmt(x) for x in row])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert path.read_text().splitlines()[2] == "true,false,0.1,0.1,3,-4,odd"
+
+
 def test_readme_examples_resolve():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
@@ -742,6 +763,53 @@ def test_top_level_help_lists_every_command(capsys):
     assert (code, err) == (0, "")
     assert " ".join(out.split()).startswith(
         "usage: fluxchain [-h] {" + ",".join(COMMANDS) + "} ...")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h", "spectrum"], 0),
+    (["nonsense"], 2),
+    (["spectrum", "--bogus", "1"], 2),
+])
+def test_top_level_usage_lists_every_command(argv, code, capsys):
+    # help before the command word, an unknown command and an argument no
+    # subparser takes all print the usage of the whole program
+    got, out, err = _parser_output(main, argv, capsys)
+    assert got == code
+    assert " ".join((out + err).split()).startswith(
+        "usage: fluxchain [-h] {" + ",".join(COMMANDS) + "} ...")
+
+
+_EVERY = sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["spectrum", "--help"], [["spectrum"]]),
+    (["derive", "--l1"], [["derive"]]),
+    (["derive", "--bogus", "1"], [["derive"], _EVERY]),
+    (["--help"], [_EVERY]),
+    (["-h", "spectrum"], [_EVERY]),
+    (["--bogus", "derive"], [_EVERY, _EVERY]),
+    (["nonsense"], [_EVERY]),
+    ([], [_EVERY]),
+])
+def test_a_line_opening_with_a_command_builds_its_subparser_alone(argv, builds,
+                                                                   monkeypatch, capsys):
+    # only a line that may print the top-level usage needs every name: help,
+    # a missing or unknown command, or words left over for the top level,
+    # whose error the parser of every name prints
+    built = []
+    build = cli._build_parser
+
+    def recorded(command, alone=False):
+        parser = build(command, alone)
+        built.append(sorted(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert built == builds
 
 
 def test_top_level_options_take_no_value():

@@ -1059,6 +1059,41 @@ def test_disordered_stack_with_vacuum_starts_matches_cold_starts(monkeypatch):
         assert abs(w.delta - c.delta) <= 4 * manybody._energy_tol(spec)
 
 
+@pytest.mark.parametrize("n, nm, grid, refined_method", [
+    (2, 1, (1.0, 1.2, 1.4, 1.6), "dense"),  # the sweep of the CLI benchmark
+    (3, 2, (0.8,), "lanczos"),  # mirror-even halves of 352 and 600 states
+])
+def test_base_vectors_only_for_a_lanczos_refinement(monkeypatch, n, nm, grid,
+                                                    refined_method):
+    # the dense route ignores starts, so the base solve builds vectors only
+    # for a refinement with a Lanczos column; the records are the energies
+    # of each spec's columns solved alone either way
+    specs = [ManyBodySpec.from_coupling(n, nm, g) for g in grid]
+    built = []
+
+    class Counted(Wavefunction):
+        def __post_init__(self):
+            built.append(self.indexer.spec)
+            super().__post_init__()
+
+    monkeypatch.setattr(manybody, "Wavefunction", Counted)
+    records = [ground_splittings([spec], tol=1e-3)[0] for spec in specs]
+    warm = refined_method == "lanczos"
+    assert built == ([s for s in specs for _ in SECTORS] if warm else [])
+    monkeypatch.undo()
+    for spec, rec in zip(specs, records):
+        bumped = spec.with_cutoffs(_refined_cutoffs(spec.cutoffs))
+        base = sector_spectra(ground_columns(spec), 1, with_vectors=warm)
+        assert [r.method for r in base] == ["dense"] * 2
+        assert (rec.e_even, rec.e_odd) == tuple(float(r.eigenvalues[0]) for r in base)
+        if warm:
+            continue  # a warm refinement is checked in TestStackedSolves
+        refined = sector_spectra(ground_columns(bumped), 1)
+        assert [r.method for r in refined] == [refined_method] * 2
+        assert rec.delta_refined == abs(float(refined[0].eigenvalues[0])
+                                        - float(refined[1].eigenvalues[0]))
+
+
 class TestStackedSolves:
     """Columns solved as one stack give the bytes of their lone solves."""
 
@@ -1349,11 +1384,12 @@ class TestMirrorFold:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_half_dimension_is_half_the_sector_plus_the_trace(self, n):
-        # (D + tr R) / 2 from the spin tables and row signs alone, against
-        # the fold's own count and, up to N = 3, the oracle's trace of R;
+        # (D + tr R) / 2 in closed form, from per-mode parity sums and the
+        # spin table's fixed columns, against the fold's own count and, up to N = 3, the oracle's trace of R;
         # at N = 1 R is the identity and the half is the whole sector
         for nm in range(1, n + 1):
-            for cutoffs in ((2,) * nm, (3,) * nm, (3, 2, 3, 2, 1)[:nm]):
+            for cutoffs in ((2,) * nm, (3,) * nm, (3, 2, 3, 2, 1)[:nm],
+                            (1, 4, 2, 5, 1)[:nm]):
                 spec = ManyBodySpec.from_coupling(n, nm, 0.8, cutoffs=cutoffs)
                 signs = parity_diagonal(spec) if n <= 3 else None
                 for sector, want in (("even", 1), ("odd", -1)):
